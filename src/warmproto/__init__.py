@@ -49,7 +49,7 @@ from .metrics import (
     qk_distance,
 )
 from .rng import derive_rng, make_rng
-from .trainer import TrainConfig, apply_update, evaluate, make_eval_episodes, train
+from .trainer import TrainConfig, apply_update, evaluate, make_eval_episodes, train, train_grid
 from .warm import (
     AttentionOutput,
     PrototypeSet,

@@ -24,12 +24,10 @@ import numpy as np
 from .episodes import GeneratorConfig, gen_episode, load_episode, save_episode
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .fps import evaluate_fps, fps_seed_sweep, write_sweep_csv, write_sweep_summary_csv
-from .metrics import write_metrics_csv
+from .metrics import MetricsReport, write_metrics_csv
 from .rng import derive_rng
-from .trainer import TrainConfig, evaluate, make_eval_episodes, train
+from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, train, train_grid
 from .warm import ABLATION_GRID, MODES, VARIANTS, config_sha256, load_checkpoint
-
-_GEN_STREAM = 203  # same stream as make_eval_episodes: gen+load reproduces in-memory batches
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,7 @@ def cmd_gen(args) -> None:
     out = _out_dir(args)
     seed = cfg.gen_seed if args.seed is None else args.seed
     for i in range(cfg.num_episodes):
-        episode = gen_episode(cfg.generator, derive_rng(seed, _GEN_STREAM, i), split=cfg.gen_split)
+        episode = gen_episode(cfg.generator, derive_rng(seed, EVAL_STREAM, i), split=cfg.gen_split)
         save_episode(episode, out / f"ep_{i:05d}.warmep")
     write_sidecar(out / "generator_config.json", "gen", cfg)
     print(f"gen: wrote {cfg.num_episodes} episodes to {out}")
@@ -247,6 +245,17 @@ def cmd_sweep_fps(args) -> None:
     )
 
 
+def _grid_reports(
+    runs: list[tuple[TrainConfig, str]], generator: GeneratorConfig, episodes
+) -> list[MetricsReport]:
+    """Train the runs of one seed in lockstep on shared episodes, then
+    score each on the batch with its own eps and logit scaling."""
+    return [
+        evaluate(result.params, episodes, variant, run_cfg.eps, run_cfg.scale_logits).report
+        for (run_cfg, variant), result in zip(runs, train_grid(runs, generator))
+    ]
+
+
 def cmd_ablate(args) -> None:
     cfg = load_experiment_config(args.config)
     out = _out_dir(args)
@@ -256,10 +265,9 @@ def cmd_ablate(args) -> None:
     episodes = _eval_batch(cfg, args.data)
     rows = []
     for seed in seeds:
-        for variant in ABLATION_GRID:
-            result = train(replace(cfg.train, seed=seed), cfg.generator, variant=variant)
-            ev = evaluate(result.params, episodes, variant, cfg.train.eps, cfg.train.scale_logits)
-            rows.append((variant, seed, ev.report.qk_dist, ev.report.miou))
+        runs = [(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID]
+        for variant, report in zip(ABLATION_GRID, _grid_reports(runs, cfg.generator, episodes)):
+            rows.append((variant, seed, report.qk_dist, report.miou))
     with (out / "ablation.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "seed", "qk_dist", "miou"])
@@ -276,14 +284,13 @@ def cmd_token_sweep(args) -> None:
         raise ConfigError("token-sweep needs a trainable method")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
-    rows = []
-    for m in cfg.token_counts:
-        scores = []
-        for seed in cfg.seeds:
-            train_cfg = replace(cfg.train, seed=seed, num_tokens=int(m))
-            result = train(train_cfg, cfg.generator, variant=variant)
-            scores.append(evaluate(result.params, episodes, variant, cfg.train.eps).report.miou)
-        rows.append((int(m), float(np.mean(scores)), float(np.std(scores))))
+    counts = [int(m) for m in cfg.token_counts]
+    scores = [[] for _ in counts]  # per token count, one mIoU per seed in seed order
+    for seed in cfg.seeds:
+        runs = [(replace(cfg.train, seed=seed, num_tokens=m), variant) for m in counts]
+        for per_seed, report in zip(scores, _grid_reports(runs, cfg.generator, episodes)):
+            per_seed.append(report.miou)
+    rows = [(m, float(np.mean(s)), float(np.std(s))) for m, s in zip(counts, scores)]
     with (out / "token_sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "miou_mean", "miou_std"])

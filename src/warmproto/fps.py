@@ -67,42 +67,14 @@ def fps_prototypes(episode: Episode, count: int, rng) -> dict[int, np.ndarray]:
     Classes with fewer than ``count`` rows contribute all their rows.
     Classes are processed in sorted order, consuming one start draw each.
     """
-    protos = {}
-    for label, feats in sorted(episode.pooled_support_by_class().items()):
-        protos[label] = farthest_point_sampling(feats, min(count, feats.shape[0]), rng).subset
-    return protos
+    return _fps_subsets(sorted(episode.pooled_support_by_class().items()), count, rng)
 
 
-def _episode_eval(episode: Episode, protos: dict[int, np.ndarray]) -> tuple[float, dict[int, float]]:
-    preds = np.concatenate([min_dist_classify(q.features, protos) for q in episode.query])
-    truths = np.concatenate([q.labels for q in episode.query])
-    return miou(preds, truths, range(episode.n_way + 1))
-
-
-def evaluate_fps(episodes: list[Episode], count: int, seed: int) -> tuple[MetricsReport, list[float]]:
-    """Run the baseline over an episode batch with one sweep seed.
-
-    Episode i uses the independent stream (seed, i), so the batch is
-    identical across seeds while the FPS starts vary.
-    """
-    per_episode, per_class_acc = [], {}
-    summaries = []
-    for i, episode in enumerate(episodes):
-        rng = derive_rng(seed, _FPS_STREAM, i)
-        score, per_class = _episode_eval(episode, fps_prototypes(episode, count, rng))
-        per_episode.append(score)
-        for c, v in per_class.items():
-            per_class_acc.setdefault(c, []).append(v)
-        summaries.extend(fg_summaries(episode))
-    disp = dispersion_metrics(summaries)
-    report = MetricsReport(
-        miou=float(np.mean(per_episode)),
-        per_class_iou={c: float(np.mean(v)) for c, v in sorted(per_class_acc.items())},
-        d_intra=disp.d_intra,
-        d_inter=disp.d_inter,
-        d_instance=disp.d_instance,
-    )
-    return report, per_episode
+def _fps_subsets(support: list[tuple[int, np.ndarray]], count: int, rng) -> dict[int, np.ndarray]:
+    return {
+        label: farthest_point_sampling(feats, min(count, feats.shape[0]), rng).subset
+        for label, feats in support
+    }
 
 
 @dataclass
@@ -110,6 +82,51 @@ class SweepRow:
     seed: int
     mean_miou: float
     per_class_iou: dict[int, float]
+
+
+def _sweep_rows(episodes: list[Episode], count: int, seeds: list[int]) -> tuple[list[SweepRow], list[list[float]]]:
+    """Per-seed scores over an episode batch, one row per entry of ``seeds``.
+
+    Episode-major: each episode's support is split once and shared by all
+    seeds. Episode i of seed s uses the independent stream (s, i), so the
+    batch is identical across seeds while the FPS starts vary, and the
+    loop order does not change a bit. Returns the rows and, per row, the
+    per-episode mIoU.
+    """
+    per_episode = [[] for _ in seeds]
+    per_class_acc = [{} for _ in seeds]
+    for i, episode in enumerate(episodes):
+        support = sorted(episode.pooled_support_by_class().items())
+        # free the split before scoring: peak memory then holds the split or a distance field, not both
+        protos_by_seed = [_fps_subsets(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
+        del support
+        truths = np.concatenate([q.labels for q in episode.query])
+        for pos, protos in enumerate(protos_by_seed):
+            preds = np.concatenate([min_dist_classify(q.features, protos) for q in episode.query])
+            score, per_class = miou(preds, truths, range(episode.n_way + 1))
+            per_episode[pos].append(score)
+            for c, v in per_class.items():
+                per_class_acc[pos].setdefault(c, []).append(v)
+    rows = [
+        SweepRow(seed, float(np.mean(scores)), {c: float(np.mean(v)) for c, v in sorted(acc.items())})
+        for seed, scores, acc in zip(seeds, per_episode, per_class_acc)
+    ]
+    return rows, per_episode
+
+
+def evaluate_fps(episodes: list[Episode], count: int, seed: int) -> tuple[MetricsReport, list[float]]:
+    """Run the baseline over an episode batch with one sweep seed, plus
+    the dispersion metrics of the batch."""
+    (row,), (per_episode,) = _sweep_rows(episodes, count, [int(seed)])
+    disp = dispersion_metrics([s for episode in episodes for s in fg_summaries(episode)])
+    report = MetricsReport(
+        miou=row.mean_miou,
+        per_class_iou=row.per_class_iou,
+        d_intra=disp.d_intra,
+        d_inter=disp.d_inter,
+        d_instance=disp.d_instance,
+    )
+    return report, per_episode
 
 
 @dataclass
@@ -126,14 +143,12 @@ def fps_seed_sweep(episodes: list[Episode], count: int, seeds) -> SweepResult:
 
     Only the FPS starts change between seeds; the summary reports the
     order statistics of the per-seed mean IoU (population stdev).
+    Duplicate or unsorted seeds give one row each, in the order given.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("seed sweep needs at least one seed")
-    rows = []
-    for seed in seeds:
-        report, _ = evaluate_fps(episodes, count, seed)
-        rows.append(SweepRow(seed, report.miou, report.per_class_iou))
+    rows, _ = _sweep_rows(episodes, count, seeds)
     scores = np.array([r.mean_miou for r in rows])
     return SweepResult(
         rows=rows,

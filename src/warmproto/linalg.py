@@ -42,21 +42,28 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return evals[::-1].copy(), evecs[:, ::-1].copy()
 
 
-def mat_pow_half(m, exponent: float, eps: float) -> np.ndarray:
-    """V diag(max(lambda, eps))^exponent V^T for exponent +1/2 or -1/2.
+def half_powers(m, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m^-1/2, m^+1/2) from one eigendecomposition, eigenvalues clamped
+    from below at eps.
 
-    Eigenvalues are clamped from below at eps so the inverse root stays
-    defined for rank-deficient input (covariance of fewer points than
-    dimensions).
+    The clamp keeps the inverse root defined for rank-deficient input
+    (covariance of fewer points than dimensions).
     """
-    if exponent not in (0.5, -0.5):
-        raise ArgumentError(f"exponent must be +0.5 or -0.5, got {exponent}")
     if not eps > 0:
         raise ArgumentError(f"eps must be positive, got {eps}")
     evals, evecs = sym_eig(m)
-    powered = np.maximum(evals, eps) ** exponent
-    out = (evecs * powered) @ evecs.T
-    return 0.5 * (out + out.T)
+    clamped = np.maximum(evals, eps)
+    inv_sqrt = (evecs * clamped**-0.5) @ evecs.T
+    sqrt = (evecs * clamped**0.5) @ evecs.T
+    return 0.5 * (inv_sqrt + inv_sqrt.T), 0.5 * (sqrt + sqrt.T)
+
+
+def mat_pow_half(m, exponent: float, eps: float) -> np.ndarray:
+    """V diag(max(lambda, eps))^exponent V^T for exponent +1/2 or -1/2."""
+    if exponent not in (0.5, -0.5):
+        raise ArgumentError(f"exponent must be +0.5 or -0.5, got {exponent}")
+    inv_sqrt, sqrt = half_powers(m, eps)
+    return sqrt if exponent > 0 else inv_sqrt
 
 
 def softmax_rows(m) -> np.ndarray:

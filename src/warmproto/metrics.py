@@ -87,14 +87,22 @@ def dispersion_metrics(summaries: list[FgSummary]) -> DispersionReport:
     within-instance point spread."""
     if not summaries:
         raise ArgumentError("need at least one foreground summary")
-    intra, inter = [], []
-    for i in range(len(summaries)):
-        for j in range(i + 1, len(summaries)):
-            dist = float(np.linalg.norm(summaries[i].mean - summaries[j].mean))
-            (intra if summaries[i].class_id == summaries[j].class_id else inter).append(dist)
+    means = np.array([s.mean for s in summaries], dtype=np.float64)
+    class_ids = np.array([s.class_id for s in summaries])
+    intra, inter = [np.empty(0)], [np.empty(0)]
+    # one row of pairs (i, j > i) at a time keeps memory at O(N * D); the
+    # stacked 1xD @ Dx1 products round like np.linalg.norm's dot, which
+    # einsum and elementwise sums do not
+    for i in range(len(summaries) - 1):
+        diffs = means[i] - means[i + 1 :]
+        dists = np.sqrt((diffs[:, None, :] @ diffs[:, :, None])[:, 0, 0])
+        same = class_ids[i + 1 :] == class_ids[i]
+        intra.append(dists[same])
+        inter.append(dists[~same])
+    intra, inter = np.concatenate(intra), np.concatenate(inter)
     return DispersionReport(
-        d_intra=float(np.mean(intra)) if intra else None,
-        d_inter=float(np.mean(inter)) if inter else None,
+        d_intra=float(np.mean(intra)) if intra.size else None,
+        d_inter=float(np.mean(inter)) if inter.size else None,
         d_instance=float(np.mean([s.instance_dispersion for s in summaries])),
     )
 

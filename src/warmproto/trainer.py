@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ from .warm import (
 
 _INIT_STREAM = 201
 _TRAIN_STREAM = 202
-_EVAL_STREAM = 203
+EVAL_STREAM = 203  # also the stream `gen` writes, so gen+load reproduces in-memory batches
 
 TRAIN_LOG_COLUMNS = ("episode_idx", "loss_margin", "loss_sim", "loss_total", "grad_norm", "lr")
 
@@ -78,6 +78,10 @@ class TrainConfig:
     grad_clip: float | None = None
     scale_logits: bool = False
     token_std: float = 0.02
+
+    @property
+    def total_steps(self) -> int:
+        return self.epochs * self.episodes_per_epoch
 
     def validate(self) -> None:
         if self.epochs < 0 or self.episodes_per_epoch < 1:
@@ -206,39 +210,34 @@ class TrainResult:
     checkpoint_path: Path | None = None
 
 
-def train(
-    cfg: TrainConfig,
-    gen_cfg: GeneratorConfig,
-    variant: str = "warm",
-    out_dir=None,
-    config_hash: str = "",
-) -> TrainResult:
-    """Full training run; optionally persists checkpoint, log and timing.
+@dataclass
+class TrainRun:
+    """One run's evolving state: parameters, optimizer moments, log rows."""
 
-    Episodes come from the base split only (checked every step). A
-    non-finite loss or gradient aborts with the offending episode's seed
-    in the message rather than propagating NaNs.
-    """
-    cfg.validate()
-    gen_cfg.validate()
-    resolve_variant(variant)
-    params = init_params(
-        gen_cfg.feature_dim, cfg.num_tokens, derive_rng(cfg.seed, _INIT_STREAM), cfg.token_std
-    )
-    initial = params.copy()
-    state = init_optimizer(params)
-    base_set = set(gen_cfg.base_classes)
-    total_steps = cfg.epochs * cfg.episodes_per_epoch
-    log_rows, wall = [], []
-    for step in range(total_steps):
-        started = time.perf_counter()
-        lr = lr_at(cfg, step, total_steps)
-        episode = gen_episode(gen_cfg, derive_rng(cfg.seed, _TRAIN_STREAM, step), split="base")
-        if not set(episode.class_ids) <= base_set:
-            raise WarmError(
-                f"training episode drew novel classes {sorted(set(episode.class_ids) - base_set)}"
-            )
-        protos, shots = episode_forward(params, episode, variant, cfg.eps, cfg.scale_logits)
+    cfg: TrainConfig
+    variant: str
+    params: WarmParams
+    initial: WarmParams
+    state: OptimizerState
+    log: list[tuple] = field(default_factory=list)
+    wall: list[float] = field(default_factory=list)
+
+    @classmethod
+    def start(cls, cfg: TrainConfig, gen_cfg: GeneratorConfig, variant: str) -> "TrainRun":
+        params = init_params(
+            gen_cfg.feature_dim, cfg.num_tokens, derive_rng(cfg.seed, _INIT_STREAM), cfg.token_std
+        )
+        return cls(cfg, variant, params, params.copy(), init_optimizer(params))
+
+    def step(self, episode: Episode, step: int) -> None:
+        """Forward, loss, backward and one update on this step's episode.
+
+        A non-finite loss or gradient aborts with the offending episode's
+        seed in the message rather than propagating NaNs.
+        """
+        cfg, params = self.cfg, self.params
+        lr = lr_at(cfg, step, cfg.total_steps)
+        protos, shots = episode_forward(params, episode, self.variant, cfg.eps, cfg.scale_logits)
         report, grad_by_class = episode_loss(protos, episode, cfg.lam, cfg.margin)
         per_shot = {label: g / episode.k_shot for label, g in grad_by_class.items()}
         grads = {name: np.zeros_like(arr) for name, arr in params_as_dict(params).items()}
@@ -248,25 +247,73 @@ def train(
         grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         if not np.isfinite(report.total) or not np.isfinite(grad_norm):
             raise NumericError(
-                f"non-finite loss or gradient at step {step} "
+                f"non-finite loss or gradient at step {step} of variant {self.variant!r} "
                 f"(episode stream seed={cfg.seed}, key=({_TRAIN_STREAM}, {step}))"
             )
         if cfg.grad_clip is not None and grad_norm > cfg.grad_clip:
             scale = cfg.grad_clip / grad_norm
             grads = {name: g * scale for name, g in grads.items()}
-        params, state = apply_update(params, grads, state, lr, cfg.weight_decay)
-        log_rows.append(
-            (step, report.margin, report.simplification, report.total, grad_norm, lr)
-        )
-        wall.append((time.perf_counter() - started) * 1e3)
-    result = TrainResult(params, initial, log_rows, wall)
+        self.params, self.state = apply_update(params, grads, self.state, lr, cfg.weight_decay)
+        self.log.append((step, report.margin, report.simplification, report.total, grad_norm, lr))
+
+
+def train_grid(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) -> list[TrainResult]:
+    """Train several (config, variant) runs of one seed in lockstep.
+
+    The training episode depends only on (seed, step) and the generator,
+    so each step's episode is generated once and every run steps on it;
+    only that one episode is held at a time. Runs must share the seed and
+    the step count. Each result is bit-identical to a standalone ``train``
+    of the same run; a run's wall time per step includes the shared
+    generation.
+    """
+    if not runs:
+        raise ArgumentError("grid needs at least one run")
+    for cfg, _ in runs:
+        cfg.validate()
+    gen_cfg.validate()
+    for _, variant in runs:
+        resolve_variant(variant)
+    seed, steps = runs[0][0].seed, runs[0][0].total_steps
+    if any(cfg.seed != seed or cfg.total_steps != steps for cfg, _ in runs):
+        raise ArgumentError("grid runs must share the seed and the step count")
+    states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in runs]
+    base_set = set(gen_cfg.base_classes)
+    for step in range(steps):
+        started = time.perf_counter()
+        episode = gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
+        if not set(episode.class_ids) <= base_set:
+            raise WarmError(
+                f"training episode drew novel classes {sorted(set(episode.class_ids) - base_set)}"
+            )
+        gen_ms = (time.perf_counter() - started) * 1e3
+        for run in states:
+            run_started = time.perf_counter()
+            run.step(episode, step)
+            run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
+    return [TrainResult(run.params, run.initial, run.log, run.wall) for run in states]
+
+
+def train(
+    cfg: TrainConfig,
+    gen_cfg: GeneratorConfig,
+    variant: str = "warm",
+    out_dir=None,
+    config_hash: str = "",
+) -> TrainResult:
+    """Full training run; optionally persists checkpoint, log and timing.
+
+    The single-run case of ``train_grid``. Episodes come from the base
+    split only (checked every step).
+    """
+    (result,) = train_grid([(cfg, variant)], gen_cfg)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         ckpt = out_dir / "checkpoint.json"
-        save_checkpoint(ckpt, params, cfg.seed, config_hash)
-        write_train_log(out_dir / "training_log.csv", log_rows)
-        write_timing_csv(out_dir / "timing.csv", wall)
+        save_checkpoint(ckpt, result.params, cfg.seed, config_hash)
+        write_train_log(out_dir / "training_log.csv", result.log)
+        write_timing_csv(out_dir / "timing.csv", result.wall_ms)
         result.checkpoint_path = ckpt
     return result
 
@@ -295,7 +342,7 @@ def make_eval_episodes(
     if count < 1:
         raise ArgumentError(f"count must be >= 1, got {count}")
     return [
-        gen_episode(gen_cfg, derive_rng(seed, _EVAL_STREAM, i), split=split) for i in range(count)
+        gen_episode(gen_cfg, derive_rng(seed, EVAL_STREAM, i), split=split) for i in range(count)
     ]
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, CheckpointError, EmptyClassError, InsufficientPointsError
-from .linalg import mat_pow_half, pairwise_distances, require_finite, softmax_rows
+from .linalg import half_powers, pairwise_distances, require_finite, softmax_rows
 
 BACKGROUND = 0
 
@@ -91,13 +91,8 @@ def compute_stats(features: np.ndarray, eps: float = 1e-4) -> WhitenStats:
     centered = features - mean
     cov = centered.T @ centered / (features.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
-    return WhitenStats(
-        mean=mean,
-        cov=cov,
-        inv_sqrt=mat_pow_half(cov, -0.5, eps),
-        sqrt=mat_pow_half(cov, 0.5, eps),
-        eps=eps,
-    )
+    inv_sqrt, sqrt = half_powers(cov, eps)
+    return WhitenStats(mean=mean, cov=cov, inv_sqrt=inv_sqrt, sqrt=sqrt, eps=eps)
 
 
 def whiten(features: np.ndarray, stats: WhitenStats) -> np.ndarray:

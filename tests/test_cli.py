@@ -1,7 +1,9 @@
 """CLI verbs, strict config handling, exit codes, output files."""
 
 import csv
+import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 
 from warmproto.cli import load_experiment_config, main, parse_method
 from warmproto.errors import ConfigError
+from warmproto.trainer import evaluate, make_eval_episodes, train
+from warmproto.warm import ABLATION_GRID
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -227,6 +231,52 @@ class TestSweeps:
 
     def test_report_empty_dir_exit_1(self, tmp_path):
         assert main(["report", "--data", str(tmp_path)]) == 1
+
+
+def csv_bytes(rows):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestGridMatchesSeparateRuns:
+    """ablate and token-sweep train each seed's runs in lockstep on shared
+    episodes; their files must equal one train + evaluate call per run."""
+
+    def _config(self, tmp_path, **train_overrides):
+        data = dict(SMALL_CONFIG, seeds=[0, 1])
+        data["train"] = dict(data["train"], **train_overrides)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(data))
+        cfg = load_experiment_config(path)
+        episodes = make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed, cfg.eval_split)
+        return path, cfg, episodes
+
+    def test_ablate_two_seeds(self, tmp_path):
+        path, cfg, episodes = self._config(tmp_path)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(path), "--out", str(out)]) == 0
+        rows = [["variant", "seed", "qk_dist", "miou"]]
+        for seed in cfg.seeds:
+            for variant in ABLATION_GRID:
+                params = train(replace(cfg.train, seed=seed), cfg.generator, variant=variant).params
+                report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits).report
+                rows.append([variant, seed, repr(report.qk_dist), repr(report.miou)])
+        assert (out / "ablation.csv").read_bytes() == csv_bytes(rows)
+
+    @pytest.mark.parametrize("scale_logits", [False, True])
+    def test_token_sweep_two_seeds(self, tmp_path, scale_logits):
+        path, cfg, episodes = self._config(tmp_path, scale_logits=scale_logits)
+        out = tmp_path / "tokens"
+        assert main(["token-sweep", "--config", str(path), "--out", str(out)]) == 0
+        rows = [["M", "miou_mean", "miou_std"]]
+        for m in cfg.token_counts:
+            scores = []
+            for seed in cfg.seeds:
+                params = train(replace(cfg.train, seed=seed, num_tokens=m), cfg.generator).params
+                scores.append(evaluate(params, episodes, scale_logits=scale_logits).report.miou)
+            rows.append([m, repr(float(np.mean(scores))), repr(float(np.std(scores)))])
+        assert (out / "token_sweep.csv").read_bytes() == csv_bytes(rows)
 
 
 class TestExitCodes:

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from warmproto import GeneratorConfig, farthest_point_sampling, gen_episode, make_rng, min_dist_classify
+from warmproto import (
+    GeneratorConfig,
+    derive_rng,
+    farthest_point_sampling,
+    gen_episode,
+    make_rng,
+    min_dist_classify,
+    miou,
+)
 from warmproto.errors import ArgumentError, EmptyClassError
-from warmproto.fps import fps_prototypes, fps_seed_sweep
+from warmproto.fps import evaluate_fps, fps_prototypes, fps_seed_sweep
 from warmproto.trainer import make_eval_episodes
 
 
@@ -158,3 +166,25 @@ class TestFpsSeedSweep:
     def test_rejects_empty_seed_list(self):
         with pytest.raises(ArgumentError):
             fps_seed_sweep(self._identical_episode(), 4, [])
+
+    def test_rows_equal_per_seed_evaluate_fps(self):
+        # episode-major sweep against one seed-major evaluation per row;
+        # duplicate and unsorted seeds keep one row each, in order
+        cfg = GeneratorConfig(feature_dim=8, points_per_cloud=256, min_fg_points=16, n_way=3, k_shot=2)
+        episodes = make_eval_episodes(cfg, 4, 31, "novel")
+        seeds = [3, 0, 3]
+        res = fps_seed_sweep(episodes, 5, seeds)
+        assert [row.seed for row in res.rows] == seeds
+        for row in res.rows:
+            report, _ = evaluate_fps(episodes, 5, row.seed)
+            assert row.mean_miou == report.miou
+            assert row.per_class_iou == report.per_class_iou
+            # independent seed-major reference; 300 is the sweep's stream key
+            scores = []
+            for i, ep in enumerate(episodes):
+                protos = fps_prototypes(ep, 5, derive_rng(row.seed, 300, i))
+                preds = np.concatenate([min_dist_classify(q.features, protos) for q in ep.query])
+                truth = np.concatenate([q.labels for q in ep.query])
+                scores.append(miou(preds, truth, range(cfg.n_way + 1))[0])
+            assert row.mean_miou == float(np.mean(scores))
+        assert res.rows[0] == res.rows[2]

@@ -95,6 +95,22 @@ class TestDispersion:
         assert plain.d_inter == pytest.approx(rotated.d_inter, abs=1e-10)
 
 
+    def test_matches_pairwise_norm_loop_exactly(self):
+        # reference: the plain pair loop over np.linalg.norm, same pair order
+        rng = make_rng(3)
+        for n, d, scale in ((1, 3, 1.0), (2, 8, 1e-3), (40, 32, 10.0), (75, 33, 1e3)):
+            summaries = [FgSummary(int(rng.integers(4)), scale * rng.standard_normal(d), 1.0) for _ in range(n)]
+            intra, inter = [], []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dist = float(np.linalg.norm(summaries[i].mean - summaries[j].mean))
+                    same = summaries[i].class_id == summaries[j].class_id
+                    (intra if same else inter).append(dist)
+            rep = dispersion_metrics(summaries)
+            assert rep.d_intra == (float(np.mean(intra)) if intra else None)
+            assert rep.d_inter == (float(np.mean(inter)) if inter else None)
+
+
 class TestAttentionEntropy:
     def test_uniform_row(self):
         assert attention_entropy(np.full((1, 8), 1 / 8)) == pytest.approx(1.0)

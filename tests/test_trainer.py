@@ -1,11 +1,13 @@
 """Optimizer update, learning-rate schedule, training loop, evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from warmproto import GeneratorConfig, TrainConfig, apply_update, evaluate, init_params, make_rng, train
-from warmproto.errors import CheckpointError, ConfigError
-from warmproto.trainer import init_optimizer, lr_at, make_eval_episodes
+from warmproto.errors import ArgumentError, CheckpointError, ConfigError
+from warmproto.trainer import init_optimizer, lr_at, make_eval_episodes, train_grid
 from warmproto.warm import PARAM_NAMES, load_checkpoint, params_as_dict
 
 DESK = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
@@ -136,6 +138,32 @@ class TestTrain:
     def test_fps_variant_rejected(self):
         with pytest.raises(Exception):
             train(FAST, DESK, variant="fps-min-dist")
+
+
+class TestTrainGrid:
+    def test_runs_equal_standalone_train(self):
+        cfg = TrainConfig(epochs=1, episodes_per_epoch=6, num_tokens=6, seed=4)
+        runs = [
+            (cfg, "naive"),
+            (cfg, "normalize+restore"),
+            (cfg, "warm"),
+            (replace(cfg, num_tokens=3, scale_logits=True), "whiten"),
+        ]
+        for (run_cfg, variant), grid in zip(runs, train_grid(runs, DESK)):
+            alone = train(run_cfg, DESK, variant=variant)
+            for name in PARAM_NAMES:
+                np.testing.assert_array_equal(getattr(grid.params, name), getattr(alone.params, name))
+                np.testing.assert_array_equal(getattr(grid.initial_params, name), getattr(alone.initial_params, name))
+            assert grid.log == alone.log
+            assert len(grid.wall_ms) == 6
+
+    def test_runs_must_share_seed_and_steps(self):
+        with pytest.raises(ArgumentError):
+            train_grid([(FAST, "warm"), (replace(FAST, seed=1), "warm")], DESK)
+        with pytest.raises(ArgumentError):
+            train_grid([(FAST, "warm"), (replace(FAST, epochs=2), "warm")], DESK)
+        with pytest.raises(ArgumentError):
+            train_grid([], DESK)
 
 
 class TestEvaluate:

@@ -15,11 +15,14 @@ from warmproto import (
     init_params,
     load_checkpoint,
     make_rng,
+    mat_pow_half,
     naive_forward,
     save_checkpoint,
+    sym_eig,
     warm_forward,
     whiten,
 )
+from warmproto import linalg
 from warmproto.errors import (
     ArgumentError,
     CheckpointError,
@@ -66,6 +69,19 @@ class TestComputeStats:
     def test_rejects_single_row(self):
         with pytest.raises(InsufficientPointsError):
             compute_stats(np.ones((1, 3)))
+
+    def test_one_eigendecomposition_for_both_roots(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return sym_eig(m)
+
+        monkeypatch.setattr(linalg, "sym_eig", counted)
+        stats = compute_stats(make_rng(9).standard_normal((20, 5)))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(stats.inv_sqrt, mat_pow_half(stats.cov, -0.5, stats.eps))
+        np.testing.assert_array_equal(stats.sqrt, mat_pow_half(stats.cov, 0.5, stats.eps))
 
 
 class TestWhitenColor:
