@@ -23,10 +23,11 @@ import numpy as np
 
 from .episodes import GeneratorConfig, gen_episode, load_episode, save_episode
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
+from .files import atomic_write, write_csv
 from .fps import evaluate_fps, fps_seed_sweep, write_sweep_csv, write_sweep_summary_csv
 from .metrics import MetricsReport, write_metrics_csv
 from .rng import derive_rng
-from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, train, train_grid
+from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, run_grid, train
 from .warm import ABLATION_GRID, MODES, VARIANTS, config_sha256, load_checkpoint
 
 
@@ -141,14 +142,31 @@ def config_dict(cfg: ExperimentConfig) -> dict:
 def write_sidecar(path, command: str, cfg: ExperimentConfig) -> None:
     payload = {"command": command, "config": config_dict(cfg)}
     payload["config_sha256"] = config_sha256(payload["config"])
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+# BLAS thread-count variables, read when numpy loads; the first one set counts
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def worker_cap() -> int:
-    """Parallelism cap from WARM_THREADS; execution is currently sequential,
-    which always respects the cap."""
+    """Worker processes for the ``ablate`` and ``token-sweep`` grids.
+
+    WARM_THREADS if set. Otherwise the CPUs this process may use divided
+    by the BLAS threads each process runs, taken from BLAS_THREAD_VARS;
+    with none of them set, BLAS already uses every CPU, so 1. Workers
+    inherit the BLAS thread count, and more busy BLAS threads than CPUs
+    made a grid several times slower. ``run_grid`` never starts more
+    workers than there are runs, and outputs do not depend on the count.
+    Every verb validates it; the other verbs run in one process.
+    """
     raw = os.environ.get("WARM_THREADS")
     if raw is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        for var in BLAS_THREAD_VARS:
+            value = os.environ.get(var, "")
+            if value.isdigit() and int(value) >= 1:
+                return max(1, cpus // int(value))
         return 1
     try:
         cap = int(raw)
@@ -246,14 +264,13 @@ def cmd_sweep_fps(args) -> None:
 
 
 def _grid_reports(
-    runs: list[tuple[TrainConfig, str]], generator: GeneratorConfig, episodes
-) -> list[MetricsReport]:
-    """Train the runs of one seed in lockstep on shared episodes, then
-    score each on the batch with its own eps and logit scaling."""
-    return [
-        evaluate(result.params, episodes, variant, run_cfg.eps, run_cfg.scale_logits).report
-        for (run_cfg, variant), result in zip(runs, train_grid(runs, generator))
-    ]
+    seed_runs: list[list[tuple[TrainConfig, str]]], generator: GeneratorConfig, episodes
+) -> list[list[MetricsReport]]:
+    """Train each seed's runs in lockstep on shared episodes and score
+    each on the batch, on ``worker_cap()`` processes; reports per seed,
+    in run order."""
+    grid = run_grid(seed_runs, generator, episodes, worker_cap())
+    return [[scored.report for _, scored in row] for row in grid]
 
 
 def cmd_ablate(args) -> None:
@@ -263,16 +280,13 @@ def cmd_ablate(args) -> None:
     if not seeds:
         raise ConfigError("ablation grid needs at least one seed")
     episodes = _eval_batch(cfg, args.data)
-    rows = []
-    for seed in seeds:
-        runs = [(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID]
-        for variant, report in zip(ABLATION_GRID, _grid_reports(runs, cfg.generator, episodes)):
-            rows.append((variant, seed, report.qk_dist, report.miou))
-    with (out / "ablation.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "seed", "qk_dist", "miou"])
-        for variant, seed, qk, score in rows:
-            writer.writerow([variant, seed, repr(float(qk)), repr(float(score))])
+    seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in seeds]
+    rows = [
+        [variant, seed, repr(float(report.qk_dist)), repr(float(report.miou))]
+        for seed, reports in zip(seeds, _grid_reports(seed_runs, cfg.generator, episodes))
+        for variant, report in zip(ABLATION_GRID, reports)
+    ]
+    write_csv(out / "ablation.csv", ["variant", "seed", "qk_dist", "miou"], rows)
     write_sidecar(out / "ablation_config.json", "ablate", cfg)
     print(f"ablate: {len(rows)} rows ({len(ABLATION_GRID)} variants x {len(seeds)} seeds) -> {out / 'ablation.csv'}")
 
@@ -285,17 +299,12 @@ def cmd_token_sweep(args) -> None:
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     counts = [int(m) for m in cfg.token_counts]
-    scores = [[] for _ in counts]  # per token count, one mIoU per seed in seed order
-    for seed in cfg.seeds:
-        runs = [(replace(cfg.train, seed=seed, num_tokens=m), variant) for m in counts]
-        for per_seed, report in zip(scores, _grid_reports(runs, cfg.generator, episodes)):
-            per_seed.append(report.miou)
-    rows = [(m, float(np.mean(s)), float(np.std(s))) for m, s in zip(counts, scores)]
-    with (out / "token_sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "miou_mean", "miou_std"])
-        for m, mean, std in rows:
-            writer.writerow([m, repr(mean), repr(std)])
+    seed_runs = [[(replace(cfg.train, seed=seed, num_tokens=m), variant) for m in counts] for seed in cfg.seeds]
+    reports = _grid_reports(seed_runs, cfg.generator, episodes)
+    # per token count, one mIoU per seed in seed order
+    scores = [[row[j].miou for row in reports] for j in range(len(counts))]
+    rows = [[m, repr(float(np.mean(s))), repr(float(np.std(s)))] for m, s in zip(counts, scores)]
+    write_csv(out / "token_sweep.csv", ["M", "miou_mean", "miou_std"], rows)
     write_sidecar(out / "token_sweep_config.json", "token-sweep", cfg)
     print(f"token-sweep: {len(rows)} token counts -> {out / 'token_sweep.csv'}")
 

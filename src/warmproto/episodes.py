@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, ConfigError, EmptyClassError, FormatError
+from .files import atomic_write
 from .linalg import require_finite
 from .rng import derive_rng
 
@@ -304,14 +305,16 @@ def save_episode(episode: Episode, path) -> None:
     for cloud in clouds:
         parts.append(np.ascontiguousarray(cloud.features, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(cloud.labels, dtype="<u4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    atomic_write(path, b"".join(parts))
 
 
 def load_episode(path) -> Episode:
     """Read a WARM-EP1 container back into an Episode.
 
-    Malformed files raise FormatError carrying the byte offset of the
-    problem; a truncated file never yields a partial episode.
+    Malformed files, and well-formed ones that describe an invalid episode
+    (repeated class ids, a support cloud without foreground), raise
+    FormatError carrying the byte offset of the problem; a truncated file
+    never yields a partial episode.
     """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -337,6 +340,8 @@ def load_episode(path) -> Episode:
         )
     offset = _HEADER.size
     class_ids = [int(c) for c in np.frombuffer(data, dtype="<u4", count=n, offset=offset)]
+    if len(set(class_ids)) != n:
+        raise FormatError(f"class ids {class_ids} are not {n} distinct ids", offset=offset)
     offset += 4 * n
     clouds = []
     for i in range(n * k + u):
@@ -348,6 +353,10 @@ def load_episode(path) -> Episode:
         if labels.max(initial=0) > n:
             raise FormatError(
                 f"cloud {i} has label {int(labels.max())} exceeding n_way={n}", offset=offset
+            )
+        if i < n * k and not np.any(labels == i // k + 1):
+            raise FormatError(
+                f"support cloud {i} (way={i // k}, shot={i % k}) has no foreground", offset=offset
             )
         offset += 4 * l
         clouds.append(PointCloud(features, labels))

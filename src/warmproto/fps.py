@@ -8,14 +8,13 @@ sweep varies.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .episodes import Episode
 from .errors import ArgumentError
+from .files import write_csv
 from .losses import point_distances, predict
 from .metrics import MetricsReport, dispersion_metrics, fg_summaries, miou
 from .rng import derive_rng
@@ -160,25 +159,14 @@ def fps_seed_sweep(episodes: list[Episode], count: int, seeds) -> SweepResult:
 
 
 def write_sweep_csv(path, result: SweepResult, class_labels: list[int]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "mean_miou"] + [f"iou_{c}" for c in class_labels])
-        for row in result.rows:
-            record = [row.seed, repr(float(row.mean_miou))]
-            record += [repr(float(row.per_class_iou.get(c, float("nan")))) for c in class_labels]
-            writer.writerow(record)
+    rows = [
+        [row.seed, repr(float(row.mean_miou))]
+        + [repr(float(row.per_class_iou.get(c, float("nan")))) for c in class_labels]
+        for row in result.rows
+    ]
+    write_csv(path, ["seed", "mean_miou"] + [f"iou_{c}" for c in class_labels], rows)
 
 
 def write_sweep_summary_csv(path, result: SweepResult) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["best", "worst", "mean", "stdev", "spread"])
-        writer.writerow(
-            [
-                repr(result.best),
-                repr(result.worst),
-                repr(result.mean),
-                repr(result.stdev),
-                repr(result.best - result.worst),
-            ]
-        )
+    summary = (result.best, result.worst, result.mean, result.stdev, result.best - result.worst)
+    write_csv(path, ["best", "worst", "mean", "stdev", "spread"], [[repr(v) for v in summary]])

@@ -9,15 +9,14 @@ attention head.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .episodes import Episode, split_fg_bg
 from .errors import ArgumentError, UndefinedMetricError
+from .files import write_csv
 from .linalg import pairwise_distances
 from .warm import WarmParams
 
@@ -169,16 +168,15 @@ class MetricsReport:
 
 def write_metrics_csv(path, reports: list[MetricsReport], class_labels: list[int]) -> None:
     """Fixed column order: miou, per-class iou, then METRIC_COLUMNS."""
+
+    def cell(v):
+        return "" if v is None else repr(float(v))
+
     header = ["miou"] + [f"iou_{c}" for c in class_labels] + list(METRIC_COLUMNS)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in reports:
-            row = [repr(float(r.miou))]
-            for c in class_labels:
-                v = r.per_class_iou.get(c)
-                row.append("" if v is None else repr(float(v)))
-            for name in METRIC_COLUMNS:
-                v = getattr(r, name)
-                row.append("" if v is None else repr(float(v)))
-            writer.writerow(row)
+    rows = [
+        [cell(r.miou)]
+        + [cell(r.per_class_iou.get(c)) for c in class_labels]
+        + [cell(getattr(r, name)) for name in METRIC_COLUMNS]
+        for r in reports
+    ]
+    write_csv(path, header, rows)

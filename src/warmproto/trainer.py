@@ -13,7 +13,6 @@ parameter init and evaluation all derive from explicit seeds.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 
 from .episodes import Episode, GeneratorConfig, gen_episode
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError, WarmError
+from .files import write_csv
 from .losses import (
     LossReport,
     margin_loss,
@@ -319,20 +319,12 @@ def train(
 
 
 def write_train_log(path, rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAIN_LOG_COLUMNS)
-        for step, m, s, t, g, lr in rows:
-            writer.writerow([step, repr(float(m)), repr(float(s)), repr(float(t)), repr(float(g)), repr(float(lr))])
+    write_csv(path, TRAIN_LOG_COLUMNS, ([step] + [repr(float(v)) for v in values] for step, *values in rows))
 
 
 def write_timing_csv(path, wall_ms) -> None:
     # kept apart from the training log so the log stays byte-reproducible
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode_idx", "wall_ms"])
-        for i, ms in enumerate(wall_ms):
-            writer.writerow([i, f"{ms:.3f}"])
+    write_csv(path, ["episode_idx", "wall_ms"], ([i, f"{ms:.3f}"] for i, ms in enumerate(wall_ms)))
 
 
 def make_eval_episodes(
@@ -404,3 +396,89 @@ def evaluate(
         qk_dist=float(np.mean(qk_dists)),
     )
     return EvalResult(report, per_episode)
+
+
+def _grid_slice(
+    runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig, episodes: list[Episode]
+) -> list[tuple[TrainResult, EvalResult]]:
+    """Train runs of one seed in lockstep (``train_grid``), then score each
+    on ``episodes`` with its own eps and logit scaling."""
+    return [
+        (result, evaluate(result.params, episodes, variant, cfg.eps, cfg.scale_logits))
+        for (cfg, variant), result in zip(runs, train_grid(runs, gen_cfg))
+    ]
+
+
+# A grid worker's evaluation batch, set once per worker process by the
+# pool initializer; never assigned in the parent process.
+_worker_episodes: list[Episode] = []
+
+
+def _set_worker_episodes(episodes: list[Episode]) -> None:
+    global _worker_episodes
+    _worker_episodes = episodes
+
+
+def _worker_slice(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig):
+    return _grid_slice(runs, gen_cfg, _worker_episodes)
+
+
+def _slices(runs: list, count: int) -> list[list]:
+    """``runs`` cut into min(count, len(runs)) contiguous slices, longer ones first."""
+    count = min(count, len(runs))
+    size, extra = divmod(len(runs), count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [runs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def run_grid(
+    seed_runs: list[list[tuple[TrainConfig, str]]],
+    gen_cfg: GeneratorConfig,
+    episodes: list[Episode],
+    workers: int = 1,
+) -> list[list[tuple[TrainResult, EvalResult]]]:
+    """Train and score a grid given as one list of (config, variant) runs
+    per seed; returns (train result, eval result) pairs in the same shape.
+
+    Each seed's runs are cut into at most ``workers`` contiguous slices,
+    and each slice runs ``_grid_slice``. With more than one worker the
+    slices go to a pool of forked processes (never more than the runs),
+    which inherit ``episodes`` copy-on-write through the pool initializer
+    instead of pickling it; only the slice's configs and the results
+    cross a pipe. Where ``fork`` is unavailable, or with one worker, the
+    slices run in this process. The numbers do not depend on the worker
+    count: every run is bit-identical to a standalone ``train`` plus
+    ``evaluate``. When slices fail, the error of the first one in (seed,
+    run) order is raised, as in-process. Workers keep this process's BLAS
+    thread count, so ``workers`` times that count should not exceed the
+    CPUs (``cli.worker_cap`` picks such a count).
+    """
+    if not seed_runs or not all(seed_runs):
+        raise ArgumentError("grid needs at least one run per seed")
+    if workers < 1:
+        raise ArgumentError(f"workers must be >= 1, got {workers}")
+    if workers > 1:
+        # imported here: the pool's modules add about 1.7 MB to every
+        # process, which verbs that never start a pool should not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    parts = [part for runs in seed_runs for part in _slices(runs, workers)]
+    workers = min(workers, len(parts))
+    if workers == 1:
+        done = [_grid_slice(part, gen_cfg, episodes) for part in parts]
+    else:
+        # fork, not spawn: workers get the batch without pickling and need
+        # no re-import; the package starts no threads of its own to fork
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_episodes,
+            initargs=(episodes,),
+        ) as pool:
+            # map yields in task order; a failure cancels the tasks not yet started
+            done = list(pool.map(_worker_slice, parts, [gen_cfg] * len(parts)))
+    flat = iter([pair for part in done for pair in part])
+    return [[next(flat) for _ in runs] for runs in seed_runs]

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .episodes import BACKGROUND
 from .errors import ArgumentError, CheckpointError, EmptyClassError, InsufficientPointsError
+from .files import atomic_write
 from .linalg import half_powers, pairwise_distances, require_finite, softmax_rows
-
-BACKGROUND = 0
 
 MODES = ("naive", "center", "normalize", "whiten")
 
@@ -437,7 +436,7 @@ def config_sha256(config: dict) -> str:
 
 
 def save_checkpoint(path, params: WarmParams, seed: int, config_hash: str = "") -> None:
-    """Persist parameters as JSON, atomically (write temp, then rename)."""
+    """Persist parameters as JSON, atomically."""
     payload = {
         "version": 1,
         "feature_dim": params.feature_dim,
@@ -449,10 +448,7 @@ def save_checkpoint(path, params: WarmParams, seed: int, config_hash: str = "") 
         "w_k": params.w_k.tolist(),
         "w_v": params.w_v.tolist(),
     }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
 def load_checkpoint(path) -> tuple[WarmParams, dict]:

@@ -2,15 +2,19 @@
 
 Training runs and evaluations on the default benchmark are cached per
 (variant, seed) so the trainer examples, the acceptance criteria and the
-ablation grid never repeat a run within one pytest session.
+ablation grid never repeat a run within one pytest session. Runs go
+through the same grid runner as ``ablate``: a seed's runs train in
+lockstep on shared episodes, split across ``worker_cap()`` processes
+(one unless BLAS runs fewer threads than there are CPUs).
 """
 
 import pytest
 
-from warmproto import GeneratorConfig, TrainConfig, evaluate, train
+from warmproto import GeneratorConfig, TrainConfig
+from warmproto.cli import worker_cap
 from warmproto.fps import fps_seed_sweep
-from warmproto.trainer import make_eval_episodes
-from warmproto.warm import resolve_variant
+from warmproto.trainer import make_eval_episodes, run_grid
+from warmproto.warm import ABLATION_GRID, resolve_variant
 
 FPS_BASELINE_TOKENS = 3  # desk-scale default, matches configs/default.json
 EVAL_SEED = 7700
@@ -28,32 +32,43 @@ def bench_episodes(default_gen):
 
 
 @pytest.fixture(scope="session")
-def trained(default_gen):
-    """Memoized training on the default benchmark config."""
+def graded(default_gen, bench_episodes):
+    """Memoized (train result, eval result) per (variant, seed) on the
+    default benchmark config.
+
+    ``row=True`` trains and scores the missing members of the seed's
+    whole ABLATION_GRID row (plus the variant, if it is not a member) in
+    one grid call; ``row=False`` computes only the requested run.
+    """
     cache = {}
 
-    def get(variant, seed):
+    def get(variant, seed, row):
         key = (resolve_variant(variant), seed)
         if key not in cache:
-            cache[key] = train(TrainConfig(seed=seed), default_gen, variant=variant)
+            missing = {}  # key -> variant name, one run per distinct (mode, restore)
+            for v in (ABLATION_GRID if row else ()) + (variant,):
+                if (resolve_variant(v), seed) not in cache:
+                    missing.setdefault((resolve_variant(v), seed), v)
+            runs = [(TrainConfig(seed=seed), v) for v in missing.values()]
+            (results,) = run_grid([runs], default_gen, bench_episodes, worker_cap())
+            cache.update(zip(missing, results))
         return cache[key]
 
     return get
 
 
 @pytest.fixture(scope="session")
-def evaluated(trained, bench_episodes):
-    """Memoized evaluation of a trained run on the default benchmark."""
-    cache = {}
+def trained(graded):
+    """Memoized training on the default benchmark config; one run per
+    request, since some callers want a single variant at many seeds."""
+    return lambda variant, seed: graded(variant, seed, row=False)[0]
 
-    def get(variant, seed):
-        key = (resolve_variant(variant), seed)
-        if key not in cache:
-            result = trained(variant, seed)
-            cache[key] = evaluate(result.params, bench_episodes, variant)
-        return cache[key]
 
-    return get
+@pytest.fixture(scope="session")
+def evaluated(graded):
+    """Memoized evaluation on the default benchmark; the first request
+    for a seed trains and scores its whole ABLATION_GRID row at once."""
+    return lambda variant, seed: graded(variant, seed, row=True)[1]
 
 
 @pytest.fixture(scope="session")

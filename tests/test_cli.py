@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from warmproto.cli import load_experiment_config, main, parse_method
+from warmproto import trainer
+from warmproto.cli import BLAS_THREAD_VARS, load_experiment_config, main, parse_method, worker_cap
+from warmproto.episodes import load_episode, save_episode
 from warmproto.errors import ConfigError
 from warmproto.trainer import evaluate, make_eval_episodes, train
 from warmproto.warm import ABLATION_GRID
@@ -279,6 +282,71 @@ class TestGridMatchesSeparateRuns:
         assert (out / "token_sweep.csv").read_bytes() == csv_bytes(rows)
 
 
+class TestGridWorkers:
+    """WARM_THREADS sets the worker processes of ablate and token-sweep;
+    the files and the failures must not depend on it."""
+
+    @pytest.mark.parametrize("verb, output", [("ablate", "ablation.csv"), ("token-sweep", "token_sweep.csv")])
+    def test_same_bytes_at_every_worker_count(self, tmp_path, monkeypatch, verb, output):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, seeds=[0, 1], token_counts=[2, 4, 6])))
+        files = {}
+        # unset means one worker per usable CPU; 3 cuts 7 ablate runs 3+2+2, 2 cuts 3 token runs 2+1
+        for workers in (None, "1", "2", "3"):
+            if workers is None:
+                monkeypatch.delenv("WARM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("WARM_THREADS", workers)
+            out = tmp_path / f"out-{workers}"
+            assert main([verb, "--config", str(path), "--out", str(out)]) == 0
+            files[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert all(f == files["1"] for f in files.values())
+        assert output in files["1"]
+
+    def test_default_workers_leave_a_cpu_per_blas_thread(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        monkeypatch.delenv("WARM_THREADS", raising=False)
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert worker_cap() == 1  # BLAS already threads over every CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert worker_cap() == cpus
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus))
+        assert worker_cap() == 1
+        monkeypatch.setenv("WARM_THREADS", "3")
+        assert worker_cap() == 3
+
+    @pytest.mark.parametrize("value", ["0", "x"])
+    def test_bad_worker_count_exit_1(self, config_path, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("WARM_THREADS", value)
+        code = main(["ablate", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "WARM_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_numeric_error_in_worker_exit_2_same_message(self, config_path, tmp_path, monkeypatch, capsys):
+        # forked workers inherit the patch; one grid variant's loss turns non-finite
+        real = trainer.episode_loss
+
+        def failing(protos, episode, lam, margin):
+            report, grads = real(protos, episode, lam, margin)
+            if protos.provenance == "normalize+restore":
+                report = replace(report, total=float("nan"))
+            return report, grads
+
+        monkeypatch.setattr(trainer, "episode_loss", failing)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, seeds=[0, 1])))
+        messages = {}
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("WARM_THREADS", workers)
+            code = main(["ablate", "--config", str(path), "--out", str(tmp_path / workers)])
+            assert code == 2
+            messages[workers] = capsys.readouterr().err
+        assert "'normalize+restore'" in messages["1"] and "seed=0" in messages["1"]
+        assert messages["2"] == messages["1"] and messages["3"] == messages["1"]
+
+
 class TestExitCodes:
     def test_unknown_command_exit_1(self):
         assert main(["frobnicate"]) == 1
@@ -309,3 +377,20 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         code = main(["eval", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize("defect", ["duplicate class ids", "support without foreground"])
+    def test_inconsistent_episode_file_exit_3(self, tmp_path, defect, capsys):
+        cfg = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], n_way=2, k_shot=2))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        data = tmp_path / "data"
+        assert main(["gen", "--config", str(path), "--out", str(data)]) == 0
+        episode = load_episode(data / "ep_00000.warmep")
+        if defect == "duplicate class ids":
+            episode.class_ids = [episode.class_ids[0]] * 2 + episode.class_ids[2:]
+        else:
+            episode.support[3].labels[:] = 0  # way 1, shot 1
+        save_episode(episode, data / "ep_00000.warmep")
+        code = main(["sweep-fps", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "io/format failure" in capsys.readouterr().err

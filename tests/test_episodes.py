@@ -1,5 +1,7 @@
 """Episode generator and the WARM-EP1 container format."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from warmproto.errors import ArgumentError, ConfigError, EmptyClassError, Format
 from warmproto.metrics import dispersion_metrics, fg_summaries
 
 SMALL = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
+TWO_WAY = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16, n_way=2, k_shot=2)
 
 
 class TestGeneratorConfig:
@@ -222,3 +225,38 @@ class TestEpisodeFile:
         path.write_bytes(b"")
         with pytest.raises(FormatError):
             load_episode(path)
+
+    def test_duplicate_class_ids_is_format_error(self, tmp_path):
+        ep = gen_episode(TWO_WAY, make_rng(26))
+        path = tmp_path / "ep.warmep"
+        ep.class_ids = [ep.class_ids[0]] * 2  # bypasses Episode's own check
+        save_episode(ep, path)
+        with pytest.raises(FormatError) as err:
+            load_episode(path)
+        assert "distinct" in str(err.value)
+        assert err.value.offset == 30  # class ids follow the 30-byte header
+
+    def test_support_without_foreground_is_format_error(self, tmp_path):
+        ep = gen_episode(TWO_WAY, make_rng(27))
+        ep.support[3].labels[:] = 0  # way 1, shot 1
+        path = tmp_path / "ep.warmep"
+        save_episode(ep, path)
+        with pytest.raises(FormatError) as err:
+            load_episode(path)
+        assert "support cloud 3 (way=1, shot=1) has no foreground" in str(err.value)
+        l, d = TWO_WAY.points_per_cloud, TWO_WAY.feature_dim
+        assert err.value.offset == 30 + 4 * 2 + 3 * (8 * l * d + 4 * l) + 8 * l * d
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ep.warmep"
+        save_episode(gen_episode(SMALL, make_rng(28)), path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            save_episode(gen_episode(SMALL, make_rng(29)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ep.warmep"]

@@ -1,13 +1,16 @@
 """Optimizer update, learning-rate schedule, training loop, evaluation."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from warmproto import GeneratorConfig, TrainConfig, apply_update, evaluate, init_params, make_rng, train
-from warmproto.errors import ArgumentError, CheckpointError, ConfigError
-from warmproto.trainer import init_optimizer, lr_at, make_eval_episodes, train_grid
+from warmproto import trainer
+from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
+from warmproto.trainer import init_optimizer, lr_at, make_eval_episodes, run_grid, train_grid
 from warmproto.warm import PARAM_NAMES, load_checkpoint, params_as_dict
 
 DESK = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
@@ -164,6 +167,70 @@ class TestTrainGrid:
             train_grid([(FAST, "warm"), (replace(FAST, epochs=2), "warm")], DESK)
         with pytest.raises(ArgumentError):
             train_grid([], DESK)
+
+
+class TestRunGrid:
+    SEED_RUNS = [
+        [(replace(FAST, seed=seed), v) for v in ("naive", "whiten", "center+restore", "warm", "normalize")]
+        for seed in (2, 9)
+    ]
+
+    def test_same_results_at_every_worker_count(self, tmp_path, monkeypatch):
+        # forked workers inherit the patch and leave one file per evaluated run
+        real = trainer.evaluate
+
+        def recording(params, episodes, variant, eps, scale_logits):
+            (tmp_path / f"{os.getpid()}-{variant}-{params.tokens[0, 0]!r}").touch()
+            return real(params, episodes, variant, eps, scale_logits)
+
+        monkeypatch.setattr(trainer, "evaluate", recording)
+        episodes = make_eval_episodes(DESK, 3, 77)
+        reference = run_grid(self.SEED_RUNS, DESK, episodes, workers=1)
+        assert {p.name.split("-")[0] for p in tmp_path.iterdir()} == {str(os.getpid())}
+        for runs, row in zip(self.SEED_RUNS, reference):
+            for (cfg, variant), (result, scored) in zip(runs, row):
+                alone = train(cfg, DESK, variant=variant)
+                np.testing.assert_array_equal(result.params.tokens, alone.params.tokens)
+                assert scored.report == real(alone.params, episodes, variant, cfg.eps, cfg.scale_logits).report
+        for workers in (2, 3):
+            for path in tmp_path.iterdir():
+                path.unlink()
+            grid = run_grid(self.SEED_RUNS, DESK, episodes, workers=workers)
+            pids = {p.name.split("-")[0] for p in tmp_path.iterdir()}
+            assert 0 < len(pids) <= workers and str(os.getpid()) not in pids
+            assert multiprocessing.active_children() == []  # the pool was joined
+            for row, ref_row in zip(grid, reference):
+                for (result, scored), (ref_result, ref_scored) in zip(row, ref_row):
+                    for name in PARAM_NAMES:
+                        np.testing.assert_array_equal(getattr(result.params, name), getattr(ref_result.params, name))
+                    assert result.log == ref_result.log
+                    assert scored.report == ref_scored.report
+                    assert scored.per_episode_miou == ref_scored.per_episode_miou
+
+    def test_worker_error_is_the_first_in_run_order(self, monkeypatch):
+        real = trainer.episode_loss
+
+        def failing(protos, episode, lam, margin):
+            report, grads = real(protos, episode, lam, margin)
+            if protos.provenance in ("center+restore", "normalize"):
+                report = replace(report, total=float("inf"))
+            return report, grads
+
+        monkeypatch.setattr(trainer, "episode_loss", failing)
+        episodes = make_eval_episodes(DESK, 2, 77)
+        messages = []
+        for workers in (1, 2, 3):
+            with pytest.raises(NumericError) as err:
+                run_grid(self.SEED_RUNS, DESK, episodes, workers=workers)
+            messages.append(str(err.value))
+        assert "'center+restore'" in messages[0] and "seed=2" in messages[0]
+        assert messages == [messages[0]] * 3
+
+    def test_rejects_empty_grid_and_bad_worker_count(self):
+        episodes = make_eval_episodes(DESK, 1, 77)
+        for seed_runs, workers in (([], 1), ([[]], 1), (self.SEED_RUNS, 0)):
+            with pytest.raises(ArgumentError):
+                run_grid(seed_runs, DESK, episodes, workers=workers)
 
 
 class TestEvaluate:
