@@ -29,15 +29,15 @@ from .errors import (
     UndefinedMetricError,
     WarmError,
 )
-from .fps import FpsResult, farthest_point_sampling, fps_seed_sweep, min_dist_classify
-from .linalg import grad_check, mat_pow_half, pairwise_distances, softmax_rows, sym_eig
+from .fps import FpsResult, farthest_point_sampling, fps_seed_sweep
+from .linalg import grad_check, half_powers, pairwise_distances, softmax_rows, sym_eig
 from .losses import (
     DistanceField,
     LossReport,
     margin_loss,
     point_distances,
     predict,
-    simplification_loss,
+    simplification_loss_and_grad,
     total_loss,
 )
 from .metrics import (
@@ -46,12 +46,10 @@ from .metrics import (
     attention_entropy,
     dispersion_metrics,
     miou,
-    qk_distance,
 )
 from .rng import derive_rng, make_rng
 from .trainer import TrainConfig, apply_update, evaluate, make_eval_episodes, train, train_grid
 from .warm import (
-    AttentionOutput,
     PrototypeSet,
     WarmParams,
     WhitenStats,
@@ -59,13 +57,10 @@ from .warm import (
     average_shots,
     color,
     compute_stats,
-    cross_attention,
     init_params,
     load_checkpoint,
-    naive_forward,
     save_checkpoint,
     warm_backward,
-    warm_forward,
     whiten,
 )
 

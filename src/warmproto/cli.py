@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from .fps import evaluate_fps, fps_seed_sweep, write_sweep_csv, write_sweep_summ
 from .metrics import MetricsReport, write_metrics_csv
 from .rng import derive_rng
 from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, run_grid, train
-from .warm import ABLATION_GRID, MODES, VARIANTS, config_sha256, load_checkpoint
+from .warm import ABLATION_GRID, MODES, VARIANTS, load_checkpoint
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,11 @@ class ExperimentConfig:
 
 
 def parse_method(method: str) -> str:
-    """Normalize a method string to an internal variant name.
+    """Normalize a method string to a ``VARIANTS`` name.
 
-    Accepts warm, naive, fps-min-dist, the grid row names, and the
-    ablation:<mode>,<on|off> form.
+    Accepts fps-min-dist, the ``VARIANTS`` names (warm, naive and the
+    grid row names), and the ablation:<mode>,<on|off> form, which names
+    the grid row with that (mode, restore) pair.
     """
     if method == "fps-min-dist" or method in VARIANTS:
         return method
@@ -78,12 +81,27 @@ def parse_method(method: str) -> str:
             raise ConfigError(f"unknown ablation mode {mode!r}; expected one of {MODES}")
         if restore_word not in ("on", "off"):
             raise ConfigError(f"ablation restore flag must be 'on' or 'off', got {restore_word!r}")
-        if mode == "naive":
-            return "naive"
-        return mode + ("+restore" if restore_word == "on" else "")
+        by_pair = {VARIANTS[name]: name for name in ABLATION_GRID}
+        # naive has no restoration step, so it is the row for either flag
+        return by_pair.get((mode, restore_word == "on"), mode)
     raise ConfigError(
         f"unknown method {method!r}; expected warm, naive, fps-min-dist, or ablation:<mode>,<on|off>"
     )
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a config field's annotated type. JSON
+    integers are valid floats; booleans are neither integers nor floats."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # the length is left to validate()
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_fits(value, a) for a in args)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
 
 
 def _build_dataclass(cls, data: dict, section: str):
@@ -91,6 +109,12 @@ def _build_dataclass(cls, data: dict, section: str):
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown} in section '{section}'")
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in data and not _fits(data[f.name], hints[f.name]):
+            raise ConfigError(
+                f"field '{f.name}' in section '{section}' must be {f.type}, got {json.dumps(data[f.name])}"
+            )
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     try:
         return cls(**kwargs)
@@ -137,6 +161,10 @@ def config_dict(cfg: ExperimentConfig) -> dict:
         return obj
 
     return clean(asdict(cfg))
+
+
+def config_sha256(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
 def write_sidecar(path, command: str, cfg: ExperimentConfig) -> None:

@@ -55,24 +55,16 @@ def farthest_point_sampling(features, count: int, rng) -> FpsResult:
     return FpsResult(indices=indices, subset=features[indices].copy())
 
 
-def min_dist_classify(query, prototypes) -> np.ndarray:
-    """Label each query row with the class of its nearest prototype row."""
-    return predict(point_distances(query, prototypes))
-
-
-def fps_prototypes(episode: Episode, count: int, rng) -> dict[int, np.ndarray]:
-    """Per-class FPS subsets of the pooled support features.
+def fps_prototypes(support: dict[int, np.ndarray], count: int, rng) -> dict[int, np.ndarray]:
+    """Per-class FPS subsets of an episode's pooled support features
+    (``Episode.pooled_support_by_class``).
 
     Classes with fewer than ``count`` rows contribute all their rows.
     Classes are processed in sorted order, consuming one start draw each.
     """
-    return _fps_subsets(sorted(episode.pooled_support_by_class().items()), count, rng)
-
-
-def _fps_subsets(support: list[tuple[int, np.ndarray]], count: int, rng) -> dict[int, np.ndarray]:
     return {
         label: farthest_point_sampling(feats, min(count, feats.shape[0]), rng).subset
-        for label, feats in support
+        for label, feats in sorted(support.items())
     }
 
 
@@ -95,13 +87,13 @@ def _sweep_rows(episodes: list[Episode], count: int, seeds: list[int]) -> tuple[
     per_episode = [[] for _ in seeds]
     per_class_acc = [{} for _ in seeds]
     for i, episode in enumerate(episodes):
-        support = sorted(episode.pooled_support_by_class().items())
+        support = episode.pooled_support_by_class()
         # free the split before scoring: peak memory then holds the split or a distance field, not both
-        protos_by_seed = [_fps_subsets(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
+        protos_by_seed = [fps_prototypes(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
         del support
         truths = np.concatenate([q.labels for q in episode.query])
         for pos, protos in enumerate(protos_by_seed):
-            preds = np.concatenate([min_dist_classify(q.features, protos) for q in episode.query])
+            preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
             score, per_class = miou(preds, truths, range(episode.n_way + 1))
             per_episode[pos].append(score)
             for c, v in per_class.items():

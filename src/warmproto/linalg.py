@@ -58,14 +58,6 @@ def half_powers(m, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (inv_sqrt + inv_sqrt.T), 0.5 * (sqrt + sqrt.T)
 
 
-def mat_pow_half(m, exponent: float, eps: float) -> np.ndarray:
-    """V diag(max(lambda, eps))^exponent V^T for exponent +1/2 or -1/2."""
-    if exponent not in (0.5, -0.5):
-        raise ArgumentError(f"exponent must be +0.5 or -0.5, got {exponent}")
-    inv_sqrt, sqrt = half_powers(m, eps)
-    return sqrt if exponent > 0 else inv_sqrt
-
-
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction for overflow safety."""
     m = np.asarray(m, dtype=np.float64)

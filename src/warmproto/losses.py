@@ -181,16 +181,6 @@ def simplification_loss_and_grad(
     return float(np.mean(values)), grads
 
 
-def simplification_loss(features_by_class: Mapping[int, np.ndarray], protos) -> float:
-    return simplification_loss_and_grad(features_by_class, protos)[0]
-
-
-def simplification_loss_grad(
-    features_by_class: Mapping[int, np.ndarray], protos
-) -> dict[int, np.ndarray]:
-    return simplification_loss_and_grad(features_by_class, protos)[1]
-
-
 @dataclass
 class LossReport:
     margin: float

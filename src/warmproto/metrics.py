@@ -3,8 +3,9 @@
 Mean IoU over classes, the three feature-dispersion quantities
 (same-class episode-center spread, cross-class center distance, point
 spread around an instance center), normalized attention entropy and
-attention-map diversity, and the mean query/key distance inside the
-attention head.
+attention-map diversity. The report also carries the mean query/key
+distance inside the attention head, which ``trainer.evaluate`` reads off
+the forward trace.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 from .episodes import Episode, split_fg_bg
 from .errors import ArgumentError, UndefinedMetricError
 from .files import write_csv
-from .linalg import pairwise_distances
-from .warm import WarmParams
 
 METRIC_COLUMNS = ("d_intra", "d_inter", "d_instance", "attn_entropy", "attn_diversity", "qk_dist")
 
@@ -140,15 +139,6 @@ def _check_prob_rows(weights) -> np.ndarray:
     if a.min() < -1e-12 or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-6:
         raise ArgumentError("attention rows must be probability vectors")
     return np.clip(a, 0.0, None)
-
-
-def qk_distance(tokens, keys_in, params: WarmParams) -> float:
-    """Mean over all (token, key) pairs of the projected Euclidean distance."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    keys_in = np.asarray(keys_in, dtype=np.float64)
-    if tokens.shape[0] == 0 or keys_in.shape[0] == 0:
-        raise ArgumentError("qk_distance needs nonempty tokens and keys")
-    return float(pairwise_distances(tokens @ params.w_q, keys_in @ params.w_k).mean())
 
 
 @dataclass

@@ -166,17 +166,8 @@ def episode_forward(
     params: WarmParams, episode: Episode, variant: str, eps: float, scale_logits: bool = False
 ) -> tuple[PrototypeSet, list[ForwardResult]]:
     """Per-shot forward passes, prototypes averaged across shots."""
-    mode, restore = resolve_variant(variant)
     shots = [
-        ablation_forward(
-            params,
-            episode.support_features_by_class(shot),
-            mode,
-            restore,
-            eps,
-            scale_logits,
-            provenance=variant,
-        )
+        ablation_forward(params, episode.support_features_by_class(shot), variant, eps, scale_logits)
         for shot in range(episode.k_shot)
     ]
     return average_shots([s.prototypes for s in shots]), shots
@@ -360,11 +351,12 @@ def evaluate(
     """
     if not episodes:
         raise ArgumentError("evaluation needs at least one episode")
-    if episodes[0].support[0].feature_dim != params.feature_dim:
-        raise CheckpointError(
-            f"checkpoint has D={params.feature_dim} but episodes have "
-            f"D={episodes[0].support[0].feature_dim}"
-        )
+    for i, episode in enumerate(episodes):
+        if episode.support[0].feature_dim != params.feature_dim:
+            raise CheckpointError(
+                f"parameters have D={params.feature_dim} but episode {i} has "
+                f"D={episode.support[0].feature_dim}"
+            )
     per_episode, per_class_acc = [], {}
     entropies, diversities, qk_dists = [], [], []
     summaries = []

@@ -17,7 +17,6 @@ eigendecomposition.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,12 +26,11 @@ import numpy as np
 from .episodes import BACKGROUND
 from .errors import ArgumentError, CheckpointError, EmptyClassError, InsufficientPointsError
 from .files import atomic_write
-from .linalg import half_powers, pairwise_distances, require_finite, softmax_rows
+from .linalg import half_powers, require_finite, softmax_rows
 
-MODES = ("naive", "center", "normalize", "whiten")
-
-# Named forward variants: name -> (mode, restore). The rows of the
-# component-ablation grid are exactly the first seven entries.
+# The one table of forward variants: name -> (feature transform, restore).
+# The rows of the component-ablation grid are exactly the first seven
+# entries; "warm" names the full operator.
 VARIANTS: dict[str, tuple[str, bool]] = {
     "naive": ("naive", False),
     "center": ("center", False),
@@ -44,15 +42,9 @@ VARIANTS: dict[str, tuple[str, bool]] = {
     "warm": ("whiten", True),
 }
 
-ABLATION_GRID = (
-    "naive",
-    "center",
-    "normalize",
-    "whiten",
-    "center+restore",
-    "normalize+restore",
-    "whiten+restore",
-)
+ABLATION_GRID = tuple(VARIANTS)[:7]
+
+MODES = tuple(dict.fromkeys(mode for mode, _ in VARIANTS.values()))
 
 
 def resolve_variant(name: str) -> tuple[str, bool]:
@@ -197,41 +189,6 @@ def init_params(
 
 
 @dataclass
-class AttentionOutput:
-    attended: np.ndarray  # (M x D)
-    weights: np.ndarray  # (M x L), rows sum to 1
-
-
-def cross_attention(
-    queries_in: np.ndarray,
-    keys_in: np.ndarray,
-    params: WarmParams,
-    scale_logits: bool = False,
-) -> AttentionOutput:
-    """Single-head attention: softmax(Wq(queries) Wk(keys)^T) Wv(keys).
-
-    No logit scaling by default; ``scale_logits`` divides by sqrt(D) for
-    experimentation.
-    """
-    queries_in = np.asarray(queries_in, dtype=np.float64)
-    keys_in = np.asarray(keys_in, dtype=np.float64)
-    if keys_in.shape[0] == 0:
-        raise EmptyClassError("cross-attention needs at least one key row")
-    if queries_in.shape[1] != keys_in.shape[1]:
-        raise ArgumentError(
-            f"dimension mismatch: queries D={queries_in.shape[1]}, keys D={keys_in.shape[1]}"
-        )
-    q = queries_in @ params.w_q
-    k = keys_in @ params.w_k
-    v = keys_in @ params.w_v
-    logits = q @ k.T
-    if scale_logits:
-        logits = logits / np.sqrt(queries_in.shape[1])
-    weights = softmax_rows(logits)
-    return AttentionOutput(attended=weights @ v, weights=weights)
-
-
-@dataclass
 class PrototypeSet:
     """Per-class prototype matrices plus the variant that produced them."""
 
@@ -247,7 +204,6 @@ class PrototypeSet:
 class ClassTrace:
     """Everything the backward pass and the diagnostics need per class."""
 
-    class_label: int
     pool: str  # "fg" or "bg"
     keys_in: np.ndarray  # transformed features actually fed to attention
     q: np.ndarray
@@ -256,13 +212,7 @@ class ClassTrace:
     weights: np.ndarray
     attended: np.ndarray
     out_map: np.ndarray | None  # restoration matrix, None means identity
-    out_shift: np.ndarray | None  # restoration offset, None means zero
-    stats: WhitenStats | None
     scale_logits: bool
-
-    @property
-    def attention(self) -> AttentionOutput:
-        return AttentionOutput(attended=self.attended, weights=self.weights)
 
 
 @dataclass
@@ -273,44 +223,40 @@ class ForwardResult:
 
 def _class_transform(
     features: np.ndarray, mode: str, restore: bool, eps: float
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, WhitenStats | None]:
-    """Returns (keys_in, out_map, out_shift, stats) for one class."""
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Returns (keys_in, out_map, out_shift) for one class."""
     if mode == "naive":
-        return features, None, None, None
+        return features, None, None
     stats = compute_stats(features, eps)
+    out_shift = stats.mean if restore else None
     if mode == "center":
-        keys = features - stats.mean
-        return keys, None, (stats.mean if restore else None), stats
+        return features - stats.mean, None, out_shift
     if mode == "normalize":
         sigma = np.sqrt(np.maximum(np.diagonal(stats.cov), eps))
         keys = (features - stats.mean) / sigma
-        out_map = np.diag(sigma) if restore else None
-        return keys, out_map, (stats.mean if restore else None), stats
-    if mode == "whiten":
-        keys = (features - stats.mean) @ stats.inv_sqrt
-        out_map = stats.sqrt if restore else None
-        return keys, out_map, (stats.mean if restore else None), stats
-    raise ArgumentError(f"unknown mode {mode!r}; expected one of {MODES}")
+        return keys, (np.diag(sigma) if restore else None), out_shift
+    keys = (features - stats.mean) @ stats.inv_sqrt  # whiten
+    return keys, (stats.sqrt if restore else None), out_shift
 
 
 def ablation_forward(
     params: WarmParams,
     features_by_class: dict[int, np.ndarray],
-    mode: str,
-    restore: bool,
+    variant: str,
     eps: float = 1e-4,
     scale_logits: bool = False,
-    provenance: str | None = None,
 ) -> ForwardResult:
-    """Shared forward pass for the full operator and all its ablations.
+    """Forward pass of one ``VARIANTS`` entry: the full operator ("warm")
+    or one of its ablations. The prototypes' provenance is the variant name.
 
-    Per class: transform the features, attend with the class's token pool,
-    add the residual, then apply the restoration map (if any).
+    Per class: transform the features, attend with the class's token pool
+    (single head, softmax(Wq(tokens) Wk(keys)^T) Wv(keys), logits divided
+    by sqrt(D) when ``scale_logits``), add the residual, then apply the
+    restoration map (if any).
     """
+    mode, restore = resolve_variant(variant)
     if not features_by_class:
         raise ArgumentError("features_by_class is empty")
-    if provenance is None:
-        provenance = mode + ("+restore" if restore else "")
     prototypes: dict[int, np.ndarray] = {}
     traces: dict[int, ClassTrace] = {}
     for label in sorted(features_by_class):
@@ -318,7 +264,7 @@ def ablation_forward(
         if features.shape[0] == 0:
             raise EmptyClassError(f"class {label} has no support features")
         pool, tokens = params.token_pool(label)
-        keys_in, out_map, out_shift, stats = _class_transform(features, mode, restore, eps)
+        keys_in, out_map, out_shift = _class_transform(features, mode, restore, eps)
         q = tokens @ params.w_q
         k = keys_in @ params.w_k
         v = keys_in @ params.w_v
@@ -332,42 +278,8 @@ def ablation_forward(
         if out_shift is not None:
             out = out + out_shift
         prototypes[label] = out
-        traces[label] = ClassTrace(
-            class_label=label,
-            pool=pool,
-            keys_in=keys_in,
-            q=q,
-            k=k,
-            v=v,
-            weights=weights,
-            attended=attended,
-            out_map=out_map,
-            out_shift=out_shift,
-            stats=stats,
-            scale_logits=scale_logits,
-        )
-    return ForwardResult(PrototypeSet(prototypes, provenance), traces)
-
-
-def warm_forward(
-    params: WarmParams,
-    features_by_class: dict[int, np.ndarray],
-    eps: float = 1e-4,
-    scale_logits: bool = False,
-) -> ForwardResult:
-    """Full whiten / attend / color pass; provenance tag "warm"."""
-    return ablation_forward(
-        params, features_by_class, "whiten", True, eps, scale_logits, provenance="warm"
-    )
-
-
-def naive_forward(
-    params: WarmParams, features_by_class: dict[int, np.ndarray], scale_logits: bool = False
-) -> ForwardResult:
-    """Attention on raw features, no alignment and no restoration."""
-    return ablation_forward(
-        params, features_by_class, "naive", False, scale_logits=scale_logits, provenance="naive"
-    )
+        traces[label] = ClassTrace(pool, keys_in, q, k, v, weights, attended, out_map, scale_logits)
+    return ForwardResult(PrototypeSet(prototypes, variant), traces)
 
 
 def warm_backward(
@@ -429,10 +341,6 @@ def average_shots(sets: list[PrototypeSet]) -> PrototypeSet:
         label: np.mean([s.prototypes[label] for s in sets], axis=0) for label in first.prototypes
     }
     return PrototypeSet(averaged, first.provenance)
-
-
-def config_sha256(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
 def save_checkpoint(path, params: WarmParams, seed: int, config_hash: str = "") -> None:

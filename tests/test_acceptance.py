@@ -14,6 +14,7 @@ import pytest
 from warmproto import (
     GeneratorConfig,
     TrainConfig,
+    ablation_forward,
     compute_stats,
     evaluate,
     farthest_point_sampling,
@@ -21,10 +22,7 @@ from warmproto import (
     init_params,
     make_rng,
     margin_loss,
-    naive_forward,
     point_distances,
-    simplification_loss,
-    warm_forward,
     whiten,
 )
 from warmproto.losses import margin_loss_grad, simplification_loss_and_grad
@@ -76,8 +74,8 @@ class TestAcceptance:
                 raw = rng.standard_normal((40, 8))
                 feats[label] = whiten(raw, compute_stats(raw, eps=1e-12))
             params = init_params(8, 5, make_rng(100 + trial))
-            w = warm_forward(params, feats)
-            n = naive_forward(params, feats)
+            w = ablation_forward(params, feats, "warm")
+            n = ablation_forward(params, feats, "naive")
             for label in (0, 1):
                 diff = np.max(
                     np.abs(w.prototypes.prototypes[label] - n.prototypes.prototypes[label])
@@ -109,14 +107,14 @@ class TestAcceptance:
 
         def objective(vec):
             p = unpack(vec)
-            result = warm_forward(p, feats)
+            result = ablation_forward(p, feats, "warm")
             protos = result.prototypes
             field = point_distances(query, protos)
             margin = margin_loss(field, truth)
             sim, _ = simplification_loss_and_grad(feats, protos)
             return margin + 0.5 * sim
 
-        result = warm_forward(params, feats)
+        result = ablation_forward(params, feats, "warm")
         protos = result.prototypes
         field = point_distances(query, protos)
         m_grads = margin_loss_grad(query, protos, field, truth)
@@ -233,7 +231,7 @@ class TestAcceptance:
         margin_val = margin_loss(point_distances(query, protos), truth)
         # simplification: prototypes equal the features
         feats = {0: rng.standard_normal((5, 3)), 1: rng.standard_normal((6, 3))}
-        sim_val = simplification_loss(feats, {c: f.copy() for c, f in feats.items()})
+        sim_val, _ = simplification_loss_and_grad(feats, {c: f.copy() for c, f in feats.items()})
         ok = margin_val == 0.0 and sim_val == 0.0
         report(10, ok, f"margin {margin_val}, simplification {sim_val}")
 

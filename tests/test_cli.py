@@ -75,11 +75,42 @@ class TestConfigLoading:
             load_experiment_config(path)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            pytest.param({"generator": {"feature_dim": "32"}}, "feature_dim", id="feature_dim-string"),
+            pytest.param({"train": {"lr": None}}, "lr", id="lr-null"),
+            pytest.param({"eval_episodes": "3"}, "eval_episodes", id="eval_episodes-string"),
+            pytest.param({"train": {"lr_milestones": 0.5}}, "lr_milestones", id="lr_milestones-number"),
+            pytest.param({"seeds": 5}, "seeds", id="seeds-number"),
+            pytest.param({"token_counts": [1.5]}, "token_counts", id="token_counts-float"),
+        ],
+    )
+    def test_wrong_json_type_exit_1(self, tmp_path, capsys, data, field):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{field}'" in err
+
+    def test_json_integers_fill_float_fields(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train": {"lr": 1, "grad_clip": 2}, "generator": {"instance_spread": 4}}))
+        cfg = load_experiment_config(path)
+        assert cfg.train.lr == 1 and cfg.train.grad_clip == 2 and cfg.generator.instance_spread == 4
+
     def test_method_strings(self):
         assert parse_method("warm") == "warm"
         assert parse_method("fps-min-dist") == "fps-min-dist"
         assert parse_method("ablation:whiten,on") == "whiten+restore"
         assert parse_method("ablation:center,off") == "center"
+        for name in ABLATION_GRID:
+            assert parse_method(name) == name
+        for mode in ("naive", "center", "normalize", "whiten"):
+            for flag in ("on", "off"):
+                expected = "naive" if mode == "naive" else mode + ("+restore" if flag == "on" else "")
+                assert parse_method(f"ablation:{mode},{flag}") == expected
         with pytest.raises(ConfigError):
             parse_method("ablation:whitening,on")
         with pytest.raises(ConfigError):
@@ -165,6 +196,30 @@ class TestTrainEval:
         )
         assert code == 1
         assert "D=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("verb", ["eval", "ablate"])
+    def test_mixed_dims_in_data_dir_exit_1(self, config_path, tmp_path, monkeypatch, capfd, verb, workers):
+        # episode 0 matches the D=8 config and checkpoint, episode 1 has D=16
+        data = tmp_path / "data"
+        other = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], feature_dim=16), num_episodes=2)
+        other_path = tmp_path / "other.json"
+        other_path.write_text(json.dumps(other))
+        assert main(["gen", "--config", str(config_path), "--out", str(tmp_path / "d8")]) == 0
+        assert main(["gen", "--config", str(other_path), "--out", str(tmp_path / "d16")]) == 0
+        data.mkdir()
+        (data / "ep_0.warmep").write_bytes((tmp_path / "d8" / "ep_00000.warmep").read_bytes())
+        (data / "ep_1.warmep").write_bytes((tmp_path / "d16" / "ep_00001.warmep").read_bytes())
+        argv = [verb, "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "o")]
+        if verb == "eval":
+            assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "train")]) == 0
+            argv += ["--checkpoint", str(tmp_path / "train" / "checkpoint.json")]
+        monkeypatch.setenv("WARM_THREADS", workers)
+        capfd.readouterr()
+        assert main(argv) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "episode 1 has D=16" in err and "Traceback" not in err
 
     def test_eval_fps_needs_no_checkpoint(self, config_path, tmp_path):
         cfg = dict(SMALL_CONFIG, method="fps-min-dist")

@@ -260,3 +260,39 @@ class TestEpisodeFile:
             save_episode(gen_episode(SMALL, make_rng(29)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ep.warmep"]
+
+
+FUZZ_CFG = GeneratorConfig(feature_dim=3, points_per_cloud=16, min_fg_points=2, n_way=2)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """A small valid 2-way container: (path to overwrite, its bytes)."""
+    path = tmp_path_factory.mktemp("fuzz") / "ep.warmep"
+    save_episode(gen_episode(FUZZ_CFG, make_rng(40)), path)
+    return path, path.read_bytes()
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` cut short, or with a few bytes XOR-flipped."""
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data) - 1))]
+    buf = bytearray(data)
+    for pos, mask in draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)), min_size=1, max_size=8)):
+        buf[pos] ^= mask
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_container_is_format_error_or_valid_episode(fuzz_file, data):
+    path, valid = fuzz_file
+    path.write_bytes(data.draw(mutated(valid)))
+    try:
+        episode = load_episode(path)
+    except FormatError:
+        return
+    # Episode validates itself on construction; check the shapes it holds too
+    assert len(episode.support) == episode.n_way * episode.k_shot
+    assert all(c.feature_dim == episode.support[0].feature_dim for c in episode.support + episode.query)

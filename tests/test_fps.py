@@ -9,8 +9,9 @@ from warmproto import (
     farthest_point_sampling,
     gen_episode,
     make_rng,
-    min_dist_classify,
     miou,
+    point_distances,
+    predict,
 )
 from warmproto.errors import ArgumentError, EmptyClassError
 from warmproto.fps import evaluate_fps, fps_prototypes, fps_seed_sweep
@@ -96,14 +97,16 @@ class TestFarthestPointSampling:
 
 
 class TestMinDistClassify:
+    """The baseline's labeling: class of the nearest prototype row."""
+
     def test_zero_distance_wins(self):
         protos = {0: np.array([[5.0, 5.0]]), 1: np.array([[1.0, 2.0]])}
-        labels = min_dist_classify(np.array([[1.0, 2.0]]), protos)
+        labels = predict(point_distances(np.array([[1.0, 2.0]]), protos))
         assert labels.tolist() == [1]
 
     def test_nearest_of_two(self):
         protos = {0: np.array([[0.0]]), 1: np.array([[10.0]])}
-        labels = min_dist_classify(np.array([[1.0]]), protos)
+        labels = predict(point_distances(np.array([[1.0]]), protos))
         assert labels.tolist() == [0]
 
     def test_prototype_row_order_irrelevant(self):
@@ -113,21 +116,21 @@ class TestMinDistClassify:
         protos_a = {0: p, 1: rng.standard_normal((4, 3))}
         protos_b = {0: p[::-1].copy(), 1: protos_a[1]}
         np.testing.assert_array_equal(
-            min_dist_classify(query, protos_a), min_dist_classify(query, protos_b)
+            predict(point_distances(query, protos_a)), predict(point_distances(query, protos_b))
         )
 
     def test_empty_prototypes_raise(self):
         with pytest.raises(EmptyClassError):
-            min_dist_classify(np.zeros((2, 2)), {0: np.zeros((0, 2)), 1: np.zeros((1, 2))})
+            predict(point_distances(np.zeros((2, 2)), {0: np.zeros((0, 2)), 1: np.zeros((1, 2))}))
 
     def test_beats_chance_on_generated_episodes(self):
         cfg = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
         episodes = make_eval_episodes(cfg, 20, 99, "novel")
         correct = total = 0
         for i, ep in enumerate(episodes):
-            protos = fps_prototypes(ep, 16, make_rng(1000 + i))
+            protos = fps_prototypes(ep.pooled_support_by_class(), 16, make_rng(1000 + i))
             for q in ep.query:
-                pred = min_dist_classify(q.features, protos)
+                pred = predict(point_distances(q.features, protos))
                 correct += int(np.sum(pred == q.labels))
                 total += q.labels.size
         assert correct / total > 1.0 / (cfg.n_way + 1)
@@ -182,8 +185,8 @@ class TestFpsSeedSweep:
             # independent seed-major reference; 300 is the sweep's stream key
             scores = []
             for i, ep in enumerate(episodes):
-                protos = fps_prototypes(ep, 5, derive_rng(row.seed, 300, i))
-                preds = np.concatenate([min_dist_classify(q.features, protos) for q in ep.query])
+                protos = fps_prototypes(ep.pooled_support_by_class(), 5, derive_rng(row.seed, 300, i))
+                preds = np.concatenate([predict(point_distances(q.features, protos)) for q in ep.query])
                 truth = np.concatenate([q.labels for q in ep.query])
                 scores.append(miou(preds, truth, range(cfg.n_way + 1))[0])
             assert row.mean_miou == float(np.mean(scores))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from warmproto import grad_check, init_params, make_rng, naive_forward, warm_backward, warm_forward
+from warmproto import ablation_forward, grad_check, init_params, make_rng, warm_backward
 from warmproto.errors import ArgumentError
 from warmproto.losses import (
     margin_loss,
@@ -11,7 +11,7 @@ from warmproto.losses import (
     point_distances,
     simplification_loss_and_grad,
 )
-from warmproto.warm import PARAM_NAMES, WarmParams, ablation_forward, resolve_variant
+from warmproto.warm import PARAM_NAMES, WarmParams
 
 
 def pack(params):
@@ -29,8 +29,7 @@ def unpack(vec, template):
 
 
 def total_objective(params, feats, query, truth, variant, lam=0.5):
-    mode, restore = resolve_variant(variant)
-    result = ablation_forward(params, feats, mode, restore, eps=1e-4)
+    result = ablation_forward(params, feats, variant, eps=1e-4)
     protos = result.prototypes
     field = point_distances(query, protos)
     m = margin_loss(field, truth)
@@ -55,7 +54,7 @@ class TestWarmBackward:
 
     def test_zero_loss_gradient_gives_zero_param_gradients(self):
         params, feats, _, _ = self._instance()
-        result = warm_forward(params, feats)
+        result = ablation_forward(params, feats, "warm")
         zeros = {c: np.zeros_like(p) for c, p in result.prototypes.prototypes.items()}
         grads = warm_backward(params, result, zeros)
         for name in PARAM_NAMES:
@@ -71,7 +70,7 @@ class TestWarmBackward:
         feats = {1: keys, 0: rng.standard_normal((l, d))}
         tokens = rng.standard_normal((2 * m, d))
         params = WarmParams(tokens, np.zeros((d, d)), np.zeros((d, d)), rng.standard_normal((d, d)))
-        result = naive_forward(params, feats)
+        result = ablation_forward(params, feats, "naive")
         g = rng.standard_normal((m, d))
         grads = warm_backward(params, result, {1: g})
         expected = np.outer(keys.mean(axis=0), g.sum(axis=0))
@@ -85,7 +84,7 @@ class TestWarmBackward:
         feats = {1: rng.standard_normal((l, d)) * 2, 0: rng.standard_normal((l, d))}
         tokens = rng.standard_normal((2 * m, d))
         params = WarmParams(tokens, np.zeros((d, d)), np.zeros((d, d)), rng.standard_normal((d, d)))
-        result = warm_forward(params, feats)
+        result = ablation_forward(params, feats, "warm")
         grads = warm_backward(params, result, {1: rng.standard_normal((m, d))})
         np.testing.assert_allclose(grads["w_v"], np.zeros((d, d)), atol=1e-9)
 
@@ -116,12 +115,12 @@ class TestWarmBackward:
 
     def test_missing_trace_class(self):
         params, feats, _, _ = self._instance()
-        result = warm_forward(params, feats)
+        result = ablation_forward(params, feats, "warm")
         with pytest.raises(ArgumentError):
             warm_backward(params, result, {5: np.zeros((3, 4))})
 
     def test_gradient_shape_mismatch(self):
         params, feats, _, _ = self._instance()
-        result = warm_forward(params, feats)
+        result = ablation_forward(params, feats, "warm")
         with pytest.raises(ArgumentError):
             warm_backward(params, result, {1: np.zeros((2, 2))})

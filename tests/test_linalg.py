@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmproto import derive_rng, grad_check, make_rng, mat_pow_half, softmax_rows, sym_eig
+from warmproto import derive_rng, grad_check, half_powers, make_rng, softmax_rows, sym_eig
 from warmproto.errors import ArgumentError, NumericError, SymmetryError
 from warmproto.linalg import pairwise_distances
 
@@ -70,53 +70,52 @@ class TestSymEig:
 
 
 class TestMatPowHalf:
+    """(m^-1/2, m^+1/2) from ``half_powers``."""
+
     def test_diagonal_sqrt(self):
         np.testing.assert_allclose(
-            mat_pow_half(np.diag([4.0, 9.0]), 0.5, 1e-4), np.diag([2.0, 3.0]), atol=1e-12
+            half_powers(np.diag([4.0, 9.0]), 1e-4)[1], np.diag([2.0, 3.0]), atol=1e-12
         )
 
     def test_diagonal_inv_sqrt(self):
         np.testing.assert_allclose(
-            mat_pow_half(np.diag([4.0, 9.0]), -0.5, 1e-4), np.diag([0.5, 1.0 / 3.0]), atol=1e-12
+            half_powers(np.diag([4.0, 9.0]), 1e-4)[0], np.diag([0.5, 1.0 / 3.0]), atol=1e-12
         )
 
     def test_clamp(self):
         # 0 clamps to 1e-4, and (1e-4)^(-1/2) = 100
-        out = mat_pow_half(np.diag([4.0, 0.0]), -0.5, 1e-4)
+        out = half_powers(np.diag([4.0, 0.0]), 1e-4)[0]
         np.testing.assert_allclose(out, np.diag([0.5, 100.0]), atol=1e-10)
 
     def test_square_recovers_input(self):
         rng = make_rng(2)
         for d in (2, 6, 12):
             m = random_psd(rng, d) + 0.01 * np.eye(d)
-            root = mat_pow_half(m, 0.5, 1e-6)
+            root = half_powers(m, 1e-6)[1]
             assert np.linalg.norm(root @ root - m) < 1e-6
 
     def test_inv_sqrt_whitens(self):
         rng = make_rng(3)
         m = random_psd(rng, 8) + 0.01 * np.eye(8)
-        inv_root = mat_pow_half(m, -0.5, 1e-6)
+        inv_root = half_powers(m, 1e-6)[0]
         np.testing.assert_allclose(inv_root @ m @ inv_root, np.eye(8), atol=1e-6)
 
     def test_opposite_exponents_cancel(self):
         rng = make_rng(4)
         m = random_psd(rng, 5)
-        prod = mat_pow_half(m, -0.5, 1e-4) @ mat_pow_half(m, 0.5, 1e-4)
+        inv_root, root = half_powers(m, 1e-4)
+        prod = inv_root @ root
         np.testing.assert_allclose(prod, np.eye(5), atol=1e-6)
 
     def test_result_symmetric(self):
         rng = make_rng(5)
         m = random_psd(rng, 7)
-        out = mat_pow_half(m, 0.5, 1e-4)
+        out = half_powers(m, 1e-4)[1]
         np.testing.assert_array_equal(out, out.T)
-
-    def test_rejects_other_exponents(self):
-        with pytest.raises(ArgumentError):
-            mat_pow_half(np.eye(2), 1.0, 1e-4)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ArgumentError):
-            mat_pow_half(np.eye(2), 0.5, 0.0)
+            half_powers(np.eye(2), 0.0)
 
 
 class TestSoftmaxRows:

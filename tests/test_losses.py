@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmproto import make_rng, margin_loss, point_distances, predict, simplification_loss, total_loss
+from warmproto import make_rng, margin_loss, point_distances, predict, total_loss
 from warmproto.errors import ArgumentError, EmptyClassError
 from warmproto.losses import (
     DistanceField,
@@ -156,7 +156,7 @@ class TestSimplificationLoss:
         f = rng.standard_normal((5, 3))
         protos = {0: f[::-1].copy(), 1: rng.standard_normal((4, 3))}
         feats = {0: f, 1: protos[1].copy()}
-        assert simplification_loss(feats, protos) == pytest.approx(0.0, abs=1e-12)
+        assert simplification_loss_and_grad(feats, protos)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_pair_reduces_to_three_norms(self):
         f = np.array([[1.0, 2.0]])
@@ -164,7 +164,7 @@ class TestSimplificationLoss:
         feats = {0: f, 1: f.copy()}
         protos = {0: p, 1: f.copy()}
         # class 0 contributes 3*5, class 1 contributes 0; mean over 2 classes
-        assert simplification_loss(feats, protos) == pytest.approx(7.5)
+        assert simplification_loss_and_grad(feats, protos)[0] == pytest.approx(7.5)
 
     def test_matches_brute_force(self):
         rng = make_rng(7)
@@ -178,11 +178,11 @@ class TestSimplificationLoss:
             t2 = dm.min(axis=0).mean()
             t3 = dm.min(axis=0).max()
             expected_terms.append(t1 + t2 + t3)
-        assert simplification_loss(feats, protos) == pytest.approx(np.mean(expected_terms), abs=1e-12)
+        assert simplification_loss_and_grad(feats, protos)[0] == pytest.approx(np.mean(expected_terms), abs=1e-12)
 
     def test_mismatched_class_sets(self):
         with pytest.raises(ArgumentError):
-            simplification_loss({0: np.ones((2, 2))}, {0: np.ones((1, 2)), 1: np.ones((1, 2))})
+            simplification_loss_and_grad({0: np.ones((2, 2))}, {0: np.ones((1, 2)), 1: np.ones((1, 2))})
 
     def test_finite_difference(self):
         rng = make_rng(8)
@@ -191,7 +191,7 @@ class TestSimplificationLoss:
 
         def loss_of(vec):
             protos = {0: vec[:6].reshape(3, 2), 1: vec[6:].reshape(3, 2)}
-            return simplification_loss(feats, protos)
+            return simplification_loss_and_grad(feats, protos)[0]
 
         vec = np.concatenate([p0.ravel(), p1.ravel()])
         _, grads = simplification_loss_and_grad(feats, {0: p0, 1: p1})

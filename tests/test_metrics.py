@@ -9,8 +9,9 @@ from warmproto import (
     attention_entropy,
     dispersion_metrics,
     make_rng,
+    ablation_forward,
     miou,
-    qk_distance,
+    pairwise_distances,
 )
 from warmproto.errors import ArgumentError, UndefinedMetricError
 from warmproto.metrics import FgSummary, MetricsReport, write_metrics_csv
@@ -168,25 +169,33 @@ class TestAttentionDiversity:
 
 
 class TestQkDistance:
+    """``evaluate``'s qk_dist: the mean over (token, key) pairs of the
+    projected Euclidean distance, from the forward trace."""
+
     def _identity_params(self, d, m=1):
         return WarmParams(np.zeros((2 * m, d)), np.eye(d), np.eye(d), np.eye(d))
+
+    def _qk(self, tokens, keys, params):
+        pooled = WarmParams(np.vstack([tokens, tokens]), params.w_q, params.w_k, params.w_v)
+        trace = ablation_forward(pooled, {1: keys}, "naive").per_class[1]
+        return float(pairwise_distances(trace.q, trace.k).mean())
 
     def test_equal_projections_zero(self):
         rng = make_rng(6)
         row = rng.standard_normal((1, 3))
         tokens = np.repeat(row, 4, axis=0)
         keys = np.repeat(row, 6, axis=0)
-        assert qk_distance(tokens, keys, self._identity_params(3)) == pytest.approx(0.0, abs=1e-6)
+        assert self._qk(tokens, keys, self._identity_params(3)) == pytest.approx(0.0, abs=1e-6)
 
     def test_mean_of_two_keys(self):
         params = self._identity_params(1)
         tokens = np.array([[0.0]])
         keys = np.array([[3.0], [5.0]])
-        assert qk_distance(tokens, keys, params) == pytest.approx(4.0)
+        assert self._qk(tokens, keys, params) == pytest.approx(4.0)
 
     def test_empty_inputs(self):
         with pytest.raises(ArgumentError):
-            qk_distance(np.zeros((0, 2)), np.ones((1, 2)), self._identity_params(2))
+            self._qk(np.zeros((1, 2)), np.zeros((0, 2)), self._identity_params(2))
 
 
 class TestMetricsCsv:

@@ -1,4 +1,4 @@
-"""Whitening statistics, cross-attention, forward variants, checkpoints."""
+"""Whitening statistics, attention, forward variants, checkpoints."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,12 @@ from warmproto import (
     average_shots,
     color,
     compute_stats,
-    cross_attention,
+    half_powers,
     init_params,
     load_checkpoint,
     make_rng,
-    mat_pow_half,
-    naive_forward,
     save_checkpoint,
     sym_eig,
-    warm_forward,
     whiten,
 )
 from warmproto import linalg
@@ -40,6 +37,21 @@ def make_white(rng, n, d):
     """Features with exactly zero mean and identity sample covariance."""
     f = rng.standard_normal((n, d))
     return whiten(f, compute_stats(f, eps=1e-12))
+
+
+def attend_by_definition(queries, keys, params):
+    """softmax(Wq(queries) Wk(keys)^T) Wv(keys), recomputed independently
+    of the forward pass."""
+    logits = (queries @ params.w_q) @ (keys @ params.w_k).T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True) @ (keys @ params.w_v)
+
+
+def attend(queries, keys, params, scale_logits=False):
+    """The forward pass's attention of ``queries`` (as the foreground
+    token pool) over raw ``keys``: the trace of the naive variant."""
+    pooled = WarmParams(np.vstack([queries, queries]), params.w_q, params.w_k, params.w_v)
+    return ablation_forward(pooled, {1: keys}, "naive", scale_logits=scale_logits).per_class[1]
 
 
 class TestComputeStats:
@@ -80,8 +92,9 @@ class TestComputeStats:
         monkeypatch.setattr(linalg, "sym_eig", counted)
         stats = compute_stats(make_rng(9).standard_normal((20, 5)))
         assert len(calls) == 1
-        np.testing.assert_array_equal(stats.inv_sqrt, mat_pow_half(stats.cov, -0.5, stats.eps))
-        np.testing.assert_array_equal(stats.sqrt, mat_pow_half(stats.cov, 0.5, stats.eps))
+        inv_sqrt, sqrt = half_powers(stats.cov, stats.eps)
+        np.testing.assert_array_equal(stats.inv_sqrt, inv_sqrt)
+        np.testing.assert_array_equal(stats.sqrt, sqrt)
 
 
 class TestWhitenColor:
@@ -137,10 +150,12 @@ class TestWhitenColor:
 
 
 class TestCrossAttention:
+    """Single-head attention of a token pool over its class's keys."""
+
     def test_singleton_key(self):
         rng = make_rng(6)
         params = init_params(4, 1, rng)
-        out = cross_attention(params.fg_tokens, np.ones((1, 4)), params)
+        out = attend(params.fg_tokens, np.ones((1, 4)), params)
         np.testing.assert_allclose(out.weights, [[1.0]])
         np.testing.assert_allclose(out.attended, np.ones((1, 4)) @ params.w_v, atol=1e-12)
 
@@ -148,7 +163,7 @@ class TestCrossAttention:
         rng = make_rng(7)
         keys = rng.standard_normal((6, 4))
         params = WarmParams(np.zeros((2, 4)), np.zeros((4, 4)), np.zeros((4, 4)), rng.standard_normal((4, 4)))
-        out = cross_attention(np.zeros((1, 4)), keys, params)
+        out = attend(np.zeros((1, 4)), keys, params)
         np.testing.assert_allclose(out.weights, np.full((1, 6), 1.0 / 6.0), atol=1e-15)
         np.testing.assert_allclose(out.attended, (keys @ params.w_v).mean(axis=0, keepdims=True), atol=1e-12)
 
@@ -157,7 +172,7 @@ class TestCrossAttention:
         params = init_params(4, 3, rng)
         tokens = rng.standard_normal((3, 4))
         keys = rng.standard_normal((6, 4))
-        out = cross_attention(tokens, keys, params)
+        out = attend(tokens, keys, params)
         # independent recomputation from the definition
         logits = (tokens @ params.w_q) @ (keys @ params.w_k).T
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -168,7 +183,7 @@ class TestCrossAttention:
     def test_rows_are_probabilities(self):
         rng = make_rng(9)
         params = init_params(5, 4, rng)
-        out = cross_attention(rng.standard_normal((4, 5)), rng.standard_normal((9, 5)) * 10, params)
+        out = attend(rng.standard_normal((4, 5)), rng.standard_normal((9, 5)) * 10, params)
         np.testing.assert_allclose(out.weights.sum(axis=1), np.ones(4), atol=1e-12)
         assert np.all(out.weights >= 0)
 
@@ -176,13 +191,13 @@ class TestCrossAttention:
         rng = make_rng(10)
         params = init_params(3, 2, rng)
         with pytest.raises(EmptyClassError):
-            cross_attention(params.fg_tokens, np.zeros((0, 3)), params)
+            attend(params.fg_tokens, np.zeros((0, 3)), params)
 
     def test_scale_flag_divides_logits(self):
         rng = make_rng(11)
         params = init_params(4, 2, rng)
         tokens, keys = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
-        scaled = cross_attention(tokens, keys, params, scale_logits=True)
+        scaled = attend(tokens, keys, params, scale_logits=True)
         logits = (tokens @ params.w_q) @ (keys @ params.w_k).T / 2.0
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(scaled.weights, e / e.sum(axis=1, keepdims=True), atol=1e-12)
@@ -199,8 +214,8 @@ class TestForwardVariants:
         rng = make_rng(12)
         feats = {1: make_white(rng, 24, 4), 0: make_white(rng, 30, 4)}
         params = init_params(4, 3, rng)
-        w = warm_forward(params, feats)
-        n = naive_forward(params, feats)
+        w = ablation_forward(params, feats, "warm")
+        n = ablation_forward(params, feats, "naive")
         for label in (0, 1):
             np.testing.assert_allclose(
                 w.prototypes.prototypes[label], n.prototypes.prototypes[label], atol=1e-10
@@ -211,7 +226,7 @@ class TestForwardVariants:
         feats = self._feats(rng)
         tokens = rng.standard_normal((6, 4)) * 0.1
         params = WarmParams(tokens, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
-        res = warm_forward(params, feats)
+        res = ablation_forward(params, feats, "warm")
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             pool = tokens[:3] if label == 1 else tokens[3:]
@@ -223,20 +238,20 @@ class TestForwardVariants:
         rng = make_rng(14)
         feats = {1: full_rank_features(rng, 6, 4), 0: full_rank_features(rng, 6, 4)}
         params = init_params(4, 3, rng)
-        res = warm_forward(params, feats, eps=1e-4)
+        res = ablation_forward(params, feats, "warm", eps=1e-4)
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             z = whiten(feats[label], stats)
             pool = params.fg_tokens if label == 1 else params.bg_tokens
-            att = cross_attention(pool, z, params)
-            expected = color(pool + att.attended, stats)
+            attended = attend_by_definition(pool, z, params)
+            expected = color(pool + attended, stats)
             np.testing.assert_allclose(res.prototypes.prototypes[label], expected, atol=1e-10)
 
     def test_naive_single_key_broadcast(self):
         rng = make_rng(15)
         params = init_params(4, 3, rng)
         key = rng.standard_normal((1, 4))
-        res = naive_forward(params, {1: key, 0: rng.standard_normal((2, 4))})
+        res = ablation_forward(params, {1: key, 0: rng.standard_normal((2, 4))}, "naive")
         expected = params.fg_tokens + key @ params.w_v
         np.testing.assert_allclose(res.prototypes.prototypes[1], expected, atol=1e-12)
 
@@ -244,7 +259,7 @@ class TestForwardVariants:
         rng = make_rng(16)
         tokens = rng.standard_normal((4, 3))
         params = WarmParams(tokens, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), np.zeros((3, 3)))
-        res = naive_forward(params, {1: rng.standard_normal((5, 3)), 0: rng.standard_normal((5, 3))})
+        res = ablation_forward(params, {1: rng.standard_normal((5, 3)), 0: rng.standard_normal((5, 3))}, "naive")
         np.testing.assert_allclose(res.prototypes.prototypes[1], tokens[:2], atol=1e-12)
         np.testing.assert_allclose(res.prototypes.prototypes[0], tokens[2:], atol=1e-12)
 
@@ -252,8 +267,8 @@ class TestForwardVariants:
         rng = make_rng(17)
         feats = self._feats(rng)
         params = init_params(4, 3, rng)
-        a = ablation_forward(params, feats, "whiten", True)
-        w = warm_forward(params, feats)
+        a = ablation_forward(params, feats, "whiten+restore")
+        w = ablation_forward(params, feats, "warm")
         for label in (0, 1):
             np.testing.assert_array_equal(a.prototypes.prototypes[label], w.prototypes.prototypes[label])
         assert w.prototypes.provenance == "warm"
@@ -266,8 +281,8 @@ class TestForwardVariants:
             f = rng.standard_normal((n, 4))
             feats[label] = f - f.mean(axis=0)
         params = init_params(4, 3, rng)
-        a = ablation_forward(params, feats, "center", False)
-        n_ = naive_forward(params, feats)
+        a = ablation_forward(params, feats, "center")
+        n_ = ablation_forward(params, feats, "naive")
         for label in (0, 1):
             np.testing.assert_allclose(
                 a.prototypes.prototypes[label], n_.prototypes.prototypes[label], atol=1e-10
@@ -280,9 +295,9 @@ class TestForwardVariants:
         for label, (a, b) in ((1, (2.0, 0.5)), (0, (1.0, 3.0))):
             feats[label] = np.array([[a, 0.0], [-a, 0.0], [0.0, b], [0.0, -b]])
         params = init_params(2, 3, rng)
-        for restore in (False, True):
-            out_n = ablation_forward(params, feats, "normalize", restore)
-            out_w = ablation_forward(params, feats, "whiten", restore)
+        for suffix in ("", "+restore"):
+            out_n = ablation_forward(params, feats, "normalize" + suffix)
+            out_w = ablation_forward(params, feats, "whiten" + suffix)
             for label in (0, 1):
                 np.testing.assert_allclose(
                     out_n.prototypes.prototypes[label],
@@ -294,22 +309,20 @@ class TestForwardVariants:
         rng = make_rng(20)
         feats = self._feats(rng)
         params = init_params(4, 3, rng)
-        res = ablation_forward(params, feats, "whiten", False)
+        res = ablation_forward(params, feats, "whiten")
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             z = whiten(feats[label], stats)
             pool = params.fg_tokens if label == 1 else params.bg_tokens
-            att = cross_attention(pool, z, params)
-            np.testing.assert_allclose(
-                res.prototypes.prototypes[label], pool + att.attended, atol=1e-10
-            )
+            attended = attend_by_definition(pool, z, params)
+            np.testing.assert_allclose(res.prototypes.prototypes[label], pool + attended, atol=1e-10)
 
     def test_determinism(self):
         rng = make_rng(21)
         feats = self._feats(rng)
         params = init_params(4, 3, make_rng(5))
-        a = warm_forward(params, feats)
-        b = warm_forward(params, feats)
+        a = ablation_forward(params, feats, "warm")
+        b = ablation_forward(params, feats, "warm")
         for label in (0, 1):
             np.testing.assert_array_equal(a.prototypes.prototypes[label], b.prototypes.prototypes[label])
 
@@ -317,11 +330,13 @@ class TestForwardVariants:
         rng = make_rng(22)
         params = init_params(4, 3, rng)
         with pytest.raises(EmptyClassError):
-            warm_forward(params, {1: np.zeros((0, 4)), 0: rng.standard_normal((5, 4))})
+            ablation_forward(params, {1: np.zeros((0, 4)), 0: rng.standard_normal((5, 4))}, "warm")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ArgumentError):
             resolve_variant("whitening")
+        with pytest.raises(ArgumentError):
+            ablation_forward(init_params(2, 1, make_rng(23)), {1: np.ones((3, 2))}, "whitening")
 
 
 class TestAverageShots:
