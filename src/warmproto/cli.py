@@ -224,6 +224,16 @@ def _eval_batch(cfg: ExperimentConfig, data_dir):
     return make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed, cfg.eval_split)
 
 
+def _check_batch(episodes, name: str, expected: int, value) -> None:
+    """Raise ConfigError at the first episode whose ``value(episode)``
+    differs from the config's ``expected``: a batch from ``--data`` must
+    have the config's ways (the per-class columns follow the config) and
+    D (the grid trains at the config's D before it scores the batch)."""
+    for i, episode in enumerate(episodes):
+        if value(episode) != expected:
+            raise ConfigError(f"config has {name}={expected} but episode {i} has {name}={value(episode)}")
+
+
 def cmd_gen(args) -> None:
     cfg = load_experiment_config(args.config)
     out = _out_dir(args)
@@ -259,6 +269,7 @@ def cmd_eval(args) -> None:
     variant = parse_method(cfg.method)
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
+    _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
     if variant == "fps-min-dist":
         seed = cfg.eval_seed if args.seed is None else args.seed
         report, _ = evaluate_fps(episodes, cfg.fps_tokens, seed)
@@ -280,6 +291,7 @@ def cmd_sweep_fps(args) -> None:
     n_seeds = cfg.fps_seeds if args.seeds is None else args.seeds
     if n_seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
+    _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
     result = fps_seed_sweep(episodes, cfg.fps_tokens, range(n_seeds))
     labels = list(range(cfg.generator.n_way + 1))
     write_sweep_csv(out / "sweep.csv", result, labels)
@@ -308,6 +320,7 @@ def cmd_ablate(args) -> None:
     if not seeds:
         raise ConfigError("ablation grid needs at least one seed")
     episodes = _eval_batch(cfg, args.data)
+    _check_batch(episodes, "D", cfg.generator.feature_dim, lambda e: e.support[0].feature_dim)
     seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in seeds]
     rows = [
         [variant, seed, repr(float(report.qk_dist)), repr(float(report.miou))]
@@ -326,6 +339,7 @@ def cmd_token_sweep(args) -> None:
         raise ConfigError("token-sweep needs a trainable method")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
+    _check_batch(episodes, "D", cfg.generator.feature_dim, lambda e: e.support[0].feature_dim)
     counts = [int(m) for m in cfg.token_counts]
     seed_runs = [[(replace(cfg.train, seed=seed, num_tokens=m), variant) for m in counts] for seed in cfg.seeds]
     reports = _grid_reports(seed_runs, cfg.generator, episodes)

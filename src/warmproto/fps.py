@@ -35,6 +35,11 @@ def farthest_point_sampling(features, count: int, rng) -> FpsResult:
     maximizes the minimum Euclidean distance to the rows already chosen,
     ties broken by the smallest index. Already-selected rows are excluded,
     so the indices are always distinct.
+
+    Each pick reads the distance rows of the points chosen before it, so
+    the last pick's row is never computed. A row is the expression
+    ``np.linalg.norm(features - features[k], axis=1)`` evaluates, without
+    its argument handling, and has the same bits.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -45,14 +50,16 @@ def farthest_point_sampling(features, count: int, rng) -> FpsResult:
     indices[0] = start
     selected = np.zeros(n, dtype=bool)
     selected[start] = True
-    min_dist = np.linalg.norm(features - features[start], axis=1)
+    min_dist = None
     for t in range(1, count):
-        candidate_dist = np.where(selected, -np.inf, min_dist)
-        nxt = int(np.argmax(candidate_dist))
+        d = features - features[indices[t - 1]]
+        d *= d
+        row = np.sqrt(np.add.reduce(d, axis=1))
+        min_dist = row if min_dist is None else np.minimum(min_dist, row, out=min_dist)
+        nxt = int(np.argmax(np.where(selected, -np.inf, min_dist)))
         indices[t] = nxt
         selected[nxt] = True
-        np.minimum(min_dist, np.linalg.norm(features - features[nxt], axis=1), out=min_dist)
-    return FpsResult(indices=indices, subset=features[indices].copy())
+    return FpsResult(indices=indices, subset=features[indices])
 
 
 def fps_prototypes(support: dict[int, np.ndarray], count: int, rng) -> dict[int, np.ndarray]:

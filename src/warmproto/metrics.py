@@ -26,24 +26,30 @@ def miou(pred, truth, class_set) -> tuple[float, dict[int, float]]:
     """Mean intersection-over-union over the classes present.
 
     A class absent from both prediction and truth is excluded; if that
-    empties the class set the metric is undefined.
+    empties the class set the metric is undefined. The counts come from
+    one confusion matrix over the sorted distinct classes: tp on its
+    diagonal, fp and fn off it, in its columns and rows.
     """
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ArgumentError(f"pred and truth must be equal-length vectors, got {pred.shape} vs {truth.shape}")
     classes = sorted(int(c) for c in class_set)
-    seen = set(np.unique(pred)) | set(np.unique(truth))
-    if not seen <= set(classes):
-        raise ArgumentError(f"labels {sorted(seen - set(classes))} outside class_set {classes}")
-    per_class: dict[int, float] = {}
-    for c in classes:
-        tp = int(np.sum((pred == c) & (truth == c)))
-        fp = int(np.sum((pred == c) & (truth != c)))
-        fn = int(np.sum((pred != c) & (truth == c)))
-        denom = tp + fp + fn
-        if denom > 0:
-            per_class[c] = tp / denom
+    distinct = np.unique(np.array(classes, dtype=np.int64))
+    k = distinct.size
+    labels = np.concatenate([truth, pred])
+    # each label's position among the classes; a label outside them meets
+    # another class there, or the last one when clipped past the end
+    pos = np.searchsorted(distinct, labels)
+    if labels.size and (k == 0 or not np.array_equal(distinct.take(pos, mode="clip"), labels)):
+        outside = np.unique(labels)
+        raise ArgumentError(f"labels {list(outside[~np.isin(outside, distinct)])} outside class_set {classes}")
+    n = truth.size
+    confusion = np.bincount(pos[:n] * k + pos[n:], minlength=k * k).reshape(k, k)
+    tp = confusion.diagonal()
+    # tp + fp + fn: predicted as c (column) plus truly c (row), minus the overlap
+    denom = confusion.sum(axis=0) + confusion.sum(axis=1) - tp
+    per_class = {c: t / u for c, t, u in zip(distinct.tolist(), tp.tolist(), denom.tolist()) if u > 0}
     if not per_class:
         raise UndefinedMetricError("no class present in either prediction or truth")
     return float(np.mean(list(per_class.values()))), per_class

@@ -198,7 +198,7 @@ class TestTrainEval:
         assert "D=" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("verb", ["eval", "ablate"])
+    @pytest.mark.parametrize("verb", ["eval", "ablate", "token-sweep"])
     def test_mixed_dims_in_data_dir_exit_1(self, config_path, tmp_path, monkeypatch, capfd, verb, workers):
         # episode 0 matches the D=8 config and checkpoint, episode 1 has D=16
         data = tmp_path / "data"
@@ -215,11 +215,37 @@ class TestTrainEval:
             assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "train")]) == 0
             argv += ["--checkpoint", str(tmp_path / "train" / "checkpoint.json")]
         monkeypatch.setenv("WARM_THREADS", workers)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid trained before the batch was checked")
+
+        # the grids must reject the batch before training a single run
+        monkeypatch.setattr("warmproto.cli.run_grid", no_grid)
         capfd.readouterr()
         assert main(argv) == 1
         err = capfd.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "episode 1 has D=16" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("batch_ways, config_ways", [(3, 1), (1, 3)])
+    @pytest.mark.parametrize("verb", ["eval", "sweep-fps"])
+    def test_n_way_mismatch_in_data_dir_exit_1(self, tmp_path, capfd, verb, batch_ways, config_ways):
+        # the per-class IoU columns follow the config's n_way, so a batch
+        # with other ways would lose columns or write empty ones
+        def config(ways, name):
+            generator = dict(SMALL_CONFIG["generator"], n_way=ways, min_fg_points=8)
+            path = tmp_path / name
+            path.write_text(json.dumps(dict(SMALL_CONFIG, generator=generator, method="fps-min-dist")))
+            return str(path)
+
+        data = tmp_path / "data"
+        assert main(["gen", "--config", config(batch_ways, "batch.json"), "--out", str(data)]) == 0
+        capfd.readouterr()
+        argv = [verb, "--config", config(config_ways, "run.json"), "--data", str(data), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capfd.readouterr().err
+        assert err == f"error: config has n_way={config_ways} but episode 0 has n_way={batch_ways}\n"
+        assert not (tmp_path / "o" / ("metrics.csv" if verb == "eval" else "sweep.csv")).exists()
 
     def test_eval_fps_needs_no_checkpoint(self, config_path, tmp_path):
         cfg = dict(SMALL_CONFIG, method="fps-min-dist")

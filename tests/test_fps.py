@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warmproto import (
     GeneratorConfig,
@@ -94,6 +96,58 @@ class TestFarthestPointSampling:
             farthest_point_sampling(feats, 4, FixedStart(0))
         with pytest.raises(ArgumentError):
             farthest_point_sampling(feats, 0, FixedStart(0))
+
+
+def fps_norm_rows(features, count, rng):
+    """Reference: one np.linalg.norm row per pick, the last one included."""
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    start = int(rng.integers(n))
+    indices = np.empty(count, dtype=np.int64)
+    indices[0] = start
+    selected = np.zeros(n, dtype=bool)
+    selected[start] = True
+    min_dist = np.linalg.norm(features - features[start], axis=1)
+    for t in range(1, count):
+        candidate_dist = np.where(selected, -np.inf, min_dist)
+        nxt = int(np.argmax(candidate_dist))
+        indices[t] = nxt
+        selected[nxt] = True
+        np.minimum(min_dist, np.linalg.norm(features - features[nxt], axis=1), out=min_dist)
+    return indices, features[indices].copy()
+
+
+class TestFpsMatchesNormRows:
+    """At episode sizes the direct rows pick what the norm rows picked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 800),
+        count=st.integers(1, 16),
+        duplicates=st.integers(0, 400),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    def test_indices_and_subset_equal(self, seed, n, count, duplicates, scale):
+        rng = make_rng(seed)
+        feats = rng.standard_normal((n, 32)) * scale
+        # copied rows tie in distance, so the smallest-index rule decides
+        feats[rng.integers(n, size=duplicates)] = feats[rng.integers(n, size=duplicates)]
+        count = min(count, n)
+        res = farthest_point_sampling(feats, count, make_rng(seed + 1))
+        indices, subset = fps_norm_rows(feats, count, make_rng(seed + 1))
+        np.testing.assert_array_equal(res.indices, indices)
+        np.testing.assert_array_equal(res.subset, subset)
+
+    def test_few_distinct_rows_force_ties(self):
+        rng = make_rng(9)
+        base = rng.standard_normal((5, 32))
+        feats = base[rng.integers(5, size=700)]
+        for start in range(0, 700, 50):
+            res = farthest_point_sampling(feats, 16 if start % 100 else 5, FixedStart(start))
+            indices, subset = fps_norm_rows(feats, res.indices.size, FixedStart(start))
+            np.testing.assert_array_equal(res.indices, indices)
+            np.testing.assert_array_equal(res.subset, subset)
 
 
 class TestMinDistClassify:

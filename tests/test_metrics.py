@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warmproto import (
     WarmParams,
@@ -64,6 +66,101 @@ class TestMiou:
     def test_empty_class_set_undefined(self):
         with pytest.raises(UndefinedMetricError):
             miou(np.empty(0, dtype=int), np.empty(0, dtype=int), {0, 1})
+
+
+def miou_per_class_loop(pred, truth, class_set):
+    """Reference: three mask passes per class and an np.unique label check."""
+    pred = np.asarray(pred, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if pred.shape != truth.shape or pred.ndim != 1:
+        raise ArgumentError(f"pred and truth must be equal-length vectors, got {pred.shape} vs {truth.shape}")
+    classes = sorted(int(c) for c in class_set)
+    seen = set(np.unique(pred)) | set(np.unique(truth))
+    if not seen <= set(classes):
+        raise ArgumentError(f"labels {sorted(seen - set(classes))} outside class_set {classes}")
+    per_class = {}
+    for c in classes:
+        tp = int(np.sum((pred == c) & (truth == c)))
+        fp = int(np.sum((pred == c) & (truth != c)))
+        fn = int(np.sum((pred != c) & (truth == c)))
+        denom = tp + fp + fn
+        if denom > 0:
+            per_class[c] = tp / denom
+    if not per_class:
+        raise UndefinedMetricError("no class present in either prediction or truth")
+    return float(np.mean(list(per_class.values()))), per_class
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+
+
+def assert_same_as_loop(pred, truth, class_set):
+    got, want = outcome(miou, pred, truth, class_set), outcome(miou_per_class_loop, pred, truth, class_set)
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok"
+    (score, per_class), (ref_score, ref_per_class) = got[1], want[1]
+    assert score == ref_score
+    assert list(per_class.items()) == list(ref_per_class.items())
+    assert all(type(c) is int and type(v) is float for c, v in per_class.items())
+
+
+@st.composite
+def labelings(draw):
+    """A class set (contiguous, non-contiguous, with repeats, negative or
+    empty) and equal-length labelings drawn mostly from it, sometimes with
+    labels outside it."""
+    class_set = draw(
+        st.one_of(
+            st.integers(0, 6).map(range),
+            st.lists(st.integers(-3, 12), max_size=6),
+            st.sampled_from([[0, 2, 5], [-2, 0, 1], [7], []]),
+        )
+    )
+    pool = sorted(set(class_set)) or [0]
+    label = st.one_of(st.sampled_from(pool), st.integers(-4, 14)) if draw(st.booleans()) else st.sampled_from(pool)
+    n = draw(st.integers(0, 60))
+    pred = draw(st.lists(label, min_size=n, max_size=n))
+    truth = draw(st.lists(label, min_size=n, max_size=n))
+    return np.array(pred, dtype=np.int64), np.array(truth, dtype=np.int64), class_set
+
+
+class TestMiouConfusionCounts:
+    """``miou`` counts from one confusion matrix; the per-class mask loop
+    it replaced gives the same floats, keys, order and errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(labelings())
+    def test_equals_per_class_loop(self, case):
+        assert_same_as_loop(*case)
+
+    @pytest.mark.parametrize(
+        "pred, truth, class_set",
+        [
+            ([0, 2, 5, 5], [5, 2, 0, 0], {0, 2, 5}),  # non-contiguous
+            ([0, 0], [0, 0], {0, 1, 2}),  # absent classes
+            ([], [], {0, 1}),  # empty inputs
+            ([], [], set()),  # empty class set
+            ([1, -1], [0, 1], {0, 1}),  # negative label
+            ([1, 7, -2], [0, 7, 1], {0, 1}),  # labels on both sides of the set
+            ([1, 3], [0, 1], {0, 2, 5}),  # inside the range, outside the set
+            ([0], [0], set()),  # no class at all
+            ([0, 1], [0], {0, 1}),  # unequal lengths
+        ],
+    )
+    def test_edge_cases_equal_per_class_loop(self, pred, truth, class_set):
+        assert_same_as_loop(np.array(pred, dtype=np.int64), np.array(truth, dtype=np.int64), class_set)
+
+    def test_random_predictions_at_episode_size(self):
+        rng = make_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(2, 6))
+            assert_same_as_loop(rng.integers(0, k, 512), rng.integers(0, k, 512), range(k))
 
 
 class TestDispersion:
