@@ -30,7 +30,7 @@ from .errors import (
     WarmError,
 )
 from .fps import FpsResult, farthest_point_sampling, fps_seed_sweep
-from .linalg import grad_check, half_powers, pairwise_distances, softmax_rows, sym_eig
+from .linalg import half_powers, pairwise_distances, softmax_rows, sym_eig
 from .losses import (
     DistanceField,
     LossReport,

@@ -178,15 +178,17 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def worker_cap() -> int:
-    """Worker processes for the ``ablate`` and ``token-sweep`` grids.
+    """Worker processes for ``eval`` with an attention method and for the
+    ``ablate`` and ``token-sweep`` grids.
 
     WARM_THREADS if set. Otherwise the CPUs this process may use divided
     by the BLAS threads each process runs, taken from BLAS_THREAD_VARS;
     with none of them set, BLAS already uses every CPU, so 1. Workers
     inherit the BLAS thread count, and more busy BLAS threads than CPUs
-    made a grid several times slower. ``run_grid`` never starts more
-    workers than there are runs, and outputs do not depend on the count.
-    Every verb validates it; the other verbs run in one process.
+    made a grid several times slower. No pool starts more workers than
+    it has episode or run slices, and outputs do not depend on the count.
+    Every verb validates it; ``gen``, ``train`` and the FPS verbs run in
+    one process.
     """
     raw = os.environ.get("WARM_THREADS")
     if raw is None:
@@ -234,6 +236,10 @@ def _check_batch(episodes, name: str, expected: int, value) -> None:
             raise ConfigError(f"config has {name}={expected} but episode {i} has {name}={value(episode)}")
 
 
+def _feature_dim(episode) -> int:
+    return episode.support[0].feature_dim
+
+
 def cmd_gen(args) -> None:
     cfg = load_experiment_config(args.config)
     out = _out_dir(args)
@@ -270,6 +276,7 @@ def cmd_eval(args) -> None:
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
+    _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     if variant == "fps-min-dist":
         seed = cfg.eval_seed if args.seed is None else args.seed
         report, _ = evaluate_fps(episodes, cfg.fps_tokens, seed)
@@ -277,7 +284,7 @@ def cmd_eval(args) -> None:
         if args.checkpoint is None:
             raise ConfigError(f"method {variant!r} needs --checkpoint")
         params, _meta = load_checkpoint(args.checkpoint)
-        report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits).report
+        report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits, worker_cap()).report
     labels = list(range(cfg.generator.n_way + 1))
     write_metrics_csv(out / "metrics.csv", [report], labels)
     write_sidecar(out / "eval_config.json", "eval", cfg)
@@ -292,6 +299,7 @@ def cmd_sweep_fps(args) -> None:
     if n_seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
+    _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     result = fps_seed_sweep(episodes, cfg.fps_tokens, range(n_seeds))
     labels = list(range(cfg.generator.n_way + 1))
     write_sweep_csv(out / "sweep.csv", result, labels)
@@ -320,7 +328,7 @@ def cmd_ablate(args) -> None:
     if not seeds:
         raise ConfigError("ablation grid needs at least one seed")
     episodes = _eval_batch(cfg, args.data)
-    _check_batch(episodes, "D", cfg.generator.feature_dim, lambda e: e.support[0].feature_dim)
+    _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in seeds]
     rows = [
         [variant, seed, repr(float(report.qk_dist)), repr(float(report.miou))]
@@ -339,7 +347,7 @@ def cmd_token_sweep(args) -> None:
         raise ConfigError("token-sweep needs a trainable method")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
-    _check_batch(episodes, "D", cfg.generator.feature_dim, lambda e: e.support[0].feature_dim)
+    _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     counts = [int(m) for m in cfg.token_counts]
     seed_runs = [[(replace(cfg.train, seed=seed, num_tokens=m), variant) for m in counts] for seed in cfg.seeds]
     reports = _grid_reports(seed_runs, cfg.generator, episodes)
@@ -376,6 +384,9 @@ def cmd_report(args) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefixes: --seed must not pass for --seeds
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         raise SystemExit(self.prog + ": error: " + message)
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="warmproto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, handler, *, data=False, out=True, checkpoint=False, seeds=False):
+    def add(name, func, handler, *, data=False, out=True, checkpoint=False, seed=False, seeds=False):
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", type=Path, default=None, help="JSON experiment config")
         if out:
@@ -394,15 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", type=Path, default=None, help="directory of .warmep episode files")
         if checkpoint:
             p.add_argument("--checkpoint", type=Path, default=None, help="parameter checkpoint JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the relevant seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the relevant seed")
         if seeds:
             p.add_argument("--seeds", type=int, default=None, help="number of seeds to run")
         p.set_defaults(func=func)
         return p
 
-    add("gen", cmd_gen, cmd_gen)
-    add("train", cmd_train, cmd_train)
-    add("eval", cmd_eval, cmd_eval, data=True, checkpoint=True)
+    add("gen", cmd_gen, cmd_gen, seed=True)
+    add("train", cmd_train, cmd_train, seed=True)
+    add("eval", cmd_eval, cmd_eval, data=True, checkpoint=True, seed=True)
     add("sweep-fps", cmd_sweep_fps, cmd_sweep_fps, data=True, seeds=True)
     add("ablate", cmd_ablate, cmd_ablate, data=True, seeds=True)
     add("token-sweep", cmd_token_sweep, cmd_token_sweep, data=True)

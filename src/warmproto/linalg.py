@@ -1,14 +1,12 @@
 """Dense float64 primitives used by every other module.
 
 Symmetric eigendecomposition, clamped matrix square roots, overflow-safe
-row softmax, pairwise Euclidean distances, and a central-difference
-gradient checker. Everything is 64-bit: whitening amplifies noise in the
-small eigenvalues, so single precision is not an option here.
+row softmax and pairwise Euclidean distances. Everything is 64-bit:
+whitening amplifies noise in the small eigenvalues, so single precision
+is not an option here.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -82,30 +80,3 @@ def pairwise_distances(a, b) -> np.ndarray:
     np.maximum(sq, 0.0, out=sq)
     sq[sq <= 1e-14 * norms] = 0.0
     return np.sqrt(sq)
-
-
-def grad_check(f: Callable[[np.ndarray], float], x, analytic, h: float = 1e-4) -> float:
-    """Max relative error between an analytic gradient and central differences.
-
-    Per coordinate: |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    Raises NumericError if the objective returns a non-finite value at any
-    probe point.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if x.ndim != 1 or x.shape != analytic.shape:
-        raise ArgumentError("x and analytic must be 1-D vectors of equal length")
-    if not h > 0:
-        raise ArgumentError(f"h must be positive, got {h}")
-    worst = 0.0
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        f_hi = float(f(x + step))
-        f_lo = float(f(x - step))
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NumericError(f"objective returned a non-finite value near coordinate {i}")
-        numeric = (f_hi - f_lo) / (2.0 * h)
-        rel = abs(analytic[i] - numeric) / max(1e-8, abs(analytic[i]) + abs(numeric))
-        worst = max(worst, rel)
-    return worst

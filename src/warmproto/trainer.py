@@ -14,7 +14,9 @@ parameter init and evaluation all derive from explicit seeds.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -335,12 +337,41 @@ class EvalResult:
     per_episode_miou: list[float]
 
 
+def _score_episode(
+    params: WarmParams, episode: Episode, variant: str, eps: float, scale_logits: bool
+) -> tuple:
+    """One episode's share of an ``EvalResult``: its mIoU, per-class IoU,
+    foreground attention entropies, diversities and query/key distances,
+    and foreground summaries."""
+    protos, shots = episode_forward(params, episode, variant, eps, scale_logits)
+    preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
+    truths = np.concatenate([q.labels for q in episode.query])
+    score, per_class = miou(preds, truths, range(episode.n_way + 1))
+    entropies, diversities, qk_dists = [], [], []
+    for shot_result in shots:
+        for way in range(episode.n_way):
+            trace = shot_result.per_class[way + 1]
+            entropies.append(attention_entropy(trace.weights))
+            if trace.weights.shape[0] >= 2:
+                diversities.append(attention_diversity(trace.weights))
+            qk_dists.append(float(pairwise_distances(trace.q, trace.k).mean()))
+    return score, per_class, entropies, diversities, qk_dists, fg_summaries(episode)
+
+
+def _score_slice(indices: range, shared: tuple) -> list[tuple]:
+    """``_score_episode`` on the batch episodes at ``indices``; ``shared``
+    is (params, episodes, variant, eps, scale_logits)."""
+    params, episodes, *options = shared
+    return [_score_episode(params, episodes[i], *options) for i in indices]
+
+
 def evaluate(
     params: WarmParams,
     episodes: list[Episode],
     variant: str = "warm",
     eps: float = 1e-4,
     scale_logits: bool = False,
+    workers: int = 1,
 ) -> EvalResult:
     """Frozen-parameter evaluation over an episode batch.
 
@@ -348,6 +379,11 @@ def evaluate(
     averaged. Attention diagnostics (entropy, diversity, query/key
     distance) are measured on the foreground ways only, averaged over
     shots, ways and episodes.
+
+    Episodes are scored independently, on up to ``workers`` forked
+    processes over contiguous slices of the batch (``_fork_map``). The
+    per-episode values are put back in episode order before any mean is
+    taken, so the result does not depend on the worker count.
     """
     if not episodes:
         raise ArgumentError("evaluation needs at least one episode")
@@ -357,28 +393,17 @@ def evaluate(
                 f"parameters have D={params.feature_dim} but episode {i} has "
                 f"D={episode.support[0].feature_dim}"
             )
-    per_episode, per_class_acc = [], {}
-    entropies, diversities, qk_dists = [], [], []
-    summaries = []
-    for episode in episodes:
-        protos, shots = episode_forward(params, episode, variant, eps, scale_logits)
-        preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
-        truths = np.concatenate([q.labels for q in episode.query])
-        score, per_class = miou(preds, truths, range(episode.n_way + 1))
-        per_episode.append(score)
-        for c, value in per_class.items():
+    shared = (params, episodes, variant, eps, scale_logits)
+    (scored,) = _fork_map(_score_slice, [range(len(episodes))], shared, workers)
+    scores, per_class, *lists = zip(*scored)
+    entropies, diversities, qk_dists, summaries = (list(chain.from_iterable(parts)) for parts in lists)
+    per_class_acc: dict[int, list[float]] = {}
+    for episode_classes in per_class:
+        for c, value in episode_classes.items():
             per_class_acc.setdefault(c, []).append(value)
-        for shot_result in shots:
-            for way in range(episode.n_way):
-                trace = shot_result.per_class[way + 1]
-                entropies.append(attention_entropy(trace.weights))
-                if trace.weights.shape[0] >= 2:
-                    diversities.append(attention_diversity(trace.weights))
-                qk_dists.append(float(pairwise_distances(trace.q, trace.k).mean()))
-        summaries.extend(fg_summaries(episode))
     disp = dispersion_metrics(summaries)
     report = MetricsReport(
-        miou=float(np.mean(per_episode)),
+        miou=float(np.mean(scores)),
         per_class_iou={c: float(np.mean(v)) for c, v in sorted(per_class_acc.items())},
         d_intra=disp.d_intra,
         d_inter=disp.d_inter,
@@ -387,40 +412,83 @@ def evaluate(
         attn_diversity=float(np.mean(diversities)) if diversities else None,
         qk_dist=float(np.mean(qk_dists)),
     )
-    return EvalResult(report, per_episode)
+    return EvalResult(report, list(scores))
 
 
-def _grid_slice(
-    runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig, episodes: list[Episode]
-) -> list[tuple[TrainResult, EvalResult]]:
+def _grid_slice(runs: list[tuple[TrainConfig, str]], shared: tuple) -> list[tuple[TrainResult, EvalResult]]:
     """Train runs of one seed in lockstep (``train_grid``), then score each
-    on ``episodes`` with its own eps and logit scaling."""
+    in this process on the batch with its own eps and logit scaling;
+    ``shared`` is (generator config, episodes)."""
+    gen_cfg, episodes = shared
     return [
         (result, evaluate(result.params, episodes, variant, cfg.eps, cfg.scale_logits))
         for (cfg, variant), result in zip(runs, train_grid(runs, gen_cfg))
     ]
 
 
-# A grid worker's evaluation batch, set once per worker process by the
-# pool initializer; never assigned in the parent process.
-_worker_episodes: list[Episode] = []
-
-
-def _set_worker_episodes(episodes: list[Episode]) -> None:
-    global _worker_episodes
-    _worker_episodes = episodes
-
-
-def _worker_slice(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig):
-    return _grid_slice(runs, gen_cfg, _worker_episodes)
-
-
-def _slices(runs: list, count: int) -> list[list]:
+def _slices(runs: Sequence, count: int) -> list[Sequence]:
     """``runs`` cut into min(count, len(runs)) contiguous slices, longer ones first."""
     count = min(count, len(runs))
     size, extra = divmod(len(runs), count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
     return [runs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# What every task of a pool reads besides its slice, set once per worker
+# process by the pool initializer; never assigned in the calling process.
+_worker_shared = None
+
+
+def _set_worker_shared(shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_task(func: Callable, part: Sequence) -> list:
+    return func(part, _worker_shared)
+
+
+def _fork_map(func: Callable, groups: list[Sequence], shared, workers: int) -> list[list]:
+    """``func(part, shared)`` over every group cut into at most ``workers``
+    contiguous parts (``_slices``); per group, the parts' result lists
+    joined in order.
+
+    With more than one worker the parts go to a pool of forked processes
+    (never more than the parts), which inherit ``shared`` copy-on-write
+    through the pool initializer instead of pickling it; only the parts
+    and their results cross a pipe. Where ``fork`` is unavailable, or with
+    one worker, the parts run in this process. When parts fail, the error
+    of the first one in order is raised, as in-process, and the pool is
+    joined before this returns or raises.
+    """
+    if workers < 1:
+        raise ArgumentError(f"workers must be >= 1, got {workers}")
+    if workers > 1:
+        # imported here: the pool's modules add about 1.7 MB to every
+        # process, which calls that never start a pool should not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    sliced = [_slices(group, workers) for group in groups]
+    parts = [part for group_parts in sliced for part in group_parts]
+    workers = min(workers, len(parts))
+    if workers == 1:
+        done = [func(part, shared) for part in parts]
+    else:
+        # fork, not spawn: workers get ``shared`` without pickling and need
+        # no re-import; the package starts no threads of its own to fork
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_shared,
+            initargs=(shared,),
+        ) as pool:
+            # map yields in task order; a failure cancels the tasks not yet started
+            done = list(pool.map(_worker_task, [func] * len(parts), parts))
+    results = iter(done)
+    return [[item for _ in group_parts for item in next(results)] for group_parts in sliced]
 
 
 def run_grid(
@@ -433,44 +501,16 @@ def run_grid(
     per seed; returns (train result, eval result) pairs in the same shape.
 
     Each seed's runs are cut into at most ``workers`` contiguous slices,
-    and each slice runs ``_grid_slice``. With more than one worker the
-    slices go to a pool of forked processes (never more than the runs),
-    which inherit ``episodes`` copy-on-write through the pool initializer
-    instead of pickling it; only the slice's configs and the results
-    cross a pipe. Where ``fork`` is unavailable, or with one worker, the
-    slices run in this process. The numbers do not depend on the worker
-    count: every run is bit-identical to a standalone ``train`` plus
-    ``evaluate``. When slices fail, the error of the first one in (seed,
-    run) order is raised, as in-process. Workers keep this process's BLAS
-    thread count, so ``workers`` times that count should not exceed the
-    CPUs (``cli.worker_cap`` picks such a count).
+    and each slice runs ``_grid_slice`` on the pool of ``_fork_map``,
+    whose workers inherit ``episodes`` rather than receive it over a
+    pipe. Evaluation inside a slice stays in its process, so pools never
+    nest. The numbers do not depend on the worker count: every run is
+    bit-identical to a standalone ``train`` plus ``evaluate``, and when
+    slices fail, the error of the first one in (seed, run) order is
+    raised. Workers keep this process's BLAS thread count, so ``workers``
+    times that count should not exceed the CPUs (``cli.worker_cap`` picks
+    such a count).
     """
     if not seed_runs or not all(seed_runs):
         raise ArgumentError("grid needs at least one run per seed")
-    if workers < 1:
-        raise ArgumentError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        # imported here: the pool's modules add about 1.7 MB to every
-        # process, which verbs that never start a pool should not pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    parts = [part for runs in seed_runs for part in _slices(runs, workers)]
-    workers = min(workers, len(parts))
-    if workers == 1:
-        done = [_grid_slice(part, gen_cfg, episodes) for part in parts]
-    else:
-        # fork, not spawn: workers get the batch without pickling and need
-        # no re-import; the package starts no threads of its own to fork
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_episodes,
-            initargs=(episodes,),
-        ) as pool:
-            # map yields in task order; a failure cancels the tasks not yet started
-            done = list(pool.map(_worker_slice, parts, [gen_cfg] * len(parts)))
-    flat = iter([pair for part in done for pair in part])
-    return [[next(flat) for _ in runs] for runs in seed_runs]
+    return _fork_map(_grid_slice, seed_runs, (gen_cfg, episodes), workers)

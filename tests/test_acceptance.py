@@ -18,7 +18,6 @@ from warmproto import (
     compute_stats,
     evaluate,
     farthest_point_sampling,
-    grad_check,
     init_params,
     make_rng,
     margin_loss,
@@ -30,6 +29,7 @@ from warmproto.trainer import train
 from warmproto.warm import ABLATION_GRID, PARAM_NAMES, WarmParams, warm_backward
 
 from .conftest import FPS_BASELINE_TOKENS
+from .gradcheck import grad_check
 from .test_fps import FixedStart, fps_oracle
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from warmproto import trainer
 from warmproto.cli import BLAS_THREAD_VARS, load_experiment_config, main, parse_method, worker_cap
 from warmproto.episodes import load_episode, save_episode
-from warmproto.errors import ConfigError
+from warmproto.errors import ConfigError, NumericError
 from warmproto.trainer import evaluate, make_eval_episodes, train
 from warmproto.warm import ABLATION_GRID
 
@@ -198,9 +199,10 @@ class TestTrainEval:
         assert "D=" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("verb", ["eval", "ablate", "token-sweep"])
+    @pytest.mark.parametrize("verb", ["eval", "eval+fps-min-dist", "ablate", "token-sweep", "sweep-fps"])
     def test_mixed_dims_in_data_dir_exit_1(self, config_path, tmp_path, monkeypatch, capfd, verb, workers):
         # episode 0 matches the D=8 config and checkpoint, episode 1 has D=16
+        verb, _, method = verb.partition("+")
         data = tmp_path / "data"
         other = dict(SMALL_CONFIG, generator=dict(SMALL_CONFIG["generator"], feature_dim=16), num_episodes=2)
         other_path = tmp_path / "other.json"
@@ -210,8 +212,12 @@ class TestTrainEval:
         data.mkdir()
         (data / "ep_0.warmep").write_bytes((tmp_path / "d8" / "ep_00000.warmep").read_bytes())
         (data / "ep_1.warmep").write_bytes((tmp_path / "d16" / "ep_00001.warmep").read_bytes())
-        argv = [verb, "--config", str(config_path), "--data", str(data), "--out", str(tmp_path / "o")]
-        if verb == "eval":
+        run_config = config_path
+        if method:
+            run_config = tmp_path / "method.json"
+            run_config.write_text(json.dumps(dict(SMALL_CONFIG, method=method)))
+        argv = [verb, "--config", str(run_config), "--data", str(data), "--out", str(tmp_path / "o")]
+        if verb == "eval" and not method:
             assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "train")]) == 0
             argv += ["--checkpoint", str(tmp_path / "train" / "checkpoint.json")]
         monkeypatch.setenv("WARM_THREADS", workers)
@@ -428,7 +434,96 @@ class TestGridWorkers:
         assert messages["2"] == messages["1"] and messages["3"] == messages["1"]
 
 
+class TestEvalWorkers:
+    """eval scores contiguous slices of its batch on WARM_THREADS forked
+    workers; the files and the failures must not depend on the count."""
+
+    def _setup(self, tmp_path, episodes, **overrides):
+        # gen_seed == eval_seed, so --data and in-memory eval score the same batch
+        data = dict(SMALL_CONFIG, eval_episodes=episodes, num_episodes=episodes, **overrides)
+        path = tmp_path / f"config-{episodes}.json"
+        path.write_text(json.dumps(data))
+        checkpoint = tmp_path / "train" / "checkpoint.json"
+        if not checkpoint.exists():
+            assert main(["train", "--config", str(path), "--out", str(checkpoint.parent)]) == 0
+        batch = tmp_path / f"data-{episodes}"
+        assert main(["gen", "--config", str(path), "--out", str(batch)]) == 0
+        return path, checkpoint, batch
+
+    def _eval(self, path, checkpoint, out, data=None):
+        argv = ["eval", "--config", str(path), "--checkpoint", str(checkpoint), "--out", str(out)]
+        return main(argv + (["--data", str(data)] if data else []))
+
+    @pytest.mark.parametrize("method, scale_logits", [("warm", False), ("naive", False), ("warm", True)])
+    def test_same_bytes_at_every_worker_count(self, tmp_path, monkeypatch, method, scale_logits):
+        train_cfg = dict(SMALL_CONFIG["train"], scale_logits=scale_logits)
+        # 2 episodes are fewer than 3 workers; 5 are cut 3+2 on 2 workers and 2+2+1 on 3
+        for episodes in (2, 5):
+            path, checkpoint, batch = self._setup(tmp_path, episodes, method=method, train=train_cfg)
+            files = {}
+            for workers in (None, "1", "2", "3"):
+                if workers is None:
+                    monkeypatch.delenv("WARM_THREADS", raising=False)
+                else:
+                    monkeypatch.setenv("WARM_THREADS", workers)
+                for data in (None, batch):
+                    out = tmp_path / f"out-{episodes}-{workers}-{data is None}"
+                    assert self._eval(path, checkpoint, out, data) == 0
+                    files[workers, data] = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert all(f == files["1", None] for f in files.values())
+            assert sorted(files["1", None]) == ["eval_config.json", "metrics.csv"]
+
+    def test_workers_score_the_batch_and_are_joined(self, tmp_path, monkeypatch):
+        # forked workers inherit the patch and leave one file per scored episode
+        real = trainer._score_episode
+
+        def recording(params, episode, *options):
+            (tmp_path / "pids" / f"{os.getpid()}-{episode.query[0].features[0, 0]!r}").touch()
+            return real(params, episode, *options)
+
+        path, checkpoint, _ = self._setup(tmp_path, 5)
+        (tmp_path / "pids").mkdir()
+        monkeypatch.setattr(trainer, "_score_episode", recording)
+        monkeypatch.setenv("WARM_THREADS", "2")
+        assert self._eval(path, checkpoint, tmp_path / "out") == 0
+        assert multiprocessing.active_children() == []
+        names = [p.name.split("-", 1) for p in (tmp_path / "pids").iterdir()]
+        assert len(names) == 5 and len({key for _, key in names}) == 5
+        assert len({pid for pid, _ in names}) == 2 and str(os.getpid()) not in {pid for pid, _ in names}
+
+    def test_numeric_error_in_worker_exit_2_same_message(self, tmp_path, monkeypatch, capsys):
+        path, checkpoint, _ = self._setup(tmp_path, 5)
+        cfg = load_experiment_config(path)
+        batch = make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed, cfg.eval_split)
+        index = {float(e.query[0].features[0, 0]): i for i, e in enumerate(batch)}
+        real = trainer._score_episode
+
+        # episodes 1 and 3 fail: on 2 and 3 workers they fall in different slices
+        def failing(params, episode, *options):
+            i = index[float(episode.query[0].features[0, 0])]
+            if i in (1, 3):
+                raise NumericError(f"non-finite score in episode {i}")
+            return real(params, episode, *options)
+
+        monkeypatch.setattr(trainer, "_score_episode", failing)
+        messages = {}
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("WARM_THREADS", workers)
+            assert self._eval(path, checkpoint, tmp_path / workers) == 2
+            messages[workers] = capsys.readouterr().err
+            assert multiprocessing.active_children() == []
+        assert messages["1"] == "numeric failure: non-finite score in episode 1\n"
+        assert messages["2"] == messages["1"] and messages["3"] == messages["1"]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("verb", ["sweep-fps", "ablate", "token-sweep"])
+    def test_seed_flag_only_on_verbs_that_read_it(self, config_path, tmp_path, capsys, verb):
+        code = main([verb, "--config", str(config_path), "--out", str(tmp_path / "o"), "--seed", "3"])
+        assert code == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_command_exit_1(self):
         assert main(["frobnicate"]) == 1
 

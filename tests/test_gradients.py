@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from warmproto import ablation_forward, grad_check, init_params, make_rng, warm_backward
+from warmproto import ablation_forward, init_params, make_rng, warm_backward
 from warmproto.errors import ArgumentError
 from warmproto.losses import (
     margin_loss,
@@ -12,6 +12,8 @@ from warmproto.losses import (
     simplification_loss_and_grad,
 )
 from warmproto.warm import PARAM_NAMES, WarmParams
+
+from .gradcheck import grad_check
 
 
 def pack(params):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmproto import derive_rng, grad_check, half_powers, make_rng, softmax_rows, sym_eig
+from warmproto import derive_rng, half_powers, make_rng, softmax_rows, sym_eig
 from warmproto.errors import ArgumentError, NumericError, SymmetryError
 from warmproto.linalg import pairwise_distances
+
+from .gradcheck import grad_check
 
 
 def random_symmetric(rng, d):
