@@ -6,9 +6,36 @@ that whitens support features, cross-attends with prototypical tokens and
 colors the result back. Includes the trainer, loss, metric and CLI
 machinery to reproduce seed-instability, component-ablation and
 attention-diagnostic experiments.
+
+Importing the package sets two glibc allocator parameters for the whole
+process, before any numpy work: blocks under 32 MiB come from the heap
+instead of their own mmap, and up to 64 MiB of freed heap stays mapped.
+Every step builds L x M float64 temporaries of about 400 KB; under
+glibc's adaptive defaults their pages go back to the kernel after each
+call and are faulted in again on the next. ``HEAP_KEPT`` records
+whether the setting took (False on a C library without ``mallopt``, or
+where it refuses the values). Forked workers inherit the setting.
 """
 
-from .episodes import (
+import ctypes
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap() -> bool:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(_M_TRIM_THRESHOLD, 64 << 20) == 1
+
+
+HEAP_KEPT = _keep_heap()
+
+from .episodes import (  # noqa: E402
     Episode,
     GeneratorConfig,
     PointCloud,
@@ -17,7 +44,7 @@ from .episodes import (
     save_episode,
     split_fg_bg,
 )
-from .errors import (
+from .errors import (  # noqa: E402
     ArgumentError,
     CheckpointError,
     ConfigError,
@@ -29,9 +56,9 @@ from .errors import (
     UndefinedMetricError,
     WarmError,
 )
-from .fps import FpsResult, farthest_point_sampling, fps_seed_sweep
-from .linalg import half_powers, pairwise_distances, softmax_rows, sym_eig
-from .losses import (
+from .fps import FpsResult, farthest_point_sampling, fps_seed_sweep  # noqa: E402
+from .linalg import half_powers, pairwise_distances, softmax_rows, sym_eig  # noqa: E402
+from .losses import (  # noqa: E402
     DistanceField,
     LossReport,
     margin_loss,
@@ -40,16 +67,16 @@ from .losses import (
     simplification_loss_and_grad,
     total_loss,
 )
-from .metrics import (
+from .metrics import (  # noqa: E402
     MetricsReport,
     attention_diversity,
     attention_entropy,
     dispersion_metrics,
     miou,
 )
-from .rng import derive_rng, make_rng
-from .trainer import TrainConfig, apply_update, evaluate, make_eval_episodes, train, train_grid
-from .warm import (
+from .rng import derive_rng, make_rng  # noqa: E402
+from .trainer import TrainConfig, apply_update, evaluate, make_eval_episodes, train, train_grid  # noqa: E402
+from .warm import (  # noqa: E402
     PrototypeSet,
     WarmParams,
     WhitenStats,

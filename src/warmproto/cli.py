@@ -273,6 +273,8 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     cfg = load_experiment_config(args.config)
     variant = parse_method(cfg.method)
+    if args.seed is not None and variant != "fps-min-dist":
+        raise ConfigError(f"--seed picks the FPS starts of method 'fps-min-dist'; method {variant!r} does not read it")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)

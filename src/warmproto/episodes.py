@@ -15,6 +15,7 @@ Labels are episode-local: 0 is background, way w is labeled w+1, and
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,9 +183,19 @@ class GeneratorConfig:
 
 
 def class_center(cfg: GeneratorConfig, class_id: int) -> np.ndarray:
-    """Global center of a class, fixed for the lifetime of a benchmark seed."""
-    g = derive_rng(cfg.seed, _CENTER_STREAM, class_id)
-    return cfg.inter_class_scale * g.standard_normal(cfg.feature_dim)
+    """Global center of a class, fixed for the lifetime of a benchmark seed.
+
+    Read-only: one array per (seed, scale, D, class) is shared by every
+    episode that draws the class.
+    """
+    return _class_center(cfg.seed, cfg.inter_class_scale, cfg.feature_dim, int(class_id))
+
+
+@functools.lru_cache(maxsize=1024)
+def _class_center(seed: int, scale: float, dim: int, class_id: int) -> np.ndarray:
+    center = scale * derive_rng(seed, _CENTER_STREAM, class_id).standard_normal(dim)
+    center.setflags(write=False)
+    return center
 
 
 def _mixing_map(rng: np.random.Generator, dim: int, corr: float) -> np.ndarray:

@@ -69,14 +69,20 @@ def pairwise_distances(a, b) -> np.ndarray:
     """Euclidean distance matrix between rows of a (n x d) and b (m x d).
 
     Computed via the quadratic expansion; cancellation residue at
-    (near-)coincident rows is clamped to an exact zero.
+    (near-)coincident rows is clamped to an exact zero. Two n x m float64
+    buffers serve every step; each in-place step computes the same
+    doubles as ``sqrt(max(norms - 2 (a @ b.T), 0))`` masked at
+    ``1e-14 * norms``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ArgumentError(f"incompatible shapes for pairwise distances: {a.shape} vs {b.shape}")
     norms = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-    sq = norms - 2.0 * (a @ b.T)
+    sq = a @ b.T
+    sq *= 2.0
+    np.subtract(norms, sq, out=sq)
     np.maximum(sq, 0.0, out=sq)
-    sq[sq <= 1e-14 * norms] = 0.0
-    return np.sqrt(sq)
+    norms *= 1e-14
+    sq[sq <= norms] = 0.0
+    return np.sqrt(sq, out=sq)

@@ -524,6 +524,20 @@ class TestExitCodes:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_eval_seed_only_for_fps(self, config_path, tmp_path, capsys):
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "t")]) == 0
+        checkpoint = str(tmp_path / "t" / "checkpoint.json")
+        out = tmp_path / "o"
+        code = main(["eval", "--config", str(config_path), "--checkpoint", checkpoint, "--out", str(out), "--seed", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed ") and "'warm'" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps(dict(SMALL_CONFIG, method="fps-min-dist")))
+        assert main(["eval", "--config", str(fps), "--out", str(out), "--seed", "5"]) == 0
+        assert (out / "metrics.csv").exists()
+
     def test_unknown_command_exit_1(self):
         assert main(["frobnicate"]) == 1
 

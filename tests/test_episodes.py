@@ -1,13 +1,23 @@
 """Episode generator and the WARM-EP1 container format."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmproto import GeneratorConfig, gen_episode, load_episode, make_rng, save_episode, split_fg_bg
+from warmproto import (
+    GeneratorConfig,
+    derive_rng,
+    episodes,
+    gen_episode,
+    load_episode,
+    make_rng,
+    save_episode,
+    split_fg_bg,
+)
 from warmproto.episodes import PointCloud, class_center
 from warmproto.errors import ArgumentError, ConfigError, EmptyClassError, FormatError
 from warmproto.metrics import dispersion_metrics, fg_summaries
@@ -64,6 +74,36 @@ class TestGenEpisode:
         center = class_center(cfg, ep.class_ids[0])
         np.testing.assert_allclose(fg_s, np.broadcast_to(center, fg_s.shape), atol=1e-12)
         np.testing.assert_allclose(fg_q, np.broadcast_to(center, fg_q.shape), atol=1e-12)
+
+    def test_cached_centers_give_uncached_bytes(self, tmp_path, monkeypatch):
+        def uncached(cfg, class_id):
+            g = derive_rng(cfg.seed, episodes._CENTER_STREAM, class_id)
+            return cfg.inter_class_scale * g.standard_normal(cfg.feature_dim)
+
+        # each config differs from the previous in one key field, so a
+        # key without that field would hand back the previous centers
+        configs = [
+            TWO_WAY,
+            replace(TWO_WAY, seed=5),
+            replace(TWO_WAY, seed=5, inter_class_scale=3.0),
+            replace(TWO_WAY, seed=5, inter_class_scale=3.0, feature_dim=16),
+            GeneratorConfig(),
+        ]
+        for cfg in configs:
+            for split in ("base", "novel"):
+                save_episode(gen_episode(cfg, make_rng(21), split), tmp_path / "cached.warmep")
+                with monkeypatch.context() as patch:
+                    patch.setattr(episodes, "class_center", uncached)
+                    save_episode(gen_episode(cfg, make_rng(21), split), tmp_path / "uncached.warmep")
+                assert (tmp_path / "cached.warmep").read_bytes() == (tmp_path / "uncached.warmep").read_bytes()
+
+    def test_cached_center_is_read_only(self):
+        center = class_center(TWO_WAY, 3)
+        assert not center.flags.writeable
+        assert class_center(TWO_WAY, np.int64(3)) is center
+        with pytest.raises(ValueError):
+            center[0] = 0.0
+        np.testing.assert_array_equal(class_center(TWO_WAY, 3), center)
 
     def test_deterministic(self):
         ep1 = gen_episode(SMALL, make_rng(11))

@@ -187,6 +187,46 @@ class TestPairwiseDistances:
         with pytest.raises(ArgumentError):
             pairwise_distances(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    @staticmethod
+    def _allocating(a, b):
+        # the out-of-place expression the in-place version replaced
+        norms = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+        sq = norms - 2.0 * (a @ b.T)
+        np.maximum(sq, 0.0, out=sq)
+        sq[sq <= 1e-14 * norms] = 0.0
+        return np.sqrt(sq)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 33),
+        st.sampled_from([0.0, 1.0, 1e3, 1e8]),
+        st.sampled_from([1e-12, 1e-6, 1.0, 1e4]),
+        st.integers(0, 5),
+    )
+    def test_bit_identical_to_allocating_expression(self, seed, n, m, d, offset, spread, shared):
+        rng = make_rng(seed)
+        # a common offset with a small spread makes the expansion cancel
+        a = offset + spread * rng.standard_normal((n, d))
+        b = offset + spread * rng.standard_normal((m, d))
+        pairs = [(int(rng.integers(n)), int(rng.integers(m))) for _ in range(shared)]
+        for i, j in pairs:
+            b[j] = a[i]
+        out = pairwise_distances(a, b)
+        assert out.dtype == np.float64 and out.shape == (n, m)
+        assert out.tobytes() == self._allocating(a, b).tobytes()
+        for i, j in pairs:
+            if np.array_equal(b[j], a[i]):  # a later pair may overwrite row j
+                assert out[i, j] == 0.0 and not np.signbit(out[i, j])
+
+    def test_coincident_rows_exact_zero(self):
+        a = make_rng(3).standard_normal((50, 32)) * 40.0
+        out = pairwise_distances(a, a)
+        assert out.tobytes() == self._allocating(a, a).tobytes()
+        assert np.all(np.diagonal(out) == 0.0) and not np.any(np.signbit(out))
+
 
 class TestRng:
     def test_equal_seeds_identical_streams(self):
