@@ -60,12 +60,10 @@ from .fps import FpsResult, farthest_point_sampling, fps_seed_sweep  # noqa: E40
 from .linalg import half_powers, pairwise_distances, softmax_rows, sym_eig  # noqa: E402
 from .losses import (  # noqa: E402
     DistanceField,
-    LossReport,
     margin_loss,
     point_distances,
     predict,
     simplification_loss_and_grad,
-    total_loss,
 )
 from .metrics import (  # noqa: E402
     MetricsReport,
@@ -77,7 +75,6 @@ from .metrics import (  # noqa: E402
 from .rng import derive_rng, make_rng  # noqa: E402
 from .trainer import TrainConfig, apply_update, evaluate, make_eval_episodes, train, train_grid  # noqa: E402
 from .warm import (  # noqa: E402
-    PrototypeSet,
     WarmParams,
     WhitenStats,
     ablation_forward,

@@ -258,7 +258,7 @@ def cmd_train(args) -> None:
         raise ConfigError("method 'fps-min-dist' has no learnable parameters; nothing to train")
     train_cfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
     out = _out_dir(args)
-    result = train(
+    run = train(
         train_cfg,
         cfg.generator,
         variant=variant,
@@ -266,8 +266,8 @@ def cmd_train(args) -> None:
         config_hash=config_sha256(config_dict(cfg)),
     )
     write_sidecar(out / "train_config.json", "train", cfg)
-    final = result.log[-1][3] if result.log else float("nan")
-    print(f"train[{variant}]: {len(result.log)} episodes, final loss {final:.4f}, checkpoint {result.checkpoint_path}")
+    final = run.log[-1][3] if run.log else float("nan")
+    print(f"train[{variant}]: {len(run.log)} episodes, final loss {final:.4f}, checkpoint {out / 'checkpoint.json'}")
 
 
 def cmd_eval(args) -> None:
@@ -281,12 +281,12 @@ def cmd_eval(args) -> None:
     _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     if variant == "fps-min-dist":
         seed = cfg.eval_seed if args.seed is None else args.seed
-        report, _ = evaluate_fps(episodes, cfg.fps_tokens, seed)
+        report = evaluate_fps(episodes, cfg.fps_tokens, seed)
     else:
         if args.checkpoint is None:
             raise ConfigError(f"method {variant!r} needs --checkpoint")
         params, _meta = load_checkpoint(args.checkpoint)
-        report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits, worker_cap()).report
+        report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits, worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
     write_metrics_csv(out / "metrics.csv", [report], labels)
     write_sidecar(out / "eval_config.json", "eval", cfg)
@@ -295,11 +295,11 @@ def cmd_eval(args) -> None:
 
 def cmd_sweep_fps(args) -> None:
     cfg = load_experiment_config(args.config)
-    out = _out_dir(args)
-    episodes = _eval_batch(cfg, args.data)
     n_seeds = cfg.fps_seeds if args.seeds is None else args.seeds
     if n_seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
+    out = _out_dir(args)
+    episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
     _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     result = fps_seed_sweep(episodes, cfg.fps_tokens, range(n_seeds))
@@ -320,15 +320,15 @@ def _grid_reports(
     each on the batch, on ``worker_cap()`` processes; reports per seed,
     in run order."""
     grid = run_grid(seed_runs, generator, episodes, worker_cap())
-    return [[scored.report for _, scored in row] for row in grid]
+    return [[report for _, report in row] for row in grid]
 
 
 def cmd_ablate(args) -> None:
     cfg = load_experiment_config(args.config)
-    out = _out_dir(args)
     seeds = list(cfg.seeds) if args.seeds is None else list(range(args.seeds))
     if not seeds:
         raise ConfigError("ablation grid needs at least one seed")
+    out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in seeds]
@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="warmproto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, handler, *, data=False, out=True, checkpoint=False, seed=False, seeds=False):
-        p = sub.add_parser(name, help=handler.__doc__)
+    def add(name, func, *, data=False, out=True, checkpoint=False, seed=False, seeds=False):
+        p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("--config", type=Path, default=None, help="JSON experiment config")
         if out:
             p.add_argument("--out", type=Path, required=True, help="output directory")
@@ -414,12 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("gen", cmd_gen, cmd_gen, seed=True)
-    add("train", cmd_train, cmd_train, seed=True)
-    add("eval", cmd_eval, cmd_eval, data=True, checkpoint=True, seed=True)
-    add("sweep-fps", cmd_sweep_fps, cmd_sweep_fps, data=True, seeds=True)
-    add("ablate", cmd_ablate, cmd_ablate, data=True, seeds=True)
-    add("token-sweep", cmd_token_sweep, cmd_token_sweep, data=True)
+    add("gen", cmd_gen, seed=True)
+    add("train", cmd_train, seed=True)
+    add("eval", cmd_eval, data=True, checkpoint=True, seed=True)
+    add("sweep-fps", cmd_sweep_fps, data=True, seeds=True)
+    add("ablate", cmd_ablate, data=True, seeds=True)
+    add("token-sweep", cmd_token_sweep, data=True)
     report = sub.add_parser("report", help="print a text summary of a result directory")
     report.add_argument("--data", type=Path, required=True, help="result directory to summarize")
     report.set_defaults(func=cmd_report)

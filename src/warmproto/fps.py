@@ -82,14 +82,13 @@ class SweepRow:
     per_class_iou: dict[int, float]
 
 
-def _sweep_rows(episodes: list[Episode], count: int, seeds: list[int]) -> tuple[list[SweepRow], list[list[float]]]:
+def _sweep_rows(episodes: list[Episode], count: int, seeds: list[int]) -> list[SweepRow]:
     """Per-seed scores over an episode batch, one row per entry of ``seeds``.
 
     Episode-major: each episode's support is split once and shared by all
     seeds. Episode i of seed s uses the independent stream (s, i), so the
     batch is identical across seeds while the FPS starts vary, and the
-    loop order does not change a bit. Returns the rows and, per row, the
-    per-episode mIoU.
+    loop order does not change a bit.
     """
     per_episode = [[] for _ in seeds]
     per_class_acc = [{} for _ in seeds]
@@ -105,26 +104,24 @@ def _sweep_rows(episodes: list[Episode], count: int, seeds: list[int]) -> tuple[
             per_episode[pos].append(score)
             for c, v in per_class.items():
                 per_class_acc[pos].setdefault(c, []).append(v)
-    rows = [
+    return [
         SweepRow(seed, float(np.mean(scores)), {c: float(np.mean(v)) for c, v in sorted(acc.items())})
         for seed, scores, acc in zip(seeds, per_episode, per_class_acc)
     ]
-    return rows, per_episode
 
 
-def evaluate_fps(episodes: list[Episode], count: int, seed: int) -> tuple[MetricsReport, list[float]]:
+def evaluate_fps(episodes: list[Episode], count: int, seed: int) -> MetricsReport:
     """Run the baseline over an episode batch with one sweep seed, plus
     the dispersion metrics of the batch."""
-    (row,), (per_episode,) = _sweep_rows(episodes, count, [int(seed)])
+    (row,) = _sweep_rows(episodes, count, [int(seed)])
     disp = dispersion_metrics([s for episode in episodes for s in fg_summaries(episode)])
-    report = MetricsReport(
+    return MetricsReport(
         miou=row.mean_miou,
         per_class_iou=row.per_class_iou,
         d_intra=disp.d_intra,
         d_inter=disp.d_inter,
         d_instance=disp.d_instance,
     )
-    return report, per_episode
 
 
 @dataclass
@@ -146,7 +143,7 @@ def fps_seed_sweep(episodes: list[Episode], count: int, seeds) -> SweepResult:
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("seed sweep needs at least one seed")
-    rows, _ = _sweep_rows(episodes, count, seeds)
+    rows = _sweep_rows(episodes, count, seeds)
     scores = np.array([r.mean_miou for r in rows])
     return SweepResult(
         rows=rows,

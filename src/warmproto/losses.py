@@ -19,11 +19,9 @@ import numpy as np
 
 from .errors import ArgumentError, EmptyClassError
 from .linalg import pairwise_distances
-from .warm import PrototypeSet
 
 
-def _proto_mapping(protos) -> dict[int, np.ndarray]:
-    mapping = protos.prototypes if isinstance(protos, PrototypeSet) else dict(protos)
+def _proto_mapping(mapping: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
     if not mapping:
         raise ArgumentError("prototype set is empty")
     out = {}
@@ -56,7 +54,7 @@ class DistanceField:
         return rows
 
 
-def point_distances(query: np.ndarray, protos) -> DistanceField:
+def point_distances(query: np.ndarray, protos: Mapping[int, np.ndarray]) -> DistanceField:
     """d[c, l] = min over prototype rows of the class-c Euclidean distance."""
     query = np.asarray(query, dtype=np.float64)
     mapping = _proto_mapping(protos)
@@ -99,7 +97,7 @@ def margin_loss(field: DistanceField, truth, margin: float = 0.0) -> float:
 
 
 def margin_loss_grad(
-    query: np.ndarray, protos, field: DistanceField, truth, margin: float = 0.0
+    query: np.ndarray, protos: Mapping[int, np.ndarray], field: DistanceField, truth, margin: float = 0.0
 ) -> dict[int, np.ndarray]:
     """Gradient of margin_loss with respect to each class's prototypes."""
     query = np.asarray(query, dtype=np.float64)
@@ -140,7 +138,7 @@ def _check_sim_inputs(features_by_class: Mapping[int, np.ndarray], mapping: dict
 
 
 def simplification_loss_and_grad(
-    features_by_class: Mapping[int, np.ndarray], protos
+    features_by_class: Mapping[int, np.ndarray], protos: Mapping[int, np.ndarray]
 ) -> tuple[float, dict[int, np.ndarray]]:
     """Coverage loss and its prototype gradients in one pass.
 
@@ -179,20 +177,3 @@ def simplification_loss_and_grad(
         values.append(d1.mean() + d2.mean() + d2.max())
         grads[label] = g * inv_classes
     return float(np.mean(values)), grads
-
-
-@dataclass
-class LossReport:
-    margin: float
-    simplification: float
-    lam: float
-    total: float
-
-
-def total_loss(margin: float, simplification: float, lam: float = 0.5) -> LossReport:
-    """Weighted objective: margin + lam * simplification."""
-    margin = float(margin)
-    simplification = float(simplification)
-    if not (np.isfinite(margin) and np.isfinite(simplification)):
-        raise ArgumentError("loss components must be finite")
-    return LossReport(margin, simplification, lam, margin + lam * simplification)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -24,15 +24,7 @@ import numpy as np
 from .episodes import Episode, GeneratorConfig, gen_episode
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError, WarmError
 from .files import write_csv
-from .losses import (
-    LossReport,
-    margin_loss,
-    margin_loss_grad,
-    point_distances,
-    predict,
-    simplification_loss_and_grad,
-    total_loss,
-)
+from .losses import margin_loss, margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
     MetricsReport,
     attention_diversity,
@@ -46,7 +38,6 @@ from .rng import derive_rng
 from .warm import (
     ForwardResult,
     PARAM_NAMES,
-    PrototypeSet,
     WarmParams,
     ablation_forward,
     average_shots,
@@ -62,6 +53,9 @@ _TRAIN_STREAM = 202
 EVAL_STREAM = 203  # also the stream `gen` writes, so gen+load reproduces in-memory batches
 
 TRAIN_LOG_COLUMNS = ("episode_idx", "loss_margin", "loss_sim", "loss_total", "grad_norm", "lr")
+
+# moment decay rates and the denominator's stabilizer of the optimizer update
+_BETA1, _BETA2, _STAB_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,9 +108,6 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    stab_eps: float = 1e-8
 
 
 def init_optimizer(params: WarmParams) -> OptimizerState:
@@ -144,17 +135,14 @@ def apply_update(
         theta = getattr(params, name)
         if g.shape != theta.shape:
             raise ArgumentError(f"gradient shape {g.shape} does not match {name} {theta.shape}")
-        m = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        new_params[name] = theta - lr * m_hat / (np.sqrt(v_hat) + state.stab_eps) - lr * weight_decay * theta
+        m = _BETA1 * state.m[name] + (1 - _BETA1) * g
+        v = _BETA2 * state.v[name] + (1 - _BETA2) * g * g
+        m_hat = m / (1 - _BETA1**t)
+        v_hat = v / (1 - _BETA2**t)
+        new_params[name] = theta - lr * m_hat / (np.sqrt(v_hat) + _STAB_EPS) - lr * weight_decay * theta
         new_m[name] = m
         new_v[name] = v
-    return (
-        WarmParams(**new_params),
-        OptimizerState(new_m, new_v, t, state.beta1, state.beta2, state.stab_eps),
-    )
+    return WarmParams(**new_params), OptimizerState(new_m, new_v, t)
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
@@ -166,7 +154,7 @@ def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
 
 def episode_forward(
     params: WarmParams, episode: Episode, variant: str, eps: float, scale_logits: bool = False
-) -> tuple[PrototypeSet, list[ForwardResult]]:
+) -> tuple[dict[int, np.ndarray], list[ForwardResult]]:
     """Per-shot forward passes, prototypes averaged across shots."""
     shots = [
         ablation_forward(params, episode.support_features_by_class(shot), variant, eps, scale_logits)
@@ -176,11 +164,12 @@ def episode_forward(
 
 
 def episode_loss(
-    protos: PrototypeSet, episode: Episode, lam: float, margin: float
-) -> tuple[LossReport, dict[int, np.ndarray]]:
-    """Query margin loss plus weighted support-coverage loss, with the
-    combined gradient per class prototype matrix."""
-    grad_by_class = {label: np.zeros_like(p) for label, p in protos.prototypes.items()}
+    protos: dict[int, np.ndarray], episode: Episode, lam: float, margin: float
+) -> tuple[float, float, float, dict[int, np.ndarray]]:
+    """Query margin loss, support-coverage loss and their total
+    margin + lam * coverage, with the total's gradient per class
+    prototype matrix."""
+    grad_by_class = {label: np.zeros_like(p) for label, p in protos.items()}
     margin_total = 0.0
     for cloud in episode.query:
         field = point_distances(cloud.features, protos)
@@ -191,27 +180,20 @@ def episode_loss(
     sim, sim_grads = simplification_loss_and_grad(support, protos)
     for label, g in sim_grads.items():
         grad_by_class[label] += lam * g
-    return total_loss(margin_total, sim, lam), grad_by_class
-
-
-@dataclass
-class TrainResult:
-    params: WarmParams
-    initial_params: WarmParams
-    log: list[tuple]  # TRAIN_LOG_COLUMNS rows
-    wall_ms: list[float]
-    checkpoint_path: Path | None = None
+    return margin_total, sim, margin_total + lam * sim, grad_by_class
 
 
 @dataclass
 class TrainRun:
-    """One run's evolving state: parameters, optimizer moments, log rows."""
+    """One run's evolving state: parameters, optimizer moments, log rows
+    (TRAIN_LOG_COLUMNS) and wall milliseconds per step. ``run_grid``
+    returns its runs without the moments (``state`` None)."""
 
     cfg: TrainConfig
     variant: str
     params: WarmParams
     initial: WarmParams
-    state: OptimizerState
+    state: OptimizerState | None
     log: list[tuple] = field(default_factory=list)
     wall: list[float] = field(default_factory=list)
 
@@ -231,14 +213,14 @@ class TrainRun:
         cfg, params = self.cfg, self.params
         lr = lr_at(cfg, step, cfg.total_steps)
         protos, shots = episode_forward(params, episode, self.variant, cfg.eps, cfg.scale_logits)
-        report, grad_by_class = episode_loss(protos, episode, cfg.lam, cfg.margin)
+        margin, sim, total, grad_by_class = episode_loss(protos, episode, cfg.lam, cfg.margin)
         per_shot = {label: g / episode.k_shot for label, g in grad_by_class.items()}
         grads = {name: np.zeros_like(arr) for name, arr in params_as_dict(params).items()}
         for shot_result in shots:
             for name, g in warm_backward(params, shot_result, per_shot).items():
                 grads[name] += g
         grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-        if not np.isfinite(report.total) or not np.isfinite(grad_norm):
+        if not np.isfinite(total) or not np.isfinite(grad_norm):
             raise NumericError(
                 f"non-finite loss or gradient at step {step} of variant {self.variant!r} "
                 f"(episode stream seed={cfg.seed}, key=({_TRAIN_STREAM}, {step}))"
@@ -247,16 +229,16 @@ class TrainRun:
             scale = cfg.grad_clip / grad_norm
             grads = {name: g * scale for name, g in grads.items()}
         self.params, self.state = apply_update(params, grads, self.state, lr, cfg.weight_decay)
-        self.log.append((step, report.margin, report.simplification, report.total, grad_norm, lr))
+        self.log.append((step, margin, sim, total, grad_norm, lr))
 
 
-def train_grid(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) -> list[TrainResult]:
+def train_grid(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) -> list[TrainRun]:
     """Train several (config, variant) runs of one seed in lockstep.
 
     The training episode depends only on (seed, step) and the generator,
     so each step's episode is generated once and every run steps on it;
     only that one episode is held at a time. Runs must share the seed and
-    the step count. Each result is bit-identical to a standalone ``train``
+    the step count. Each run is bit-identical to a standalone ``train``
     of the same run; a run's wall time per step includes the shared
     generation.
     """
@@ -284,7 +266,7 @@ def train_grid(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) ->
             run_started = time.perf_counter()
             run.step(episode, step)
             run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
-    return [TrainResult(run.params, run.initial, run.log, run.wall) for run in states]
+    return states
 
 
 def train(
@@ -293,22 +275,20 @@ def train(
     variant: str = "warm",
     out_dir=None,
     config_hash: str = "",
-) -> TrainResult:
+) -> TrainRun:
     """Full training run; optionally persists checkpoint, log and timing.
 
     The single-run case of ``train_grid``. Episodes come from the base
     split only (checked every step).
     """
-    (result,) = train_grid([(cfg, variant)], gen_cfg)
+    (run,) = train_grid([(cfg, variant)], gen_cfg)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ckpt = out_dir / "checkpoint.json"
-        save_checkpoint(ckpt, result.params, cfg.seed, config_hash)
-        write_train_log(out_dir / "training_log.csv", result.log)
-        write_timing_csv(out_dir / "timing.csv", result.wall_ms)
-        result.checkpoint_path = ckpt
-    return result
+        save_checkpoint(out_dir / "checkpoint.json", run.params, cfg.seed, config_hash)
+        write_train_log(out_dir / "training_log.csv", run.log)
+        write_timing_csv(out_dir / "timing.csv", run.wall)
+    return run
 
 
 def write_train_log(path, rows) -> None:
@@ -331,16 +311,10 @@ def make_eval_episodes(
     ]
 
 
-@dataclass
-class EvalResult:
-    report: MetricsReport
-    per_episode_miou: list[float]
-
-
 def _score_episode(
     params: WarmParams, episode: Episode, variant: str, eps: float, scale_logits: bool
 ) -> tuple:
-    """One episode's share of an ``EvalResult``: its mIoU, per-class IoU,
+    """One episode's share of an ``evaluate`` report: its mIoU, per-class IoU,
     foreground attention entropies, diversities and query/key distances,
     and foreground summaries."""
     protos, shots = episode_forward(params, episode, variant, eps, scale_logits)
@@ -372,7 +346,7 @@ def evaluate(
     eps: float = 1e-4,
     scale_logits: bool = False,
     workers: int = 1,
-) -> EvalResult:
+) -> MetricsReport:
     """Frozen-parameter evaluation over an episode batch.
 
     IoU aggregates per episode over the episode-local classes and is then
@@ -402,7 +376,7 @@ def evaluate(
         for c, value in episode_classes.items():
             per_class_acc.setdefault(c, []).append(value)
     disp = dispersion_metrics(summaries)
-    report = MetricsReport(
+    return MetricsReport(
         miou=float(np.mean(scores)),
         per_class_iou={c: float(np.mean(v)) for c, v in sorted(per_class_acc.items())},
         d_intra=disp.d_intra,
@@ -412,17 +386,17 @@ def evaluate(
         attn_diversity=float(np.mean(diversities)) if diversities else None,
         qk_dist=float(np.mean(qk_dists)),
     )
-    return EvalResult(report, list(scores))
 
 
-def _grid_slice(runs: list[tuple[TrainConfig, str]], shared: tuple) -> list[tuple[TrainResult, EvalResult]]:
+def _grid_slice(runs: list[tuple[TrainConfig, str]], shared: tuple) -> list[tuple[TrainRun, MetricsReport]]:
     """Train runs of one seed in lockstep (``train_grid``), then score each
     in this process on the batch with its own eps and logit scaling;
     ``shared`` is (generator config, episodes)."""
     gen_cfg, episodes = shared
+    # spent moments are left behind: they would double what a worker sends back
     return [
-        (result, evaluate(result.params, episodes, variant, cfg.eps, cfg.scale_logits))
-        for (cfg, variant), result in zip(runs, train_grid(runs, gen_cfg))
+        (replace(run, state=None), evaluate(run.params, episodes, variant, cfg.eps, cfg.scale_logits))
+        for (cfg, variant), run in zip(runs, train_grid(runs, gen_cfg))
     ]
 
 
@@ -496,9 +470,9 @@ def run_grid(
     gen_cfg: GeneratorConfig,
     episodes: list[Episode],
     workers: int = 1,
-) -> list[list[tuple[TrainResult, EvalResult]]]:
+) -> list[list[tuple[TrainRun, MetricsReport]]]:
     """Train and score a grid given as one list of (config, variant) runs
-    per seed; returns (train result, eval result) pairs in the same shape.
+    per seed; returns (trained run, metrics report) pairs in the same shape.
 
     Each seed's runs are cut into at most ``workers`` contiguous slices,
     and each slice runs ``_grid_slice`` on the pool of ``_fork_map``,

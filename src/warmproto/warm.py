@@ -189,18 +189,6 @@ def init_params(
 
 
 @dataclass
-class PrototypeSet:
-    """Per-class prototype matrices plus the variant that produced them."""
-
-    prototypes: dict[int, np.ndarray]
-    provenance: str
-
-    @property
-    def classes(self) -> list[int]:
-        return sorted(self.prototypes)
-
-
-@dataclass
 class ClassTrace:
     """Everything the backward pass and the diagnostics need per class."""
 
@@ -217,7 +205,7 @@ class ClassTrace:
 
 @dataclass
 class ForwardResult:
-    prototypes: PrototypeSet
+    prototypes: dict[int, np.ndarray]
     per_class: dict[int, ClassTrace]
 
 
@@ -247,7 +235,7 @@ def ablation_forward(
     scale_logits: bool = False,
 ) -> ForwardResult:
     """Forward pass of one ``VARIANTS`` entry: the full operator ("warm")
-    or one of its ablations. The prototypes' provenance is the variant name.
+    or one of its ablations.
 
     Per class: transform the features, attend with the class's token pool
     (single head, softmax(Wq(tokens) Wk(keys)^T) Wv(keys), logits divided
@@ -279,7 +267,7 @@ def ablation_forward(
             out = out + out_shift
         prototypes[label] = out
         traces[label] = ClassTrace(pool, keys_in, q, k, v, weights, attended, out_map, scale_logits)
-    return ForwardResult(PrototypeSet(prototypes, variant), traces)
+    return ForwardResult(prototypes, traces)
 
 
 def warm_backward(
@@ -322,25 +310,18 @@ def warm_backward(
     return grads
 
 
-def average_shots(sets: list[PrototypeSet]) -> PrototypeSet:
+def average_shots(sets: list[dict[int, np.ndarray]]) -> dict[int, np.ndarray]:
     """Element-wise mean of per-shot prototype sets."""
     if not sets:
         raise ArgumentError("no prototype sets to average")
     first = sets[0]
     for other in sets[1:]:
-        if other.provenance != first.provenance:
-            raise ArgumentError(
-                f"cannot average across provenances {first.provenance!r} and {other.provenance!r}"
-            )
-        if other.classes != first.classes:
+        if sorted(other) != sorted(first):
             raise ArgumentError("prototype sets cover different classes")
-        for label in first.prototypes:
-            if other.prototypes[label].shape != first.prototypes[label].shape:
+        for label in first:
+            if other[label].shape != first[label].shape:
                 raise ArgumentError(f"shape mismatch for class {label}")
-    averaged = {
-        label: np.mean([s.prototypes[label] for s in sets], axis=0) for label in first.prototypes
-    }
-    return PrototypeSet(averaged, first.provenance)
+    return {label: np.mean([s[label] for s in sets], axis=0) for label in first}
 
 
 def save_checkpoint(path, params: WarmParams, seed: int, config_hash: str = "") -> None:

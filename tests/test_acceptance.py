@@ -78,7 +78,7 @@ class TestAcceptance:
             n = ablation_forward(params, feats, "naive")
             for label in (0, 1):
                 diff = np.max(
-                    np.abs(w.prototypes.prototypes[label] - n.prototypes.prototypes[label])
+                    np.abs(w.prototypes[label] - n.prototypes[label])
                 )
                 worst = max(worst, float(diff))
         report(3, worst < 1e-10, f"max elementwise deviation {worst:.2e}")
@@ -180,12 +180,12 @@ class TestAcceptance:
         )
 
     def test_07_alignment_direction(self, evaluated):
-        qk_whiten = [evaluated("whiten+restore", s).report.qk_dist for s in range(5)]
-        qk_naive = [evaluated("naive", s).report.qk_dist for s in range(5)]
+        qk_whiten = [evaluated("whiten+restore", s).qk_dist for s in range(5)]
+        qk_naive = [evaluated("naive", s).qk_dist for s in range(5)]
         qk_ok = all(w < n for w, n in zip(qk_whiten, qk_naive))
         top_count = 0
         for seed in range(5):
-            scores = {v: evaluated(v, seed).report.miou for v in ABLATION_GRID}
+            scores = {v: evaluated(v, seed).miou for v in ABLATION_GRID}
             best = max(scores, key=scores.get)
             top_count += best == "whiten+restore"
         ok = qk_ok and top_count >= 3
@@ -198,7 +198,7 @@ class TestAcceptance:
 
     def test_08_entropy_direction(self, evaluated):
         gaps = [
-            evaluated("warm", s).report.attn_entropy - evaluated("naive", s).report.attn_entropy
+            evaluated("warm", s).attn_entropy - evaluated("naive", s).attn_entropy
             for s in range(5)
         ]
         ok = all(g >= 0.1 for g in gaps)
@@ -210,7 +210,7 @@ class TestAcceptance:
         wins = 0
         scores = []
         for seed in range(5):
-            score = evaluated("warm", seed).report.miou
+            score = evaluated("warm", seed).miou
             scores.append(score)
             wins += score >= baseline + 0.05
         elapsed = time.perf_counter() - started

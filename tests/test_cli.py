@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warmproto import trainer
+from warmproto import cli, trainer
 from warmproto.cli import BLAS_THREAD_VARS, load_experiment_config, main, parse_method, worker_cap
 from warmproto.episodes import load_episode, save_episode
 from warmproto.errors import ConfigError, NumericError
@@ -350,7 +350,7 @@ class TestGridMatchesSeparateRuns:
         for seed in cfg.seeds:
             for variant in ABLATION_GRID:
                 params = train(replace(cfg.train, seed=seed), cfg.generator, variant=variant).params
-                report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits).report
+                report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits)
                 rows.append([variant, seed, repr(report.qk_dist), repr(report.miou)])
         assert (out / "ablation.csv").read_bytes() == csv_bytes(rows)
 
@@ -364,7 +364,7 @@ class TestGridMatchesSeparateRuns:
             scores = []
             for seed in cfg.seeds:
                 params = train(replace(cfg.train, seed=seed, num_tokens=m), cfg.generator).params
-                scores.append(evaluate(params, episodes, scale_logits=scale_logits).report.miou)
+                scores.append(evaluate(params, episodes, scale_logits=scale_logits).miou)
             rows.append([m, repr(float(np.mean(scores))), repr(float(np.std(scores)))])
         assert (out / "token_sweep.csv").read_bytes() == csv_bytes(rows)
 
@@ -413,15 +413,15 @@ class TestGridWorkers:
 
     def test_numeric_error_in_worker_exit_2_same_message(self, config_path, tmp_path, monkeypatch, capsys):
         # forked workers inherit the patch; one grid variant's loss turns non-finite
-        real = trainer.episode_loss
+        real = trainer.episode_forward
 
-        def failing(protos, episode, lam, margin):
-            report, grads = real(protos, episode, lam, margin)
-            if protos.provenance == "normalize+restore":
-                report = replace(report, total=float("nan"))
-            return report, grads
+        def failing(params, episode, variant, eps, scale_logits):
+            protos, shots = real(params, episode, variant, eps, scale_logits)
+            if variant == "normalize+restore":
+                protos = {c: np.full_like(p, np.nan) for c, p in protos.items()}
+            return protos, shots
 
-        monkeypatch.setattr(trainer, "episode_loss", failing)
+        monkeypatch.setattr(trainer, "episode_forward", failing)
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(dict(SMALL_CONFIG, seeds=[0, 1])))
         messages = {}
@@ -537,6 +537,32 @@ class TestExitCodes:
         fps.write_text(json.dumps(dict(SMALL_CONFIG, method="fps-min-dist")))
         assert main(["eval", "--config", str(fps), "--out", str(out), "--seed", "5"]) == 0
         assert (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["sweep-fps", "ablate"])
+    def test_zero_seeds_exit_1_before_any_work(self, config_path, tmp_path, monkeypatch, capsys, verb):
+        def no_batch(*args):
+            raise AssertionError("the eval batch was built")
+
+        monkeypatch.setattr(cli, "_eval_batch", no_batch)
+        code = main([verb, "--config", str(config_path), "--out", str(tmp_path / "o"), "--seeds", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_training_loss_exit_2(self, tmp_path, capsys):
+        # class centers near 1e200 overflow every squared distance
+        generator = dict(
+            SMALL_CONFIG["generator"], inter_class_scale=1e200, intra_class_scale=0.0, instance_spread=1.0
+        )
+        train_cfg = dict(SMALL_CONFIG["train"], episodes_per_epoch=2)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, method="naive", generator=generator, train=train_cfg)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite loss or gradient at step 0 of variant 'naive'")
+        assert "seed=0" in err and len(err.splitlines()) == 1
 
     def test_unknown_command_exit_1(self):
         assert main(["frobnicate"]) == 1

@@ -233,7 +233,7 @@ class TestFpsSeedSweep:
         res = fps_seed_sweep(episodes, 5, seeds)
         assert [row.seed for row in res.rows] == seeds
         for row in res.rows:
-            report, _ = evaluate_fps(episodes, 5, row.seed)
+            report = evaluate_fps(episodes, 5, row.seed)
             assert row.mean_miou == report.miou
             assert row.per_class_iou == report.per_class_iou
             # independent seed-major reference; 300 is the sweep's stream key

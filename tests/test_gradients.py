@@ -57,7 +57,7 @@ class TestWarmBackward:
     def test_zero_loss_gradient_gives_zero_param_gradients(self):
         params, feats, _, _ = self._instance()
         result = ablation_forward(params, feats, "warm")
-        zeros = {c: np.zeros_like(p) for c, p in result.prototypes.prototypes.items()}
+        zeros = {c: np.zeros_like(p) for c, p in result.prototypes.items()}
         grads = warm_backward(params, result, zeros)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(grads[name], np.zeros_like(getattr(params, name)))

@@ -5,13 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmproto import make_rng, margin_loss, point_distances, predict, total_loss
-from warmproto.errors import ArgumentError, EmptyClassError
+from warmproto import GeneratorConfig, TrainConfig, make_rng, margin_loss, point_distances, predict, train
+from warmproto.errors import ArgumentError, EmptyClassError, NumericError
 from warmproto.losses import (
     DistanceField,
     margin_loss_grad,
     simplification_loss_and_grad,
 )
+from warmproto.trainer import episode_loss, make_eval_episodes
+
+DESK = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
+
+
+def small_ints(rng, shape):
+    """Integer-valued float rows: every distance is the square root of an
+    exact integer, so equal distances are equal bits at any BLAS setting."""
+    return rng.integers(-4, 5, size=shape).astype(np.float64)
 
 
 class TestPointDistances:
@@ -205,17 +214,129 @@ class TestSimplificationLoss:
 
 
 class TestTotalLoss:
+    """The training objective margin + lam * simplification, as
+    ``trainer.episode_loss`` returns it."""
+
     def test_zero(self):
-        assert total_loss(0.0, 0.0).total == 0.0
+        # prototypes that are the support rows of well-separated classes
+        gen = GeneratorConfig(
+            feature_dim=8, points_per_cloud=128, min_fg_points=16,
+            inter_class_scale=60.0, intra_class_scale=0.5, instance_spread=0.5, bg_components=1,
+        )
+        (episode,) = make_eval_episodes(gen, 1, 5)
+        margin, sim, total, grads = episode_loss(episode.pooled_support_by_class(), episode, 0.5, 0.0)
+        assert (margin, sim, total) == (0.0, 0.0, 0.0)
+        for g in grads.values():
+            np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_weighted_sum(self):
-        report = total_loss(1.0, 2.0, lam=0.5)
-        assert report.total == pytest.approx(2.0)
-        assert report.total == report.margin + report.lam * report.simplification
+        (episode,) = make_eval_episodes(DESK, 1, 6)
+        rng = make_rng(6)
+        protos = {c: rng.standard_normal((3, 8)) for c in episode.pooled_support_by_class()}
+        margin, sim, total, grads = episode_loss(protos, episode, 0.5, 0.0)
+        _, _, _, margin_grads = episode_loss(protos, episode, 0.0, 0.0)
+        assert margin > 0 and sim > 0
+        assert total == margin + 0.5 * sim
+        support = episode.pooled_support_by_class()
+        _, sim_grads = simplification_loss_and_grad(support, protos)
+        for c in protos:
+            np.testing.assert_allclose(grads[c], margin_grads[c] + 0.5 * sim_grads[c], rtol=1e-12, atol=1e-12)
 
     def test_lambda_zero_disables_simplification(self):
-        assert total_loss(3.0, 100.0, lam=0.0).total == pytest.approx(3.0)
+        (episode,) = make_eval_episodes(DESK, 1, 7)
+        rng = make_rng(7)
+        protos = {c: rng.standard_normal((3, 8)) for c in episode.pooled_support_by_class()}
+        margin, sim, total, grads = episode_loss(protos, episode, 0.0, 0.0)
+        assert sim > 0 and total == margin
+        expected = {c: np.zeros_like(p) for c, p in protos.items()}
+        for cloud in episode.query:
+            field = point_distances(cloud.features, protos)
+            for c, g in margin_loss_grad(cloud.features, protos, field, cloud.labels).items():
+                expected[c] += g
+        for c in protos:
+            np.testing.assert_array_equal(grads[c], expected[c])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ArgumentError):
-            total_loss(float("nan"), 0.0)
+        # class centers near 1e200 overflow every squared distance; the
+        # train step, not the loss, rejects the non-finite total
+        gen = GeneratorConfig(
+            feature_dim=8, points_per_cloud=128, min_fg_points=16,
+            inter_class_scale=1e200, intra_class_scale=0.0, instance_spread=1.0,
+        )
+        cfg = TrainConfig(epochs=1, episodes_per_epoch=2, num_tokens=6)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
+            train(cfg, gen, variant="naive")
+        assert "step 0 of variant 'naive'" in str(err.value) and "seed=0" in str(err.value)
+
+
+class TestTies:
+    """Hinge and argmin ties: the hinge propagates only where its argument
+    is strictly positive, and the lowest achieving index takes the whole
+    subgradient."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 6), st.integers(1, 5))
+    def test_exact_hinge_tie_has_zero_gradient(self, seed, n, d, k):
+        # class 1 mirrors class 0 in channel 0, and every query point lies on
+        # the mirror plane: each point is exactly as far from both classes
+        rng = make_rng(seed)
+        query = small_ints(rng, (n, d))
+        query[:, 0] = 0.0
+        p0 = small_ints(rng, (k, d))
+        p1 = p0.copy()
+        p1[:, 0] *= -1.0
+        protos = {0: p0, 1: p1}
+        field = point_distances(query, protos)
+        np.testing.assert_array_equal(field.distances[0], field.distances[1])
+        truth = rng.integers(0, 2, n)
+        assert margin_loss(field, truth) == 0.0
+        for g in margin_loss_grad(query, protos, field, truth).values():
+            np.testing.assert_array_equal(g, np.zeros_like(g))
+
+    @staticmethod
+    def _with_copy(p, i, j):
+        """p with a copy of row i inserted at index j > i."""
+        return np.insert(p, j, p[i], axis=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 5), st.integers(1, 5), st.data())
+    def test_margin_duplicate_row_lowest_index_takes_all(self, seed, n, d, k, data):
+        rng = make_rng(seed)
+        query = small_ints(rng, (n, d))
+        protos = {0: small_ints(rng, (k, d)), 1: small_ints(rng, (k, d))}
+        truth = rng.integers(0, 2, n)
+        margin = float(data.draw(st.integers(0, 3)))
+        c = data.draw(st.integers(0, 1))
+        i = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(i + 1, k))
+        dup = dict(protos)
+        dup[c] = self._with_copy(protos[c], i, j)
+        ref = margin_loss_grad(query, protos, point_distances(query, protos), truth, margin)
+        got = margin_loss_grad(query, dup, point_distances(query, dup), truth, margin)
+        np.testing.assert_array_equal(got[c][j], np.zeros(d))
+        np.testing.assert_array_equal(np.delete(got[c], j, axis=0), ref[c])
+        np.testing.assert_array_equal(got[1 - c], ref[1 - c])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 5), st.integers(1, 5), st.data())
+    def test_simplification_duplicate_row_lowest_index_takes_all(self, seed, n, d, k, data):
+        # each prototype row keeps its own term of the mean prototype-to-
+        # feature distance; the feature-to-nearest-prototype and the
+        # worst-covered-prototype terms go to the lower copy only
+        rng = make_rng(seed)
+        feats = {0: small_ints(rng, (n, d))}
+        p = small_ints(rng, (k, d))
+        i = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(i + 1, k))
+
+        def own_term(row, count):
+            dist = np.sqrt(np.sum((feats[0] - row) ** 2, axis=1))
+            nearest = int(np.argmin(dist))
+            return (row - feats[0][nearest]) / dist[nearest] / count if dist[nearest] > 0 else np.zeros(d)
+
+        _, ref = simplification_loss_and_grad(feats, {0: p})
+        _, got = simplification_loss_and_grad(feats, {0: self._with_copy(p, i, j)})
+        np.testing.assert_array_equal(got[0][j], own_term(p[i], k + 1))
+        np.testing.assert_allclose(
+            got[0][i] - own_term(p[i], k + 1), ref[0][i] - own_term(p[i], k), rtol=1e-12, atol=1e-12
+        )

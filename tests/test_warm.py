@@ -26,7 +26,7 @@ from warmproto.errors import (
     EmptyClassError,
     InsufficientPointsError,
 )
-from warmproto.warm import PrototypeSet, resolve_variant
+from warmproto.warm import resolve_variant
 
 
 def full_rank_features(rng, n, d, scale=1.0):
@@ -218,7 +218,7 @@ class TestForwardVariants:
         n = ablation_forward(params, feats, "naive")
         for label in (0, 1):
             np.testing.assert_allclose(
-                w.prototypes.prototypes[label], n.prototypes.prototypes[label], atol=1e-10
+                w.prototypes[label], n.prototypes[label], atol=1e-10
             )
 
     def test_zero_projections_isolate_coloring(self):
@@ -231,7 +231,7 @@ class TestForwardVariants:
             stats = compute_stats(feats[label], 1e-4)
             pool = tokens[:3] if label == 1 else tokens[3:]
             np.testing.assert_allclose(
-                res.prototypes.prototypes[label], pool @ stats.sqrt + stats.mean, atol=1e-12
+                res.prototypes[label], pool @ stats.sqrt + stats.mean, atol=1e-12
             )
 
     def test_matches_stagewise_composition(self):
@@ -245,7 +245,7 @@ class TestForwardVariants:
             pool = params.fg_tokens if label == 1 else params.bg_tokens
             attended = attend_by_definition(pool, z, params)
             expected = color(pool + attended, stats)
-            np.testing.assert_allclose(res.prototypes.prototypes[label], expected, atol=1e-10)
+            np.testing.assert_allclose(res.prototypes[label], expected, atol=1e-10)
 
     def test_naive_single_key_broadcast(self):
         rng = make_rng(15)
@@ -253,15 +253,15 @@ class TestForwardVariants:
         key = rng.standard_normal((1, 4))
         res = ablation_forward(params, {1: key, 0: rng.standard_normal((2, 4))}, "naive")
         expected = params.fg_tokens + key @ params.w_v
-        np.testing.assert_allclose(res.prototypes.prototypes[1], expected, atol=1e-12)
+        np.testing.assert_allclose(res.prototypes[1], expected, atol=1e-12)
 
     def test_naive_zero_value_projection(self):
         rng = make_rng(16)
         tokens = rng.standard_normal((4, 3))
         params = WarmParams(tokens, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), np.zeros((3, 3)))
         res = ablation_forward(params, {1: rng.standard_normal((5, 3)), 0: rng.standard_normal((5, 3))}, "naive")
-        np.testing.assert_allclose(res.prototypes.prototypes[1], tokens[:2], atol=1e-12)
-        np.testing.assert_allclose(res.prototypes.prototypes[0], tokens[2:], atol=1e-12)
+        np.testing.assert_allclose(res.prototypes[1], tokens[:2], atol=1e-12)
+        np.testing.assert_allclose(res.prototypes[0], tokens[2:], atol=1e-12)
 
     def test_whiten_restore_equals_warm(self):
         rng = make_rng(17)
@@ -270,9 +270,7 @@ class TestForwardVariants:
         a = ablation_forward(params, feats, "whiten+restore")
         w = ablation_forward(params, feats, "warm")
         for label in (0, 1):
-            np.testing.assert_array_equal(a.prototypes.prototypes[label], w.prototypes.prototypes[label])
-        assert w.prototypes.provenance == "warm"
-        assert a.prototypes.provenance == "whiten+restore"
+            np.testing.assert_array_equal(a.prototypes[label], w.prototypes[label])
 
     def test_center_on_zero_mean_data_equals_naive(self):
         rng = make_rng(18)
@@ -285,7 +283,7 @@ class TestForwardVariants:
         n_ = ablation_forward(params, feats, "naive")
         for label in (0, 1):
             np.testing.assert_allclose(
-                a.prototypes.prototypes[label], n_.prototypes.prototypes[label], atol=1e-10
+                a.prototypes[label], n_.prototypes[label], atol=1e-10
             )
 
     def test_normalize_equals_whiten_on_diagonal_covariance(self):
@@ -300,8 +298,8 @@ class TestForwardVariants:
             out_w = ablation_forward(params, feats, "whiten" + suffix)
             for label in (0, 1):
                 np.testing.assert_allclose(
-                    out_n.prototypes.prototypes[label],
-                    out_w.prototypes.prototypes[label],
+                    out_n.prototypes[label],
+                    out_w.prototypes[label],
                     atol=1e-10,
                 )
 
@@ -315,7 +313,7 @@ class TestForwardVariants:
             z = whiten(feats[label], stats)
             pool = params.fg_tokens if label == 1 else params.bg_tokens
             attended = attend_by_definition(pool, z, params)
-            np.testing.assert_allclose(res.prototypes.prototypes[label], pool + attended, atol=1e-10)
+            np.testing.assert_allclose(res.prototypes[label], pool + attended, atol=1e-10)
 
     def test_determinism(self):
         rng = make_rng(21)
@@ -324,7 +322,7 @@ class TestForwardVariants:
         a = ablation_forward(params, feats, "warm")
         b = ablation_forward(params, feats, "warm")
         for label in (0, 1):
-            np.testing.assert_array_equal(a.prototypes.prototypes[label], b.prototypes.prototypes[label])
+            np.testing.assert_array_equal(a.prototypes[label], b.prototypes[label])
 
     def test_empty_class_propagates(self):
         rng = make_rng(22)
@@ -340,31 +338,25 @@ class TestForwardVariants:
 
 
 class TestAverageShots:
-    def _set(self, arrs, provenance="warm"):
-        return PrototypeSet({i: a for i, a in enumerate(arrs)}, provenance)
-
     def test_single_set_identity(self):
-        s = self._set([np.ones((2, 3))])
-        out = average_shots([s])
-        np.testing.assert_array_equal(out.prototypes[0], s.prototypes[0])
+        s = {0: np.ones((2, 3))}
+        np.testing.assert_array_equal(average_shots([s])[0], s[0])
 
     def test_identical_sets(self):
-        s = self._set([np.full((2, 2), 3.0)])
-        out = average_shots([s, s])
-        np.testing.assert_array_equal(out.prototypes[0], s.prototypes[0])
+        s = {0: np.full((2, 2), 3.0)}
+        np.testing.assert_array_equal(average_shots([s, s])[0], s[0])
 
     def test_cancellation(self):
-        a = self._set([np.full((2, 2), 2.0)])
-        b = self._set([np.full((2, 2), -2.0)])
-        np.testing.assert_array_equal(average_shots([a, b]).prototypes[0], np.zeros((2, 2)))
+        a, b = {0: np.full((2, 2), 2.0)}, {0: np.full((2, 2), -2.0)}
+        np.testing.assert_array_equal(average_shots([a, b])[0], np.zeros((2, 2)))
 
-    def test_mismatched_provenance(self):
+    def test_mismatched_classes(self):
         with pytest.raises(ArgumentError):
-            average_shots([self._set([np.ones((1, 1))], "warm"), self._set([np.ones((1, 1))], "naive")])
+            average_shots([{0: np.ones((1, 1))}, {1: np.ones((1, 1))}])
 
     def test_mismatched_shapes(self):
         with pytest.raises(ArgumentError):
-            average_shots([self._set([np.ones((1, 2))]), self._set([np.ones((2, 2))])])
+            average_shots([{0: np.ones((1, 2))}, {0: np.ones((2, 2))}])
 
 
 class TestCheckpoint:
