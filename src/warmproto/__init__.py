@@ -56,7 +56,7 @@ from .errors import (  # noqa: E402
     UndefinedMetricError,
     WarmError,
 )
-from .fps import FpsResult, farthest_point_sampling, fps_seed_sweep  # noqa: E402
+from .fps import farthest_point_sampling, fps_seed_sweep  # noqa: E402
 from .linalg import half_powers, pairwise_distances, softmax_rows, sym_eig  # noqa: E402
 from .losses import (  # noqa: E402
     DistanceField,
@@ -70,6 +70,7 @@ from .metrics import (  # noqa: E402
     attention_diversity,
     attention_entropy,
     dispersion_metrics,
+    mean_iou,
     miou,
 )
 from .rng import derive_rng, make_rng  # noqa: E402

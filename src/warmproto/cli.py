@@ -273,8 +273,11 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     cfg = load_experiment_config(args.config)
     variant = parse_method(cfg.method)
-    if args.seed is not None and variant != "fps-min-dist":
-        raise ConfigError(f"--seed picks the FPS starts of method 'fps-min-dist'; method {variant!r} does not read it")
+    if variant != "fps-min-dist":
+        if args.seed is not None:
+            raise ConfigError(f"--seed picks the FPS starts of method 'fps-min-dist'; method {variant!r} does not read it")
+        if args.checkpoint is None:
+            raise ConfigError(f"method {variant!r} needs --checkpoint")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
@@ -283,8 +286,6 @@ def cmd_eval(args) -> None:
         seed = cfg.eval_seed if args.seed is None else args.seed
         report = evaluate_fps(episodes, cfg.fps_tokens, seed)
     else:
-        if args.checkpoint is None:
-            raise ConfigError(f"method {variant!r} needs --checkpoint")
         params, _meta = load_checkpoint(args.checkpoint)
         report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits, worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
@@ -437,7 +438,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         worker_cap()
-        args.func(args)
+        # the finiteness checks report overflow in one NumericError line;
+        # numpy's warnings would precede it. Forked workers inherit this.
+        with np.errstate(all="ignore"):
+            args.func(args)
         return 0
     except (ConfigError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ sweep varies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,20 +16,15 @@ from .episodes import Episode
 from .errors import ArgumentError
 from .files import write_csv
 from .losses import point_distances, predict
-from .metrics import MetricsReport, dispersion_metrics, fg_summaries, miou
+from .metrics import MetricsReport, dispersion_metrics, fg_summaries, mean_iou, miou
 from .rng import derive_rng
 
 _FPS_STREAM = 300
 
 
-@dataclass
-class FpsResult:
-    indices: np.ndarray  # (T,) distinct row indices, selection order
-    subset: np.ndarray  # (T x D) rows of the input at those indices
-
-
-def farthest_point_sampling(features, count: int, rng) -> FpsResult:
-    """Greedy max-min subset of the feature rows.
+def farthest_point_sampling(features, count: int, rng) -> np.ndarray:
+    """Indices (T,) of a greedy max-min subset of the feature rows, in
+    selection order.
 
     The first index is drawn uniformly from rng; every later index
     maximizes the minimum Euclidean distance to the rows already chosen,
@@ -59,7 +54,7 @@ def farthest_point_sampling(features, count: int, rng) -> FpsResult:
         nxt = int(np.argmax(np.where(selected, -np.inf, min_dist)))
         indices[t] = nxt
         selected[nxt] = True
-    return FpsResult(indices=indices, subset=features[indices])
+    return indices
 
 
 def fps_prototypes(support: dict[int, np.ndarray], count: int, rng) -> dict[int, np.ndarray]:
@@ -70,63 +65,44 @@ def fps_prototypes(support: dict[int, np.ndarray], count: int, rng) -> dict[int,
     Classes are processed in sorted order, consuming one start draw each.
     """
     return {
-        label: farthest_point_sampling(feats, min(count, feats.shape[0]), rng).subset
+        label: feats[farthest_point_sampling(feats, min(count, feats.shape[0]), rng)]
         for label, feats in sorted(support.items())
     }
 
 
-@dataclass
-class SweepRow:
-    seed: int
-    mean_miou: float
-    per_class_iou: dict[int, float]
-
-
-def _sweep_rows(episodes: list[Episode], count: int, seeds: list[int]) -> list[SweepRow]:
-    """Per-seed scores over an episode batch, one row per entry of ``seeds``.
+def _sweep_reports(episodes: list[Episode], count: int, seeds: list[int]) -> list[MetricsReport]:
+    """Per-seed scores over an episode batch, one report (mIoU and
+    per-class IoU only) per entry of ``seeds``.
 
     Episode-major: each episode's support is split once and shared by all
     seeds. Episode i of seed s uses the independent stream (s, i), so the
     batch is identical across seeds while the FPS starts vary, and the
     loop order does not change a bit.
     """
-    per_episode = [[] for _ in seeds]
-    per_class_acc = [{} for _ in seeds]
+    ious = [[] for _ in seeds]
     for i, episode in enumerate(episodes):
         support = episode.pooled_support_by_class()
         # free the split before scoring: peak memory then holds the split or a distance field, not both
         protos_by_seed = [fps_prototypes(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
         del support
         truths = np.concatenate([q.labels for q in episode.query])
-        for pos, protos in enumerate(protos_by_seed):
+        for seed_ious, protos in zip(ious, protos_by_seed):
             preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
-            score, per_class = miou(preds, truths, range(episode.n_way + 1))
-            per_episode[pos].append(score)
-            for c, v in per_class.items():
-                per_class_acc[pos].setdefault(c, []).append(v)
-    return [
-        SweepRow(seed, float(np.mean(scores)), {c: float(np.mean(v)) for c, v in sorted(acc.items())})
-        for seed, scores, acc in zip(seeds, per_episode, per_class_acc)
-    ]
+            seed_ious.append(miou(preds, truths, range(episode.n_way + 1)))
+    return [MetricsReport(*mean_iou(seed_ious)) for seed_ious in ious]
 
 
 def evaluate_fps(episodes: list[Episode], count: int, seed: int) -> MetricsReport:
     """Run the baseline over an episode batch with one sweep seed, plus
     the dispersion metrics of the batch."""
-    (row,) = _sweep_rows(episodes, count, [int(seed)])
-    disp = dispersion_metrics([s for episode in episodes for s in fg_summaries(episode)])
-    return MetricsReport(
-        miou=row.mean_miou,
-        per_class_iou=row.per_class_iou,
-        d_intra=disp.d_intra,
-        d_inter=disp.d_inter,
-        d_instance=disp.d_instance,
-    )
+    (report,) = _sweep_reports(episodes, count, [int(seed)])
+    return replace(report, **dispersion_metrics([s for episode in episodes for s in fg_summaries(episode)]))
 
 
 @dataclass
 class SweepResult:
-    rows: list[SweepRow]
+    seeds: list[int]
+    reports: list[MetricsReport]  # one per seed, without dispersion fields
     best: float
     worst: float
     mean: float
@@ -143,10 +119,11 @@ def fps_seed_sweep(episodes: list[Episode], count: int, seeds) -> SweepResult:
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("seed sweep needs at least one seed")
-    rows = _sweep_rows(episodes, count, seeds)
-    scores = np.array([r.mean_miou for r in rows])
+    reports = _sweep_reports(episodes, count, seeds)
+    scores = np.array([r.miou for r in reports])
     return SweepResult(
-        rows=rows,
+        seeds=seeds,
+        reports=reports,
         best=float(scores.max()),
         worst=float(scores.min()),
         mean=float(scores.mean()),
@@ -156,9 +133,9 @@ def fps_seed_sweep(episodes: list[Episode], count: int, seeds) -> SweepResult:
 
 def write_sweep_csv(path, result: SweepResult, class_labels: list[int]) -> None:
     rows = [
-        [row.seed, repr(float(row.mean_miou))]
-        + [repr(float(row.per_class_iou.get(c, float("nan")))) for c in class_labels]
-        for row in result.rows
+        [seed, repr(float(report.miou))]
+        + [repr(float(report.per_class_iou.get(c, float("nan")))) for c in class_labels]
+        for seed, report in zip(result.seeds, result.reports)
     ]
     write_csv(path, ["seed", "mean_miou"] + [f"iou_{c}" for c in class_labels], rows)
 

@@ -1,11 +1,11 @@
 """Diagnostics reported by the benchmark harness.
 
-Mean IoU over classes, the three feature-dispersion quantities
-(same-class episode-center spread, cross-class center distance, point
-spread around an instance center), normalized attention entropy and
-attention-map diversity. The report also carries the mean query/key
-distance inside the attention head, which ``trainer.evaluate`` reads off
-the forward trace.
+Mean IoU over classes, and over a batch for both ``trainer.evaluate``
+and the FPS sweep; the three feature-dispersion quantities (same-class
+episode-center spread, cross-class center distance, point spread around
+an instance center); normalized attention entropy and attention-map
+diversity. The report also carries the mean query/key distance inside
+the attention head, which ``trainer.evaluate`` reads off the forward trace.
 """
 
 from __future__ import annotations
@@ -55,6 +55,20 @@ def miou(pred, truth, class_set) -> tuple[float, dict[int, float]]:
     return float(np.mean(list(per_class.values()))), per_class
 
 
+def mean_iou(episode_ious) -> tuple[float, dict[int, float]]:
+    """Batch mIoU and per-class IoU from each episode's ``miou`` result.
+
+    The mIoU is the mean of the episode scores. Each class's IoU is the
+    mean over only the episodes that have that class, keys sorted.
+    """
+    scores, by_class = [], {}
+    for score, per_class in episode_ious:
+        scores.append(score)
+        for c, value in per_class.items():
+            by_class.setdefault(c, []).append(value)
+    return float(np.mean(scores)), {c: float(np.mean(v)) for c, v in sorted(by_class.items())}
+
+
 @dataclass(frozen=True)
 class FgSummary:
     """Foreground summary of one episode way: class id, support-feature
@@ -79,16 +93,10 @@ def fg_summaries(episode: Episode) -> list[FgSummary]:
     return out
 
 
-@dataclass
-class DispersionReport:
-    d_intra: float | None  # None when no same-class episode pair exists
-    d_inter: float | None  # None when no cross-class episode pair exists
-    d_instance: float
-
-
-def dispersion_metrics(summaries: list[FgSummary]) -> DispersionReport:
+def dispersion_metrics(summaries: list[FgSummary]) -> dict[str, float | None]:
     """Pairwise center distances split by class equality, plus the mean
-    within-instance point spread."""
+    within-instance point spread, as the ``MetricsReport`` fields d_intra,
+    d_inter (None without a same-class or cross-class pair) and d_instance."""
     if not summaries:
         raise ArgumentError("need at least one foreground summary")
     means = np.array([s.mean for s in summaries], dtype=np.float64)
@@ -104,11 +112,11 @@ def dispersion_metrics(summaries: list[FgSummary]) -> DispersionReport:
         intra.append(dists[same])
         inter.append(dists[~same])
     intra, inter = np.concatenate(intra), np.concatenate(inter)
-    return DispersionReport(
-        d_intra=float(np.mean(intra)) if intra.size else None,
-        d_inter=float(np.mean(inter)) if inter.size else None,
-        d_instance=float(np.mean([s.instance_dispersion for s in summaries])),
-    )
+    return {
+        "d_intra": float(np.mean(intra)) if intra.size else None,
+        "d_inter": float(np.mean(inter)) if inter.size else None,
+        "d_instance": float(np.mean([s.instance_dispersion for s in summaries])),
+    }
 
 
 def attention_entropy(weights) -> float:

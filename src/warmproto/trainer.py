@@ -31,6 +31,7 @@ from .metrics import (
     attention_entropy,
     dispersion_metrics,
     fg_summaries,
+    mean_iou,
     miou,
 )
 from .linalg import pairwise_distances
@@ -314,13 +315,13 @@ def make_eval_episodes(
 def _score_episode(
     params: WarmParams, episode: Episode, variant: str, eps: float, scale_logits: bool
 ) -> tuple:
-    """One episode's share of an ``evaluate`` report: its mIoU, per-class IoU,
-    foreground attention entropies, diversities and query/key distances,
-    and foreground summaries."""
+    """One episode's share of an ``evaluate`` report: its (mIoU, per-class
+    IoU), foreground attention entropies, diversities and query/key
+    distances, and foreground summaries."""
     protos, shots = episode_forward(params, episode, variant, eps, scale_logits)
     preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
     truths = np.concatenate([q.labels for q in episode.query])
-    score, per_class = miou(preds, truths, range(episode.n_way + 1))
+    ious = miou(preds, truths, range(episode.n_way + 1))
     entropies, diversities, qk_dists = [], [], []
     for shot_result in shots:
         for way in range(episode.n_way):
@@ -329,7 +330,7 @@ def _score_episode(
             if trace.weights.shape[0] >= 2:
                 diversities.append(attention_diversity(trace.weights))
             qk_dists.append(float(pairwise_distances(trace.q, trace.k).mean()))
-    return score, per_class, entropies, diversities, qk_dists, fg_summaries(episode)
+    return ious, entropies, diversities, qk_dists, fg_summaries(episode)
 
 
 def _score_slice(indices: range, shared: tuple) -> list[tuple]:
@@ -350,9 +351,9 @@ def evaluate(
     """Frozen-parameter evaluation over an episode batch.
 
     IoU aggregates per episode over the episode-local classes and is then
-    averaged. Attention diagnostics (entropy, diversity, query/key
-    distance) are measured on the foreground ways only, averaged over
-    shots, ways and episodes.
+    averaged (``mean_iou``). Attention diagnostics (entropy, diversity,
+    query/key distance) are measured on the foreground ways only,
+    averaged over shots, ways and episodes.
 
     Episodes are scored independently, on up to ``workers`` forked
     processes over contiguous slices of the batch (``_fork_map``). The
@@ -369,19 +370,11 @@ def evaluate(
             )
     shared = (params, episodes, variant, eps, scale_logits)
     (scored,) = _fork_map(_score_slice, [range(len(episodes))], shared, workers)
-    scores, per_class, *lists = zip(*scored)
+    ious, *lists = zip(*scored)
     entropies, diversities, qk_dists, summaries = (list(chain.from_iterable(parts)) for parts in lists)
-    per_class_acc: dict[int, list[float]] = {}
-    for episode_classes in per_class:
-        for c, value in episode_classes.items():
-            per_class_acc.setdefault(c, []).append(value)
-    disp = dispersion_metrics(summaries)
     return MetricsReport(
-        miou=float(np.mean(scores)),
-        per_class_iou={c: float(np.mean(v)) for c, v in sorted(per_class_acc.items())},
-        d_intra=disp.d_intra,
-        d_inter=disp.d_inter,
-        d_instance=disp.d_instance,
+        *mean_iou(ious),
+        **dispersion_metrics(summaries),
         attn_entropy=float(np.mean(entropies)),
         attn_diversity=float(np.mean(diversities)) if diversities else None,
         qk_dist=float(np.mean(qk_dists)),

@@ -150,10 +150,10 @@ class WarmParams:
     def bg_tokens(self) -> np.ndarray:
         return self.tokens[self.num_tokens :]
 
-    def token_pool(self, class_label: int) -> tuple[str, np.ndarray]:
-        if class_label == BACKGROUND:
-            return "bg", self.bg_tokens
-        return "fg", self.fg_tokens
+    def token_rows(self, class_label: int) -> slice:
+        """Rows of ``tokens`` holding the class's pool."""
+        m = self.num_tokens
+        return slice(m, 2 * m) if class_label == BACKGROUND else slice(0, m)
 
     def copy(self) -> "WarmParams":
         return WarmParams(self.tokens.copy(), self.w_q.copy(), self.w_k.copy(), self.w_v.copy())
@@ -192,7 +192,7 @@ def init_params(
 class ClassTrace:
     """Everything the backward pass and the diagnostics need per class."""
 
-    pool: str  # "fg" or "bg"
+    rows: slice  # the class's token pool, as rows of WarmParams.tokens
     keys_in: np.ndarray  # transformed features actually fed to attention
     q: np.ndarray
     k: np.ndarray
@@ -223,8 +223,7 @@ def _class_transform(
         sigma = np.sqrt(np.maximum(np.diagonal(stats.cov), eps))
         keys = (features - stats.mean) / sigma
         return keys, (np.diag(sigma) if restore else None), out_shift
-    keys = (features - stats.mean) @ stats.inv_sqrt  # whiten
-    return keys, (stats.sqrt if restore else None), out_shift
+    return whiten(features, stats), (stats.sqrt if restore else None), out_shift
 
 
 def ablation_forward(
@@ -251,7 +250,8 @@ def ablation_forward(
         features = np.asarray(features_by_class[label], dtype=np.float64)
         if features.shape[0] == 0:
             raise EmptyClassError(f"class {label} has no support features")
-        pool, tokens = params.token_pool(label)
+        rows = params.token_rows(label)
+        tokens = params.tokens[rows]
         keys_in, out_map, out_shift = _class_transform(features, mode, restore, eps)
         q = tokens @ params.w_q
         k = keys_in @ params.w_k
@@ -266,7 +266,7 @@ def ablation_forward(
         if out_shift is not None:
             out = out + out_shift
         prototypes[label] = out
-        traces[label] = ClassTrace(pool, keys_in, q, k, v, weights, attended, out_map, scale_logits)
+        traces[label] = ClassTrace(rows, keys_in, q, k, v, weights, attended, out_map, scale_logits)
     return ForwardResult(prototypes, traces)
 
 
@@ -280,7 +280,6 @@ def warm_backward(
     statistics are treated as constants.
     """
     grads = {name: np.zeros_like(arr) for name, arr in params_as_dict(params).items()}
-    m = params.num_tokens
     for label in sorted(grad_by_class):
         trace = result.per_class.get(label)
         if trace is None:
@@ -300,13 +299,11 @@ def warm_backward(
             d_logits = d_logits / np.sqrt(params.feature_dim)
         d_q = d_logits @ trace.k
         d_k = d_logits.T @ trace.q
-        _, tokens = params.token_pool(label)
-        grads["w_q"] += tokens.T @ d_q
+        grads["w_q"] += params.tokens[trace.rows].T @ d_q
         grads["w_k"] += trace.keys_in.T @ d_k
         grads["w_v"] += trace.keys_in.T @ d_v
         d_tokens = d_mid + d_q @ params.w_q.T
-        block = slice(0, m) if trace.pool == "fg" else slice(m, 2 * m)
-        grads["tokens"][block] += d_tokens
+        grads["tokens"][trace.rows] += d_tokens
     return grads
 
 

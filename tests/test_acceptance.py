@@ -135,7 +135,7 @@ class TestAcceptance:
             d = int(rng.integers(1, 4))
             feats = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 4.0))
             for start in range(n):
-                got = farthest_point_sampling(feats, n, FixedStart(start)).indices.tolist()
+                got = farthest_point_sampling(feats, n, FixedStart(start)).tolist()
                 expected = fps_oracle(feats, n, start)
                 if got != expected:
                     mismatched.append((n, d, start))

@@ -5,6 +5,8 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -563,6 +565,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: non-finite loss or gradient at step 0 of variant 'naive'")
         assert "seed=0" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("verb", ["train", "ablate"])
+    def test_numeric_failure_is_one_stderr_line(self, tmp_path, verb):
+        # as a program, without pytest's warning capture; ablate's two grid workers
+        # overflow too, in forked processes
+        generator = dict(
+            SMALL_CONFIG["generator"], inter_class_scale=1e200, intra_class_scale=0.0, instance_spread=1.0
+        )
+        train_cfg = dict(SMALL_CONFIG["train"], episodes_per_epoch=2)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, method="naive", generator=generator, train=train_cfg)))
+        env = dict(os.environ, WARM_THREADS="2", OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "warmproto.cli", verb, "--config", str(path), "--out", str(tmp_path / "o")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2
+        assert done.stderr.startswith("numeric failure: non-finite loss or gradient at step 0 of variant ")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+
+    def test_eval_without_checkpoint_exit_1_before_any_work(self, config_path, tmp_path, monkeypatch, capsys):
+        def no_batch(*args):
+            raise AssertionError("the eval batch was built")
+
+        monkeypatch.setattr(cli, "_eval_batch", no_batch)
+        out = tmp_path / "o"
+        assert main(["eval", "--config", str(config_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: method 'warm' needs --checkpoint\n"
+        assert not out.exists()
 
     def test_unknown_command_exit_1(self):
         assert main(["frobnicate"]) == 1

@@ -154,9 +154,9 @@ class TestGenEpisode:
         for i in range(100):
             summaries.extend(fg_summaries(gen_episode(cfg, make_rng(i))))
         rep = dispersion_metrics(summaries)
-        assert rep.d_inter is not None and rep.d_intra is not None
-        assert rep.d_inter > rep.d_intra > 0
-        assert rep.d_instance > 0
+        assert rep["d_inter"] is not None and rep["d_intra"] is not None
+        assert rep["d_inter"] > rep["d_intra"] > 0
+        assert rep["d_instance"] > 0
 
     def test_dispersion_calibration_at_defaults(self):
         # token spread for a fresh init is ~std*sqrt(2D); instances must dwarf it
@@ -165,9 +165,9 @@ class TestGenEpisode:
         for i in range(100):
             summaries.extend(fg_summaries(gen_episode(cfg, make_rng(i))))
         rep = dispersion_metrics(summaries)
-        assert rep.d_inter > rep.d_intra > 0
+        assert rep["d_inter"] > rep["d_intra"] > 0
         token_dispersion = 0.02 * np.sqrt(2 * cfg.feature_dim)
-        assert rep.d_instance > 10 * token_dispersion
+        assert rep["d_instance"] > 10 * token_dispersion
 
 
 class TestSplitFgBg:

@@ -50,14 +50,14 @@ class TestFarthestPointSampling:
     def test_one_dimensional_hand_case(self):
         feats = np.array([[0.0], [1.0], [10.0]])
         res = farthest_point_sampling(feats, 2, FixedStart(0))
-        np.testing.assert_array_equal(res.indices, [0, 2])
-        np.testing.assert_array_equal(res.subset, [[0.0], [10.0]])
+        np.testing.assert_array_equal(res, [0, 2])
+        np.testing.assert_array_equal(feats[res], [[0.0], [10.0]])
 
     def test_exhaustion_is_permutation(self):
         rng = make_rng(1)
         feats = rng.standard_normal((9, 3))
         res = farthest_point_sampling(feats, 9, rng)
-        assert sorted(res.indices.tolist()) == list(range(9))
+        assert sorted(res.tolist()) == list(range(9))
 
     def test_matches_oracle_every_step(self):
         rng = make_rng(2)
@@ -67,18 +67,18 @@ class TestFarthestPointSampling:
             feats = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 5.0))
             for start in range(n):
                 res = farthest_point_sampling(feats, n, FixedStart(start))
-                assert res.indices.tolist() == fps_oracle(feats, n, start)
+                assert res.tolist() == fps_oracle(feats, n, start)
 
     def test_indices_distinct_with_duplicate_points(self):
         feats = np.zeros((5, 2))
         res = farthest_point_sampling(feats, 5, FixedStart(3))
-        assert sorted(res.indices.tolist()) == list(range(5))
+        assert sorted(res.tolist()) == list(range(5))
 
     def test_deterministic_given_seed(self):
         feats = make_rng(3).standard_normal((50, 4))
         a = farthest_point_sampling(feats, 10, make_rng(77))
         b = farthest_point_sampling(feats, 10, make_rng(77))
-        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a, b)
 
     def test_permutation_equivariance(self):
         rng = make_rng(4)
@@ -86,8 +86,8 @@ class TestFarthestPointSampling:
         perm = rng.permutation(12)
         res = farthest_point_sampling(feats, 5, FixedStart(7))
         res_p = farthest_point_sampling(feats[perm], 5, FixedStart(int(np.flatnonzero(perm == 7)[0])))
-        set_a = sorted(map(tuple, res.subset))
-        set_b = sorted(map(tuple, res_p.subset))
+        set_a = sorted(map(tuple, feats[res]))
+        set_b = sorted(map(tuple, feats[perm][res_p]))
         assert set_a == set_b
 
     def test_rejects_count_out_of_range(self):
@@ -136,8 +136,8 @@ class TestFpsMatchesNormRows:
         count = min(count, n)
         res = farthest_point_sampling(feats, count, make_rng(seed + 1))
         indices, subset = fps_norm_rows(feats, count, make_rng(seed + 1))
-        np.testing.assert_array_equal(res.indices, indices)
-        np.testing.assert_array_equal(res.subset, subset)
+        np.testing.assert_array_equal(res, indices)
+        np.testing.assert_array_equal(feats[res], subset)
 
     def test_few_distinct_rows_force_ties(self):
         rng = make_rng(9)
@@ -145,9 +145,9 @@ class TestFpsMatchesNormRows:
         feats = base[rng.integers(5, size=700)]
         for start in range(0, 700, 50):
             res = farthest_point_sampling(feats, 16 if start % 100 else 5, FixedStart(start))
-            indices, subset = fps_norm_rows(feats, res.indices.size, FixedStart(start))
-            np.testing.assert_array_equal(res.indices, indices)
-            np.testing.assert_array_equal(res.subset, subset)
+            indices, subset = fps_norm_rows(feats, res.size, FixedStart(start))
+            np.testing.assert_array_equal(res, indices)
+            np.testing.assert_array_equal(feats[res], subset)
 
 
 class TestMinDistClassify:
@@ -212,7 +212,7 @@ class TestFpsSeedSweep:
 
     def test_single_seed_summary(self):
         res = fps_seed_sweep(self._identical_episode(), 4, [0])
-        assert res.best == res.worst == res.mean == res.rows[0].mean_miou
+        assert res.best == res.worst == res.mean == res.reports[0].miou
 
     def test_spread_positive_on_default_benchmark(self):
         cfg = GeneratorConfig()
@@ -231,17 +231,17 @@ class TestFpsSeedSweep:
         episodes = make_eval_episodes(cfg, 4, 31, "novel")
         seeds = [3, 0, 3]
         res = fps_seed_sweep(episodes, 5, seeds)
-        assert [row.seed for row in res.rows] == seeds
-        for row in res.rows:
-            report = evaluate_fps(episodes, 5, row.seed)
-            assert row.mean_miou == report.miou
+        assert res.seeds == seeds
+        for seed, row in zip(res.seeds, res.reports):
+            report = evaluate_fps(episodes, 5, seed)
+            assert row.miou == report.miou
             assert row.per_class_iou == report.per_class_iou
             # independent seed-major reference; 300 is the sweep's stream key
             scores = []
             for i, ep in enumerate(episodes):
-                protos = fps_prototypes(ep.pooled_support_by_class(), 5, derive_rng(row.seed, 300, i))
+                protos = fps_prototypes(ep.pooled_support_by_class(), 5, derive_rng(seed, 300, i))
                 preds = np.concatenate([predict(point_distances(q.features, protos)) for q in ep.query])
                 truth = np.concatenate([q.labels for q in ep.query])
                 scores.append(miou(preds, truth, range(cfg.n_way + 1))[0])
-            assert row.mean_miou == float(np.mean(scores))
-        assert res.rows[0] == res.rows[2]
+            assert row.miou == float(np.mean(scores))
+        assert res.reports[0] == res.reports[2]

@@ -12,6 +12,7 @@ from warmproto import (
     dispersion_metrics,
     make_rng,
     ablation_forward,
+    mean_iou,
     miou,
     pairwise_distances,
 )
@@ -163,24 +164,51 @@ class TestMiouConfusionCounts:
             assert_same_as_loop(rng.integers(0, k, 512), rng.integers(0, k, 512), range(k))
 
 
+class TestMeanIou:
+    def test_class_mean_over_only_the_episodes_that_have_it(self):
+        # class 2 is missing from episode 1 and class 0 from episode 2
+        episodes = [
+            (0.5, {2: 0.75, 0: 0.25}),
+            (0.25, {1: 0.5, 0: 0.0}),
+            (1.0, {2: 0.5, 1: 1.0}),
+        ]
+        score, per_class = mean_iou(episodes)
+        assert score == float(np.mean([0.5, 0.25, 1.0]))
+        assert per_class == {0: 0.125, 1: 0.75, 2: 0.625}
+        assert list(per_class) == [0, 1, 2]
+
+    def test_equals_per_episode_miou_loop(self):
+        rng = make_rng(6)
+        results = []
+        for _ in range(30):
+            k = int(rng.integers(2, 5))
+            classes = rng.choice(6, size=k, replace=False)
+            results.append(miou(rng.choice(classes, 40), rng.choice(classes, 40), classes.tolist()))
+        score, per_class = mean_iou(iter(results))
+        assert score == float(np.mean([r[0] for r in results]))
+        for c, value in per_class.items():
+            assert value == float(np.mean([r[1][c] for r in results if c in r[1]]))
+        assert list(per_class) == sorted({c for r in results for c in r[1]})
+
+
 class TestDispersion:
     def test_identical_means_zero_intra(self):
         mu = np.ones(3)
         rep = dispersion_metrics([FgSummary(4, mu, 1.0), FgSummary(4, mu.copy(), 2.0)])
-        assert rep.d_intra == 0.0
-        assert rep.d_inter is None
-        assert rep.d_instance == pytest.approx(1.5)
+        assert rep["d_intra"] == 0.0
+        assert rep["d_inter"] is None
+        assert rep["d_instance"] == pytest.approx(1.5)
 
     def test_three_four_five_inter(self):
         rep = dispersion_metrics(
             [FgSummary(1, np.array([0.0, 0.0]), 0.0), FgSummary(2, np.array([3.0, 4.0]), 0.0)]
         )
-        assert rep.d_inter == pytest.approx(5.0)
-        assert rep.d_intra is None
+        assert rep["d_inter"] == pytest.approx(5.0)
+        assert rep["d_intra"] is None
 
     def test_zero_instance_dispersion(self):
         rep = dispersion_metrics([FgSummary(1, np.zeros(2), 0.0)])
-        assert rep.d_instance == 0.0
+        assert rep["d_instance"] == 0.0
 
     def test_rotation_invariance(self):
         rng = make_rng(2)
@@ -189,8 +217,8 @@ class TestDispersion:
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         plain = dispersion_metrics([FgSummary(i, m, 1.0) for i, m in zip(ids, mus)])
         rotated = dispersion_metrics([FgSummary(i, q @ m, 1.0) for i, m in zip(ids, mus)])
-        assert plain.d_intra == pytest.approx(rotated.d_intra, abs=1e-10)
-        assert plain.d_inter == pytest.approx(rotated.d_inter, abs=1e-10)
+        assert plain["d_intra"] == pytest.approx(rotated["d_intra"], abs=1e-10)
+        assert plain["d_inter"] == pytest.approx(rotated["d_inter"], abs=1e-10)
 
 
     def test_matches_pairwise_norm_loop_exactly(self):
@@ -205,8 +233,8 @@ class TestDispersion:
                     same = summaries[i].class_id == summaries[j].class_id
                     (intra if same else inter).append(dist)
             rep = dispersion_metrics(summaries)
-            assert rep.d_intra == (float(np.mean(intra)) if intra else None)
-            assert rep.d_inter == (float(np.mean(inter)) if inter else None)
+            assert rep["d_intra"] == (float(np.mean(intra)) if intra else None)
+            assert rep["d_inter"] == (float(np.mean(inter)) if inter else None)
 
 
 class TestAttentionEntropy:
