@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import typing
@@ -27,7 +28,7 @@ from .episodes import GeneratorConfig, gen_episode, load_episode, save_episode
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .files import atomic_write, write_csv
 from .fps import evaluate_fps, fps_seed_sweep, write_sweep_csv, write_sweep_summary_csv
-from .metrics import MetricsReport, write_metrics_csv
+from .metrics import write_metrics_csv
 from .rng import derive_rng
 from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, run_grid, train
 from .warm import ABLATION_GRID, MODES, VARIANTS, load_checkpoint
@@ -56,11 +57,14 @@ class ExperimentConfig:
         for name in ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("eval_seed", "gen_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("eval_split", "gen_split"):
             if getattr(self, name) not in ("base", "novel"):
                 raise ConfigError(f"{name} must be 'base' or 'novel', got {getattr(self, name)!r}")
-        if not self.seeds:
-            raise ConfigError("seeds must be a nonempty list")
+        if not self.seeds or any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be a nonempty list of seeds >= 0, got {list(self.seeds)}")
         if not self.token_counts or any(m < 1 for m in self.token_counts):
             raise ConfigError("token_counts must be a nonempty list of counts >= 1")
 
@@ -91,14 +95,15 @@ def parse_method(method: str) -> str:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value has a config field's annotated type. JSON
-    integers are valid floats; booleans are neither integers nor floats."""
+    integers are valid floats, non-finite floats are not; booleans are
+    neither integers nor floats."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # the length is left to validate()
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
     if args:  # X | None
         return any(_fits(value, a) for a in args)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is float:  # json.loads reads NaN and Infinity as floats
+        return _fits(value, int) or isinstance(value, float) and math.isfinite(value)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, hint)
@@ -152,24 +157,13 @@ def load_experiment_config(path) -> ExperimentConfig:
     return cfg
 
 
-def config_dict(cfg: ExperimentConfig) -> dict:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        return obj
-
-    return clean(asdict(cfg))
-
-
-def config_sha256(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+def config_sha256(cfg: ExperimentConfig) -> str:
+    # json.dumps writes asdict's tuples as lists, as the config file has them
+    return hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()
 
 
 def write_sidecar(path, command: str, cfg: ExperimentConfig) -> None:
-    payload = {"command": command, "config": config_dict(cfg)}
-    payload["config_sha256"] = config_sha256(payload["config"])
+    payload = {"command": command, "config": asdict(cfg), "config_sha256": config_sha256(cfg)}
     atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -213,31 +207,25 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_episode_dir(data_dir) -> list:
+def _eval_batch(cfg: ExperimentConfig, data_dir):
+    if data_dir is None:
+        return make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed, cfg.eval_split)
     paths = sorted(Path(data_dir).glob("*.warmep"))
     if not paths:
         raise ArgumentError(f"no .warmep episode files under {data_dir}")
-    return [load_episode(p) for p in paths]
-
-
-def _eval_batch(cfg: ExperimentConfig, data_dir):
-    if data_dir is not None:
-        return _load_episode_dir(data_dir)
-    return make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed, cfg.eval_split)
+    episodes = [load_episode(p) for p in paths]
+    # the grids train at the config's D before they score the batch
+    _check_batch(episodes, "D", cfg.generator.feature_dim, lambda e: e.support[0].feature_dim)
+    return episodes
 
 
 def _check_batch(episodes, name: str, expected: int, value) -> None:
     """Raise ConfigError at the first episode whose ``value(episode)``
-    differs from the config's ``expected``: a batch from ``--data`` must
-    have the config's ways (the per-class columns follow the config) and
-    D (the grid trains at the config's D before it scores the batch)."""
+    differs from the config's ``expected``. ``eval`` and ``sweep-fps``
+    check the ways too: their per-class columns follow the config."""
     for i, episode in enumerate(episodes):
         if value(episode) != expected:
             raise ConfigError(f"config has {name}={expected} but episode {i} has {name}={value(episode)}")
-
-
-def _feature_dim(episode) -> int:
-    return episode.support[0].feature_dim
 
 
 def cmd_gen(args) -> None:
@@ -263,7 +251,7 @@ def cmd_train(args) -> None:
         cfg.generator,
         variant=variant,
         out_dir=out,
-        config_hash=config_sha256(config_dict(cfg)),
+        config_hash=config_sha256(cfg),
     )
     write_sidecar(out / "train_config.json", "train", cfg)
     final = run.log[-1][3] if run.log else float("nan")
@@ -281,7 +269,6 @@ def cmd_eval(args) -> None:
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
-    _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     if variant == "fps-min-dist":
         seed = cfg.eval_seed if args.seed is None else args.seed
         report = evaluate_fps(episodes, cfg.fps_tokens, seed)
@@ -297,12 +284,9 @@ def cmd_eval(args) -> None:
 def cmd_sweep_fps(args) -> None:
     cfg = load_experiment_config(args.config)
     n_seeds = cfg.fps_seeds if args.seeds is None else args.seeds
-    if n_seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
-    _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     result = fps_seed_sweep(episodes, cfg.fps_tokens, range(n_seeds))
     labels = list(range(cfg.generator.n_way + 1))
     write_sweep_csv(out / "sweep.csv", result, labels)
@@ -314,29 +298,16 @@ def cmd_sweep_fps(args) -> None:
     )
 
 
-def _grid_reports(
-    seed_runs: list[list[tuple[TrainConfig, str]]], generator: GeneratorConfig, episodes
-) -> list[list[MetricsReport]]:
-    """Train each seed's runs in lockstep on shared episodes and score
-    each on the batch, on ``worker_cap()`` processes; reports per seed,
-    in run order."""
-    grid = run_grid(seed_runs, generator, episodes, worker_cap())
-    return [[report for _, report in row] for row in grid]
-
-
 def cmd_ablate(args) -> None:
     cfg = load_experiment_config(args.config)
     seeds = list(cfg.seeds) if args.seeds is None else list(range(args.seeds))
-    if not seeds:
-        raise ConfigError("ablation grid needs at least one seed")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
-    _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in seeds]
     rows = [
         [variant, seed, repr(float(report.qk_dist)), repr(float(report.miou))]
-        for seed, reports in zip(seeds, _grid_reports(seed_runs, cfg.generator, episodes))
-        for variant, report in zip(ABLATION_GRID, reports)
+        for seed, row in zip(seeds, run_grid(seed_runs, cfg.generator, episodes, worker_cap()))
+        for variant, (_, report) in zip(ABLATION_GRID, row)
     ]
     write_csv(out / "ablation.csv", ["variant", "seed", "qk_dist", "miou"], rows)
     write_sidecar(out / "ablation_config.json", "ablate", cfg)
@@ -350,12 +321,11 @@ def cmd_token_sweep(args) -> None:
         raise ConfigError("token-sweep needs a trainable method")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
-    _check_batch(episodes, "D", cfg.generator.feature_dim, _feature_dim)
     counts = [int(m) for m in cfg.token_counts]
     seed_runs = [[(replace(cfg.train, seed=seed, num_tokens=m), variant) for m in counts] for seed in cfg.seeds]
-    reports = _grid_reports(seed_runs, cfg.generator, episodes)
+    grid = run_grid(seed_runs, cfg.generator, episodes, worker_cap())
     # per token count, one mIoU per seed in seed order
-    scores = [[row[j].miou for row in reports] for j in range(len(counts))]
+    scores = zip(*[[report.miou for _, report in row] for row in grid])
     rows = [[m, repr(float(np.mean(s))), repr(float(np.std(s)))] for m, s in zip(counts, scores)]
     write_csv(out / "token_sweep.csv", ["M", "miou_mean", "miou_std"], rows)
     write_sidecar(out / "token_sweep_config.json", "token-sweep", cfg)
@@ -437,6 +407,10 @@ def main(argv=None) -> int:
             return 1
         return 0 if exc.code in (0, None) else 1
     try:
+        for flag, low in (("seed", 0), ("seeds", 1)):
+            value = getattr(args, flag, None)
+            if value is not None and value < low:
+                raise ConfigError(f"--{flag} must be >= {low}, got {value}")
         worker_cap()
         # the finiteness checks report overflow in one NumericError line;
         # numpy's warnings would precede it. Forked workers inherit this.

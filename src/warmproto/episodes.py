@@ -157,6 +157,8 @@ class GeneratorConfig:
             raise ConfigError(f"min_fg_points must be >= 2, got {self.min_fg_points}")
         if self.bg_components < 1:
             raise ConfigError(f"bg_components must be >= 1, got {self.bg_components}")
+        if self.seed < 0:
+            raise ConfigError(f"generator seed must be >= 0, got {self.seed}")
         for name in ("inter_class_scale", "intra_class_scale", "instance_spread"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -175,7 +177,7 @@ class GeneratorConfig:
                     f"{split_name} needs more than n_way={self.n_way} classes to supply distractors"
                 )
         floor_fg = int(self.points_per_cloud * _FG_FRACTION[0])
-        if floor_fg < self.n_way * self.min_fg_points or floor_fg < self.min_fg_points:
+        if floor_fg < self.n_way * self.min_fg_points:
             raise ConfigError(
                 f"points_per_cloud={self.points_per_cloud} too small for "
                 f"{self.n_way} ways at min_fg_points={self.min_fg_points}"
@@ -232,28 +234,19 @@ def _fg_budget(rng: np.random.Generator, cfg: GeneratorConfig, ways: int) -> int
     return min(n_fg, total - cfg.min_fg_points)
 
 
-def _support_cloud(
-    rng: np.random.Generator, cfg: GeneratorConfig, way_label: int, way_class: int, distractors: list[int]
+def _cloud(
+    rng: np.random.Generator, cfg: GeneratorConfig, ways: list[tuple[int, int]], distractors: list[int]
 ) -> PointCloud:
-    n_fg = _fg_budget(rng, cfg, ways=1)
-    fg_center = class_center(cfg, way_class) + cfg.intra_class_scale * rng.standard_normal(cfg.feature_dim)
-    fg = _instance_points(rng, cfg, fg_center, n_fg)
-    bg = _background_points(rng, cfg, distractors, cfg.points_per_cloud - n_fg)
-    features = np.vstack([fg, bg])
-    labels = np.concatenate([np.full(n_fg, way_label, dtype=np.int64), np.zeros(len(bg), dtype=np.int64)])
-    perm = rng.permutation(cfg.points_per_cloud)
-    return PointCloud(features[perm], labels[perm])
-
-
-def _query_cloud(rng: np.random.Generator, cfg: GeneratorConfig, class_ids: list[int], distractors: list[int]) -> PointCloud:
-    n_fg = _fg_budget(rng, cfg, ways=cfg.n_way)
-    base, extra = divmod(n_fg, cfg.n_way)
+    """A cloud with one instance per (label, class) way (one for a support
+    cloud, every way for a query) over a background of distractors."""
+    n_fg = _fg_budget(rng, cfg, len(ways))
+    base, extra = divmod(n_fg, len(ways))
     feature_parts, label_parts = [], []
-    for way, cls in enumerate(class_ids):
-        n_w = base + (1 if way < extra else 0)
+    for i, (label, cls) in enumerate(ways):
+        n_w = base + (1 if i < extra else 0)
         center = class_center(cfg, cls) + cfg.intra_class_scale * rng.standard_normal(cfg.feature_dim)
         feature_parts.append(_instance_points(rng, cfg, center, n_w))
-        label_parts.append(np.full(n_w, way + 1, dtype=np.int64))
+        label_parts.append(np.full(n_w, label, dtype=np.int64))
     bg = _background_points(rng, cfg, distractors, cfg.points_per_cloud - n_fg)
     feature_parts.append(bg)
     label_parts.append(np.zeros(len(bg), dtype=np.int64))
@@ -282,11 +275,9 @@ def gen_episode(cfg: GeneratorConfig, rng: np.random.Generator, split: str = "ba
     rest = [c for c in pool if c not in ways]
     distractors = [int(c) for c in rng.choice(rest, size=min(cfg.bg_components, len(rest)), replace=False)]
     support = [
-        _support_cloud(rng, cfg, way + 1, ways[way], distractors)
-        for way in range(cfg.n_way)
-        for _ in range(cfg.k_shot)
+        _cloud(rng, cfg, [(label, cls)], distractors) for label, cls in enumerate(ways, 1) for _ in range(cfg.k_shot)
     ]
-    query = [_query_cloud(rng, cfg, ways, distractors) for _ in range(cfg.num_query)]
+    query = [_cloud(rng, cfg, list(enumerate(ways, 1)), distractors) for _ in range(cfg.num_query)]
     return Episode(cfg.n_way, cfg.k_shot, support, query, ways)
 
 

@@ -99,16 +99,14 @@ def margin_loss(field: DistanceField, truth, margin: float = 0.0) -> float:
 def margin_loss_grad(
     query: np.ndarray, protos: Mapping[int, np.ndarray], field: DistanceField, truth, margin: float = 0.0
 ) -> dict[int, np.ndarray]:
-    """Gradient of margin_loss with respect to each class's prototypes."""
-    query = np.asarray(query, dtype=np.float64)
-    mapping = _proto_mapping(protos)
+    """Gradient of margin_loss with respect to each class's prototypes;
+    ``field`` is ``point_distances(query, protos)``, which checked them."""
     pos_rows, neg_rows, d_pos, d_neg = _pos_neg(field, truth)
     active = (d_pos - d_neg + margin) > 0
-    cols = np.arange(query.shape[0])
-    grads = {label: np.zeros_like(mapping[label]) for label in mapping}
+    grads = {}
     for i, label in enumerate(field.class_labels):
-        p = mapping[label]
-        g = grads[label]
+        p = protos[label]
+        g = grads[label] = np.zeros_like(p)
         sel = active & (pos_rows == i) & (d_pos > 0)
         if np.any(sel):
             idx = field.nearest[i, sel]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import Episode, GeneratorConfig, gen_episode
-from .errors import ArgumentError, CheckpointError, ConfigError, NumericError, WarmError
+from .errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from .files import write_csv
 from .losses import margin_loss, margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
@@ -96,6 +96,8 @@ class TrainConfig:
             raise ConfigError("lam and margin must be >= 0")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
         if self.num_tokens < 1:
             raise ConfigError(f"num_tokens must be >= 1, got {self.num_tokens}")
         if self.grad_clip is not None and not self.grad_clip > 0:
@@ -146,10 +148,10 @@ def apply_update(
     return WarmParams(**new_params), OptimizerState(new_m, new_v, t)
 
 
-def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
-    """Step-granular schedule: decayed once past each milestone fraction."""
-    m1 = int(np.floor(cfg.lr_milestones[0] * total_steps))
-    m2 = int(np.floor(cfg.lr_milestones[1] * total_steps))
+def lr_at(cfg: TrainConfig, step: int) -> float:
+    """Step-granular schedule: decayed once past each milestone fraction of the run."""
+    m1 = int(np.floor(cfg.lr_milestones[0] * cfg.total_steps))
+    m2 = int(np.floor(cfg.lr_milestones[1] * cfg.total_steps))
     return cfg.lr * cfg.lr_decay_factor ** (int(step >= m1) + int(step >= m2))
 
 
@@ -193,7 +195,6 @@ class TrainRun:
     cfg: TrainConfig
     variant: str
     params: WarmParams
-    initial: WarmParams
     state: OptimizerState | None
     log: list[tuple] = field(default_factory=list)
     wall: list[float] = field(default_factory=list)
@@ -203,7 +204,7 @@ class TrainRun:
         params = init_params(
             gen_cfg.feature_dim, cfg.num_tokens, derive_rng(cfg.seed, _INIT_STREAM), cfg.token_std
         )
-        return cls(cfg, variant, params, params.copy(), init_optimizer(params))
+        return cls(cfg, variant, params, init_optimizer(params))
 
     def step(self, episode: Episode, step: int) -> None:
         """Forward, loss, backward and one update on this step's episode.
@@ -212,7 +213,7 @@ class TrainRun:
         seed in the message rather than propagating NaNs.
         """
         cfg, params = self.cfg, self.params
-        lr = lr_at(cfg, step, cfg.total_steps)
+        lr = lr_at(cfg, step)
         protos, shots = episode_forward(params, episode, self.variant, cfg.eps, cfg.scale_logits)
         margin, sim, total, grad_by_class = episode_loss(protos, episode, cfg.lam, cfg.margin)
         per_shot = {label: g / episode.k_shot for label, g in grad_by_class.items()}
@@ -254,14 +255,9 @@ def train_grid(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) ->
     if any(cfg.seed != seed or cfg.total_steps != steps for cfg, _ in runs):
         raise ArgumentError("grid runs must share the seed and the step count")
     states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in runs]
-    base_set = set(gen_cfg.base_classes)
     for step in range(steps):
         started = time.perf_counter()
         episode = gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
-        if not set(episode.class_ids) <= base_set:
-            raise WarmError(
-                f"training episode drew novel classes {sorted(set(episode.class_ids) - base_set)}"
-            )
         gen_ms = (time.perf_counter() - started) * 1e3
         for run in states:
             run_started = time.perf_counter()
@@ -280,7 +276,7 @@ def train(
     """Full training run; optionally persists checkpoint, log and timing.
 
     The single-run case of ``train_grid``. Episodes come from the base
-    split only (checked every step).
+    split only.
     """
     (run,) = train_grid([(cfg, variant)], gen_cfg)
     if out_dir is not None:

@@ -62,7 +62,6 @@ class WhitenStats:
     cov: np.ndarray
     inv_sqrt: np.ndarray
     sqrt: np.ndarray
-    eps: float
 
 
 def compute_stats(features: np.ndarray, eps: float = 1e-4) -> WhitenStats:
@@ -83,7 +82,7 @@ def compute_stats(features: np.ndarray, eps: float = 1e-4) -> WhitenStats:
     cov = centered.T @ centered / (features.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
     inv_sqrt, sqrt = half_powers(cov, eps)
-    return WhitenStats(mean=mean, cov=cov, inv_sqrt=inv_sqrt, sqrt=sqrt, eps=eps)
+    return WhitenStats(mean=mean, cov=cov, inv_sqrt=inv_sqrt, sqrt=sqrt)
 
 
 def whiten(features: np.ndarray, stats: WhitenStats) -> np.ndarray:
@@ -142,21 +141,10 @@ class WarmParams:
     def feature_dim(self) -> int:
         return self.tokens.shape[1]
 
-    @property
-    def fg_tokens(self) -> np.ndarray:
-        return self.tokens[: self.num_tokens]
-
-    @property
-    def bg_tokens(self) -> np.ndarray:
-        return self.tokens[self.num_tokens :]
-
     def token_rows(self, class_label: int) -> slice:
         """Rows of ``tokens`` holding the class's pool."""
         m = self.num_tokens
         return slice(m, 2 * m) if class_label == BACKGROUND else slice(0, m)
-
-    def copy(self) -> "WarmParams":
-        return WarmParams(self.tokens.copy(), self.w_q.copy(), self.w_k.copy(), self.w_v.copy())
 
 
 PARAM_NAMES = ("tokens", "w_q", "w_k", "w_v")
@@ -338,27 +326,29 @@ def save_checkpoint(path, params: WarmParams, seed: int, config_hash: str = "") 
 
 
 def load_checkpoint(path) -> tuple[WarmParams, dict]:
-    """Read a checkpoint back; shape inconsistencies raise CheckpointError."""
+    """Read a checkpoint back; malformed or inconsistent content raises CheckpointError."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint {path} must hold a JSON object at the top level")
     required = {"version", "feature_dim", "num_tokens", "seed", "tokens", "w_q", "w_k", "w_v"}
     missing = required - payload.keys()
     if missing:
         raise CheckpointError(f"checkpoint {path} is missing fields {sorted(missing)}")
     if payload["version"] != 1:
         raise CheckpointError(f"unsupported checkpoint version {payload['version']}")
-    d, m = int(payload["feature_dim"]), int(payload["num_tokens"])
     try:
+        d, m = int(payload["feature_dim"]), int(payload["num_tokens"])
         params = WarmParams(
             tokens=np.array(payload["tokens"], dtype=np.float64),
             w_q=np.array(payload["w_q"], dtype=np.float64),
             w_k=np.array(payload["w_k"], dtype=np.float64),
             w_v=np.array(payload["w_v"], dtype=np.float64),
         )
-    except (ValueError, ArgumentError) as exc:
-        raise CheckpointError(f"checkpoint {path} holds malformed arrays: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # ArgumentError is a ValueError
+        raise CheckpointError(f"checkpoint {path} holds malformed values: {exc}") from exc
     if params.feature_dim != d or params.num_tokens != m:
         raise CheckpointError(
             f"checkpoint arrays are ({params.num_tokens} tokens, D={params.feature_dim}) "

@@ -16,9 +16,10 @@ import pytest
 from warmproto import cli, trainer
 from warmproto.cli import BLAS_THREAD_VARS, load_experiment_config, main, parse_method, worker_cap
 from warmproto.episodes import load_episode, save_episode
-from warmproto.errors import ConfigError, NumericError
+from warmproto.errors import CheckpointError, ConfigError, NumericError
+from warmproto.rng import make_rng
 from warmproto.trainer import evaluate, make_eval_episodes, train
-from warmproto.warm import ABLATION_GRID
+from warmproto.warm import ABLATION_GRID, init_params, load_checkpoint, save_checkpoint
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -96,6 +97,26 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"'{field}'" in err
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            pytest.param({"train": {"weight_decay": float("nan")}}, "weight_decay", id="weight_decay-NaN"),
+            pytest.param({"generator": {"instance_spread": float("inf")}}, "instance_spread", id="spread-Infinity"),
+            pytest.param({"train": {"lam": float("nan")}}, "lam", id="lam-NaN"),
+            pytest.param({"train": {"lr_milestones": [0.6, -float("inf")]}}, "lr_milestones", id="milestone-Infinity"),
+        ],
+    )
+    def test_non_finite_json_float_exit_1(self, tmp_path, capsys, data, field):
+        path = tmp_path / "c.json"
+        text = json.dumps(data)  # the NaN and Infinity literals, which json.loads reads back
+        assert "NaN" in text or "Infinity" in text
+        path.write_text(text)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{field}'" in err
+        assert not (tmp_path / "o").exists()
 
     def test_json_integers_fill_float_fields(self, tmp_path):
         path = tmp_path / "c.json"
@@ -550,6 +571,49 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "verb, data, argv, name",
+        [
+            pytest.param("train", {"train": {"seed": -1}}, [], "train seed", id="train.seed"),
+            pytest.param("train", {"generator": {"seed": -2}}, [], "generator seed", id="generator.seed"),
+            pytest.param("train", {}, ["--seed", "-3"], "--seed", id="train--seed"),
+            pytest.param("ablate", {"seeds": [0, -1]}, [], "seeds", id="seeds"),
+            pytest.param("gen", {"gen_seed": -5}, [], "gen_seed", id="gen_seed"),
+            pytest.param("gen", {}, ["--seed", "-1"], "--seed", id="gen--seed"),
+            pytest.param("eval", {"eval_seed": -4, "method": "fps-min-dist"}, [], "eval_seed", id="eval_seed"),
+            pytest.param("eval", {"method": "fps-min-dist"}, ["--seed", "-2"], "--seed", id="eval--seed"),
+        ],
+    )
+    def test_negative_seed_exit_1_before_any_output(self, tmp_path, capsys, verb, data, argv, name):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, **data}))
+        out = tmp_path / "o"
+        assert main([verb, "--config", str(path), "--out", str(out)] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            pytest.param(lambda c: {**c, "feature_dim": "x"}, id="feature_dim-string"),
+            pytest.param(lambda c: {**c, "feature_dim": None}, id="feature_dim-null"),
+            pytest.param(lambda c: {**c, "w_q": {}}, id="w_q-object"),
+            pytest.param(lambda c: [c], id="top-level-list"),
+        ],
+    )
+    def test_malformed_checkpoint_exit_1(self, config_path, tmp_path, capsys, defect):
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint, init_params(8, 6, make_rng(0)), seed=0)
+        checkpoint.write_text(json.dumps(defect(json.loads(checkpoint.read_text()))))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(checkpoint)
+        argv = ["eval", "--config", str(config_path), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {checkpoint} ") and err.count("\n") == 1
 
     def test_non_finite_training_loss_exit_2(self, tmp_path, capsys):
         # class centers near 1e200 overflow every squared distance

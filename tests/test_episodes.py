@@ -138,11 +138,15 @@ class TestGenEpisode:
             assert {0, 1, 2} <= set(q.labels.tolist())
 
     def test_min_fg_guarantee_over_many_seeds(self):
-        cfg = SMALL
-        for seed in range(1000):
-            ep = gen_episode(cfg, make_rng(seed))
-            fg, _ = split_fg_bg(ep.support[0], 1)
-            assert fg.shape[0] >= cfg.min_fg_points
+        # training trusts a base-split episode to draw only base classes
+        for cfg in (SMALL, TWO_WAY):
+            for seed in range(1000):
+                ep = gen_episode(cfg, make_rng(seed), split="base")
+                assert set(ep.class_ids) <= set(cfg.base_classes)
+                for way in range(cfg.n_way):
+                    for shot in range(cfg.k_shot):
+                        fg, _ = split_fg_bg(ep.support_cloud(way, shot), way + 1)
+                        assert fg.shape[0] >= cfg.min_fg_points
 
     def test_dispersion_ordering_at_documented_scales(self):
         # inter=10, intra=3, spread=2, corr=0.8 over 100 episodes

@@ -10,7 +10,7 @@ import pytest
 from warmproto import GeneratorConfig, TrainConfig, apply_update, evaluate, init_params, make_rng, train
 from warmproto import trainer
 from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
-from warmproto.trainer import init_optimizer, lr_at, make_eval_episodes, run_grid, train_grid
+from warmproto.trainer import TrainRun, init_optimizer, lr_at, make_eval_episodes, run_grid, train_grid
 from warmproto.warm import PARAM_NAMES, load_checkpoint, params_as_dict
 
 DESK = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
@@ -63,18 +63,18 @@ class TestApplyUpdate:
 class TestLrSchedule:
     def test_milestones_exact(self):
         cfg = TrainConfig(epochs=10, episodes_per_epoch=10, lr=1e-4)
-        total = 100
-        assert lr_at(cfg, 0, total) == 1e-4
-        assert lr_at(cfg, 59, total) == 1e-4
-        assert lr_at(cfg, 60, total) == pytest.approx(1e-5)
-        assert lr_at(cfg, 79, total) == pytest.approx(1e-5)
-        assert lr_at(cfg, 80, total) == pytest.approx(1e-6)
-        assert lr_at(cfg, 99, total) == pytest.approx(1e-6)
+        assert cfg.total_steps == 100
+        assert lr_at(cfg, 0) == 1e-4
+        assert lr_at(cfg, 59) == 1e-4
+        assert lr_at(cfg, 60) == pytest.approx(1e-5)
+        assert lr_at(cfg, 79) == pytest.approx(1e-5)
+        assert lr_at(cfg, 80) == pytest.approx(1e-6)
+        assert lr_at(cfg, 99) == pytest.approx(1e-6)
 
     def test_fractional_milestones_floor(self):
         cfg = TrainConfig(epochs=1, episodes_per_epoch=7)
         # milestones at floor(4.2) = 4 and floor(5.6) = 5
-        lrs = [lr_at(cfg, s, 7) for s in range(7)]
+        lrs = [lr_at(cfg, s) for s in range(7)]
         assert lrs[:4] == [cfg.lr] * 4
         assert lrs[4] == pytest.approx(cfg.lr * 0.1)
         assert lrs[5] == pytest.approx(cfg.lr * 0.01)
@@ -90,10 +90,9 @@ class TestTrain:
     def test_epochs_zero_returns_init(self, tmp_path):
         cfg = TrainConfig(epochs=0, episodes_per_epoch=5, num_tokens=6)
         result = train(cfg, DESK, out_dir=tmp_path)
+        initial = TrainRun.start(cfg, DESK, "warm").params
         for name in PARAM_NAMES:
-            np.testing.assert_array_equal(
-                getattr(result.params, name), getattr(result.initial, name)
-            )
+            np.testing.assert_array_equal(getattr(result.params, name), getattr(initial, name))
         loaded, _ = load_checkpoint(tmp_path / "checkpoint.json")
         np.testing.assert_array_equal(loaded.tokens, result.params.tokens)
 
@@ -156,7 +155,6 @@ class TestTrainGrid:
             alone = train(run_cfg, DESK, variant=variant)
             for name in PARAM_NAMES:
                 np.testing.assert_array_equal(getattr(grid.params, name), getattr(alone.params, name))
-                np.testing.assert_array_equal(getattr(grid.initial, name), getattr(alone.initial, name))
             assert grid.log == alone.log
             assert len(grid.wall) == 6
 
@@ -275,8 +273,8 @@ class TestEvaluate:
         assert report.qk_dist is not None and report.qk_dist >= 0
         assert set(report.per_class_iou) == {0, 1}
 
-    def test_trained_beats_untrained_on_benchmark(self, trained, bench_episodes, evaluated):
+    def test_trained_beats_untrained_on_benchmark(self, trained, default_gen, bench_episodes, evaluated):
         run = trained("warm", 0)
         after = evaluated("warm", 0).miou
-        before = evaluate(run.initial, bench_episodes, "warm").miou
+        before = evaluate(TrainRun.start(run.cfg, default_gen, "warm").params, bench_episodes, "warm").miou
         assert after > before

@@ -92,7 +92,7 @@ class TestComputeStats:
         monkeypatch.setattr(linalg, "sym_eig", counted)
         stats = compute_stats(make_rng(9).standard_normal((20, 5)))
         assert len(calls) == 1
-        inv_sqrt, sqrt = half_powers(stats.cov, stats.eps)
+        inv_sqrt, sqrt = half_powers(stats.cov, 1e-4)
         np.testing.assert_array_equal(stats.inv_sqrt, inv_sqrt)
         np.testing.assert_array_equal(stats.sqrt, sqrt)
 
@@ -155,7 +155,7 @@ class TestCrossAttention:
     def test_singleton_key(self):
         rng = make_rng(6)
         params = init_params(4, 1, rng)
-        out = attend(params.fg_tokens, np.ones((1, 4)), params)
+        out = attend(params.tokens[params.token_rows(1)], np.ones((1, 4)), params)
         np.testing.assert_allclose(out.weights, [[1.0]])
         np.testing.assert_allclose(out.attended, np.ones((1, 4)) @ params.w_v, atol=1e-12)
 
@@ -191,7 +191,7 @@ class TestCrossAttention:
         rng = make_rng(10)
         params = init_params(3, 2, rng)
         with pytest.raises(EmptyClassError):
-            attend(params.fg_tokens, np.zeros((0, 3)), params)
+            attend(params.tokens[params.token_rows(1)], np.zeros((0, 3)), params)
 
     def test_scale_flag_divides_logits(self):
         rng = make_rng(11)
@@ -242,7 +242,7 @@ class TestForwardVariants:
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             z = whiten(feats[label], stats)
-            pool = params.fg_tokens if label == 1 else params.bg_tokens
+            pool = params.tokens[params.token_rows(label)]
             attended = attend_by_definition(pool, z, params)
             expected = color(pool + attended, stats)
             np.testing.assert_allclose(res.prototypes[label], expected, atol=1e-10)
@@ -252,7 +252,7 @@ class TestForwardVariants:
         params = init_params(4, 3, rng)
         key = rng.standard_normal((1, 4))
         res = ablation_forward(params, {1: key, 0: rng.standard_normal((2, 4))}, "naive")
-        expected = params.fg_tokens + key @ params.w_v
+        expected = params.tokens[params.token_rows(1)] + key @ params.w_v
         np.testing.assert_allclose(res.prototypes[1], expected, atol=1e-12)
 
     def test_naive_zero_value_projection(self):
@@ -311,7 +311,7 @@ class TestForwardVariants:
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             z = whiten(feats[label], stats)
-            pool = params.fg_tokens if label == 1 else params.bg_tokens
+            pool = params.tokens[params.token_rows(label)]
             attended = attend_by_definition(pool, z, params)
             np.testing.assert_allclose(res.prototypes[label], pool + attended, atol=1e-10)
 
