@@ -172,8 +172,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def worker_cap() -> int:
-    """Worker processes for ``eval`` with an attention method and for the
-    ``ablate`` and ``token-sweep`` grids.
+    """Worker processes for ``eval`` with an attention method, for the
+    ``ablate`` and ``token-sweep`` grids, and for ``train``, where above 1
+    it turns on the forked episode producer.
 
     WARM_THREADS if set. Otherwise the CPUs this process may use divided
     by the BLAS threads each process runs, taken from BLAS_THREAD_VARS;
@@ -181,8 +182,7 @@ def worker_cap() -> int:
     inherit the BLAS thread count, and more busy BLAS threads than CPUs
     made a grid several times slower. No pool starts more workers than
     it has episode or run slices, and outputs do not depend on the count.
-    Every verb validates it; ``gen``, ``train`` and the FPS verbs run in
-    one process.
+    Every verb validates it; ``gen`` and the FPS verbs run in one process.
     """
     raw = os.environ.get("WARM_THREADS")
     if raw is None:
@@ -252,6 +252,7 @@ def cmd_train(args) -> None:
         variant=variant,
         out_dir=out,
         config_hash=config_sha256(cfg),
+        workers=worker_cap(),
     )
     write_sidecar(out / "train_config.json", "train", cfg)
     final = run.log[-1][3] if run.log else float("nan")

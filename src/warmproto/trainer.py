@@ -13,8 +13,10 @@ parameter init and evaluation all derive from explicit seeds.
 
 from __future__ import annotations
 
+import signal
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -234,18 +236,24 @@ class TrainRun:
         self.log.append((step, margin, sim, total, grad_norm, lr))
 
 
-def train_grid(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) -> list[TrainRun]:
+def train_grid(
+    runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig, workers: int = 1
+) -> list[TrainRun]:
     """Train several (config, variant) runs of one seed in lockstep.
 
     The training episode depends only on (seed, step) and the generator,
-    so each step's episode is generated once and every run steps on it;
-    only that one episode is held at a time. Runs must share the seed and
-    the step count. Each run is bit-identical to a standalone ``train``
-    of the same run; a run's wall time per step includes the shared
-    generation.
+    so each step's episode is generated once and every run steps on it.
+    Runs must share the seed and the step count. Each run is
+    bit-identical to a standalone ``train`` of the same run, at any
+    worker count. With more than one worker the episodes come from a
+    forked producer (``_training_episodes``) while the runs step; a
+    run's wall time per step counts the wait for the episode, with one
+    worker its generation.
     """
     if not runs:
         raise ArgumentError("grid needs at least one run")
+    if workers < 1:
+        raise ArgumentError(f"workers must be >= 1, got {workers}")
     for cfg, _ in runs:
         cfg.validate()
     gen_cfg.validate()
@@ -255,15 +263,75 @@ def train_grid(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) ->
     if any(cfg.seed != seed or cfg.total_steps != steps for cfg, _ in runs):
         raise ArgumentError("grid runs must share the seed and the step count")
     states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in runs]
-    for step in range(steps):
-        started = time.perf_counter()
-        episode = gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
-        gen_ms = (time.perf_counter() - started) * 1e3
-        for run in states:
-            run_started = time.perf_counter()
-            run.step(episode, step)
-            run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
+    with _training_episodes(gen_cfg, seed, steps, workers) as episodes:
+        for step in range(steps):
+            started = time.perf_counter()
+            episode = next(episodes)
+            gen_ms = (time.perf_counter() - started) * 1e3
+            for run in states:
+                run_started = time.perf_counter()
+                run.step(episode, step)
+                run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
     return states
+
+
+@contextmanager
+def _training_episodes(
+    gen_cfg: GeneratorConfig, seed: int, steps: int, workers: int
+) -> Iterator[Iterator[Episode]]:
+    """An iterator over the ``steps`` training episodes of ``seed``, in order.
+
+    With one worker, or where ``fork`` is unavailable, each episode is
+    generated when it is asked for. Otherwise one forked child generates
+    them in order and sends each over a one-way pipe, whose kernel buffer
+    bounds how far ahead of the consumer it runs. An exception in the
+    child is sent instead and raised here with its type and message. On
+    every exit this closes its end of the pipe, which stops a child
+    blocked on a send, and joins the child.
+    """
+
+    def draw(step: int) -> Episode:
+        # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
+        return gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
+
+    context = _fork_context() if workers > 1 else None
+    if context is None:
+        yield map(draw, range(steps))
+        return
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_produce, args=(draw, steps, receiver, sender))
+    child.start()
+    sender.close()
+    try:
+        yield (_received(receiver) for _ in range(steps))
+    finally:
+        receiver.close()
+        child.join()
+
+
+def _produce(draw: Callable[[int], Episode], steps: int, receiver, sender) -> None:
+    """The producer child of ``_training_episodes``: ``draw(step)`` for
+    every step, each result or the first exception sent in order."""
+    # Ctrl-C reaches the whole process group; the parent handles it and closes the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    receiver.close()  # else this process would hold the read end open and never see the parent leave
+    try:
+        for step in range(steps):
+            sender.send(draw(step))
+    except BrokenPipeError:  # the parent stopped reading
+        pass
+    except Exception as exc:
+        try:
+            sender.send(exc)
+        except BrokenPipeError:
+            pass
+
+
+def _received(receiver):
+    item = receiver.recv()
+    if isinstance(item, Exception):
+        raise item
+    return item
 
 
 def train(
@@ -272,13 +340,17 @@ def train(
     variant: str = "warm",
     out_dir=None,
     config_hash: str = "",
+    workers: int = 1,
 ) -> TrainRun:
     """Full training run; optionally persists checkpoint, log and timing.
 
     The single-run case of ``train_grid``. Episodes come from the base
-    split only.
+    split only; with ``workers`` above 1 a forked child generates them
+    while the run steps. The parameters and the log do not depend on
+    ``workers``; the per-step wall times in ``timing.csv`` count the wait
+    for each episode rather than its generation.
     """
-    (run,) = train_grid([(cfg, variant)], gen_cfg)
+    (run,) = train_grid([(cfg, variant)], gen_cfg, workers)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -380,7 +452,8 @@ def evaluate(
 def _grid_slice(runs: list[tuple[TrainConfig, str]], shared: tuple) -> list[tuple[TrainRun, MetricsReport]]:
     """Train runs of one seed in lockstep (``train_grid``), then score each
     in this process on the batch with its own eps and logit scaling;
-    ``shared`` is (generator config, episodes)."""
+    ``shared`` is (generator config, episodes). Training forks no
+    episode producer: grid slices already own the CPUs."""
     gen_cfg, episodes = shared
     # spent moments are left behind: they would double what a worker sends back
     return [
@@ -411,6 +484,22 @@ def _worker_task(func: Callable, part: Sequence) -> list:
     return func(part, _worker_shared)
 
 
+def _fork_context():
+    """The ``fork`` multiprocessing context, or None where the platform
+    has no ``fork``.
+
+    Fork, not spawn: a child gets the caller's state without pickling and
+    needs no re-import; the package starts no threads of its own to fork.
+    """
+    # imported here: with the pool's modules, about 1.7 MB more in every
+    # process, which calls that never fork should not pay
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def _fork_map(func: Callable, groups: list[Sequence], shared, workers: int) -> list[list]:
     """``func(part, shared)`` over every group cut into at most ``workers``
     contiguous parts (``_slices``); per group, the parts' result lists
@@ -426,25 +515,20 @@ def _fork_map(func: Callable, groups: list[Sequence], shared, workers: int) -> l
     """
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        # imported here: the pool's modules add about 1.7 MB to every
-        # process, which calls that never start a pool should not pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
+    context = _fork_context() if workers > 1 else None
+    if context is None:
+        workers = 1
     sliced = [_slices(group, workers) for group in groups]
     parts = [part for group_parts in sliced for part in group_parts]
     workers = min(workers, len(parts))
     if workers == 1:
         done = [func(part, shared) for part in parts]
     else:
-        # fork, not spawn: workers get ``shared`` without pickling and need
-        # no re-import; the package starts no threads of its own to fork
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             workers,
-            mp_context=multiprocessing.get_context("fork"),
+            mp_context=context,
             initializer=_set_worker_shared,
             initargs=(shared,),
         ) as pool:
@@ -466,11 +550,11 @@ def run_grid(
     Each seed's runs are cut into at most ``workers`` contiguous slices,
     and each slice runs ``_grid_slice`` on the pool of ``_fork_map``,
     whose workers inherit ``episodes`` rather than receive it over a
-    pipe. Evaluation inside a slice stays in its process, so pools never
-    nest. The numbers do not depend on the worker count: every run is
-    bit-identical to a standalone ``train`` plus ``evaluate``, and when
-    slices fail, the error of the first one in (seed, run) order is
-    raised. Workers keep this process's BLAS thread count, so ``workers``
+    pipe. Training and evaluation inside a slice stay in its process, so
+    pools never nest. The numbers do not depend on the worker count:
+    every run is bit-identical to a standalone ``train`` plus
+    ``evaluate``, and when slices fail, the error of the first one in
+    (seed, run) order is raised. Workers keep this process's BLAS thread count, so ``workers``
     times that count should not exceed the CPUs (``cli.worker_cap`` picks
     such a count).
     """

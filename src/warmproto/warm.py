@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .episodes import BACKGROUND
-from .errors import ArgumentError, CheckpointError, EmptyClassError, InsufficientPointsError
+from .errors import ArgumentError, CheckpointError, EmptyClassError, InsufficientPointsError, NumericError
 from .files import atomic_write
 from .linalg import half_powers, require_finite, softmax_rows
 
@@ -347,7 +347,8 @@ def load_checkpoint(path) -> tuple[WarmParams, dict]:
             w_k=np.array(payload["w_k"], dtype=np.float64),
             w_v=np.array(payload["w_v"], dtype=np.float64),
         )
-    except (TypeError, ValueError) as exc:  # ArgumentError is a ValueError
+    # ArgumentError is a ValueError; NumericError is a NaN or infinity, which json reads
+    except (TypeError, ValueError, NumericError) as exc:
         raise CheckpointError(f"checkpoint {path} holds malformed values: {exc}") from exc
     if params.feature_dim != d or params.num_tokens != m:
         raise CheckpointError(

@@ -8,6 +8,9 @@ lockstep on shared episodes, split across ``worker_cap()`` processes
 (one unless BLAS runs fewer threads than there are CPUs).
 """
 
+import multiprocessing
+import signal
+
 import pytest
 
 from warmproto import GeneratorConfig, TrainConfig
@@ -75,3 +78,24 @@ def evaluated(graded):
 def fps_sweep(bench_episodes):
     """100-seed baseline sweep on the default benchmark."""
     return fps_seed_sweep(bench_episodes, FPS_BASELINE_TOKENS, range(100))
+
+
+@pytest.fixture()
+def wait_limit():
+    """Fail with TimeoutError, rather than hang, when a wait in the test
+    (such as the join of a child that never exits) lasts over 30 s; then
+    kill the children left, so that exit does not wait on them either."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test waited over 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()

@@ -539,6 +539,47 @@ class TestEvalWorkers:
         assert messages["2"] == messages["1"] and messages["3"] == messages["1"]
 
 
+class TestTrainWorkers:
+    """With WARM_THREADS above 1, train's episodes come from a forked
+    producer; the files and the failures must not depend on it, and no
+    process may outlive the call."""
+
+    def test_same_bytes_at_one_and_two_workers(self, config_path, tmp_path, monkeypatch):
+        files = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("WARM_THREADS", workers)
+            out = tmp_path / workers
+            assert main(["train", "--config", str(config_path), "--out", str(out), "--seed", "5"]) == 0
+            assert multiprocessing.active_children() == []
+            files[workers] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timing.csv"}
+        assert sorted(files["1"]) == ["checkpoint.json", "train_config.json", "training_log.csv"]
+        assert files["2"] == files["1"]
+
+    def test_non_finite_loss_mid_run_exit_2_same_message(self, tmp_path, monkeypatch, capsys, wait_limit):
+        # the parent's third forward pass turns non-finite while the producer runs ahead
+        real, calls = trainer.episode_forward, []
+
+        def failing(params, episode, variant, eps, scale_logits):
+            protos, shots = real(params, episode, variant, eps, scale_logits)
+            calls.append(None)
+            if len(calls) == 3:
+                protos = {c: np.full_like(p, np.nan) for c, p in protos.items()}
+            return protos, shots
+
+        monkeypatch.setattr(trainer, "episode_forward", failing)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, train=dict(SMALL_CONFIG["train"], episodes_per_epoch=40))))
+        messages = {}
+        for workers in ("1", "2"):
+            calls.clear()
+            monkeypatch.setenv("WARM_THREADS", workers)
+            assert main(["train", "--config", str(path), "--out", str(tmp_path / workers)]) == 2
+            assert multiprocessing.active_children() == []
+            messages[workers] = capsys.readouterr().err
+        assert messages["1"].startswith("numeric failure: non-finite loss or gradient at step 2 of variant 'warm'")
+        assert messages["2"] == messages["1"]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("verb", ["sweep-fps", "ablate", "token-sweep"])
     def test_seed_flag_only_on_verbs_that_read_it(self, config_path, tmp_path, capsys, verb):
@@ -602,6 +643,7 @@ class TestExitCodes:
             pytest.param(lambda c: {**c, "feature_dim": None}, id="feature_dim-null"),
             pytest.param(lambda c: {**c, "w_q": {}}, id="w_q-object"),
             pytest.param(lambda c: [c], id="top-level-list"),
+            pytest.param(lambda c: {**c, "w_q": [[float("nan")] + c["w_q"][0][1:]] + c["w_q"][1:]}, id="w_q-nan"),
         ],
     )
     def test_malformed_checkpoint_exit_1(self, config_path, tmp_path, capsys, defect):

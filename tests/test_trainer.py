@@ -167,6 +167,74 @@ class TestTrainGrid:
             train_grid([], DESK)
 
 
+class TestEpisodeProducer:
+    """With more than one worker, a forked child generates the training
+    episodes; the run must not depend on it, and no child may outlive it."""
+
+    TWO_WAY = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16, n_way=2, k_shot=2)
+    LONG = replace(FAST, episodes_per_epoch=40)  # more episodes than the pipe holds
+
+    @pytest.mark.parametrize("gen_cfg", [DESK, TWO_WAY], ids=["1-way-1-shot", "2-way-2-shot"])
+    def test_same_run_at_two_workers(self, tmp_path, monkeypatch, gen_cfg):
+        # the child inherits the patch and marks each episode it generates in a file per process
+        real = trainer.gen_episode
+
+        def recording(cfg, rng, split):
+            with (tmp_path / "pids" / str(os.getpid())).open("a") as fh:
+                fh.write(".")
+            return real(cfg, rng, split=split)
+
+        monkeypatch.setattr(trainer, "gen_episode", recording)
+        runs = {}
+        for workers in (1, 2):
+            (tmp_path / "pids").mkdir()
+            runs[workers] = train(FAST, gen_cfg, workers=workers)
+            assert multiprocessing.active_children() == []
+            generated = {p.name: len(p.read_text()) for p in (tmp_path / "pids").iterdir()}
+            assert list(generated.values()) == [FAST.total_steps]
+            assert (str(os.getpid()) in generated) == (workers == 1)
+            (tmp_path / "pids").rename(tmp_path / f"pids-{workers}")
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(getattr(runs[2].params, name), getattr(runs[1].params, name))
+        assert runs[2].log == runs[1].log
+        assert len(runs[2].wall) == FAST.total_steps
+
+    def test_producer_error_is_raised_with_its_type_and_message(self, monkeypatch, wait_limit):
+        # the forked child starts from the parent's empty call list
+        real, calls = trainer.gen_episode, []
+
+        def failing(cfg, rng, split):
+            calls.append(None)
+            if len(calls) == 4:
+                raise NumericError("no episode at step 3")
+            return real(cfg, rng, split=split)
+
+        monkeypatch.setattr(trainer, "gen_episode", failing)
+        for workers in (1, 2):
+            calls.clear()
+            with pytest.raises(NumericError) as err:
+                train(self.LONG, DESK, workers=workers)
+            assert type(err.value) is NumericError and str(err.value) == "no episode at step 3"
+            assert multiprocessing.active_children() == []
+
+    def test_interrupt_joins_the_producer(self, monkeypatch, wait_limit):
+        real = TrainRun.step
+
+        def interrupted(run, episode, step):
+            if step == 2:
+                raise KeyboardInterrupt
+            real(run, episode, step)
+
+        monkeypatch.setattr(TrainRun, "step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train(self.LONG, DESK, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_rejects_bad_worker_count(self):
+        with pytest.raises(ArgumentError):
+            train_grid([(FAST, "warm")], DESK, workers=0)
+
+
 class TestRunGrid:
     SEED_RUNS = [
         [(replace(FAST, seed=seed), v) for v in ("naive", "whiten", "center+restore", "warm", "normalize")]
