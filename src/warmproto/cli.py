@@ -180,8 +180,9 @@ def worker_cap() -> int:
     by the BLAS threads each process runs, taken from BLAS_THREAD_VARS;
     with none of them set, BLAS already uses every CPU, so 1. Workers
     inherit the BLAS thread count, and more busy BLAS threads than CPUs
-    made a grid several times slower. No pool starts more workers than
-    it has episode or run slices, and outputs do not depend on the count.
+    made a grid several times slower. Each worker is one forked child
+    (``trainer._forked``), never more than there are episodes or runs,
+    and outputs do not depend on the count.
     Every verb validates it; ``gen`` and the FPS verbs run in one process.
     """
     raw = os.environ.get("WARM_THREADS")

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import signal
 import time
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import partial
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -246,7 +248,7 @@ def train_grid(
     Runs must share the seed and the step count. Each run is
     bit-identical to a standalone ``train`` of the same run, at any
     worker count. With more than one worker the episodes come from a
-    forked producer (``_training_episodes``) while the runs step; a
+    forked producer (``_forked``) while the runs step; a
     run's wall time per step counts the wait for the episode, with one
     worker its generation.
     """
@@ -263,7 +265,13 @@ def train_grid(
     if any(cfg.seed != seed or cfg.total_steps != steps for cfg, _ in runs):
         raise ArgumentError("grid runs must share the seed and the step count")
     states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in runs]
-    with _training_episodes(gen_cfg, seed, steps, workers) as episodes:
+
+    def draw(step: int) -> Episode:
+        # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
+        return gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
+
+    produce = partial(map, draw, range(steps))
+    with _forked(produce) if workers > 1 else nullcontext(produce()) as episodes:
         for step in range(steps):
             started = time.perf_counter()
             episode = next(episodes)
@@ -276,48 +284,52 @@ def train_grid(
 
 
 @contextmanager
-def _training_episodes(
-    gen_cfg: GeneratorConfig, seed: int, steps: int, workers: int
-) -> Iterator[Iterator[Episode]]:
-    """An iterator over the ``steps`` training episodes of ``seed``, in order.
+def _forked(produce: Callable[[], Iterable]) -> Iterator[Iterator]:
+    """The items of ``produce()``, in order, computed in one forked child.
 
-    With one worker, or where ``fork`` is unavailable, each episode is
-    generated when it is asked for. Otherwise one forked child generates
-    them in order and sends each over a one-way pipe, whose kernel buffer
-    bounds how far ahead of the consumer it runs. An exception in the
-    child is sent instead and raised here with its type and message. On
-    every exit this closes its end of the pipe, which stops a child
-    blocked on a send, and joins the child.
+    The child sends each item, or the first exception instead, over a
+    one-way pipe whose kernel buffer bounds how far ahead of the reader
+    it runs. The exception is raised here with its type and message; a
+    child that exits before sending what is read raises
+    ``ChildProcessError`` with its exit code. On an exceptional exit the
+    child is terminated. On every exit this closes its end of the pipe
+    and joins the child. Where ``fork`` is unavailable ``produce()`` runs
+    in this process.
+
+    Fork, not spawn: the child gets the caller's state, ``produce``
+    included, without pickling and needs no re-import; the package
+    starts no threads of its own to fork.
     """
+    # imported here: about 0.8 MB more in every process, which calls that never fork should not pay
+    import multiprocessing
 
-    def draw(step: int) -> Episode:
-        # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
-        return gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
-
-    context = _fork_context() if workers > 1 else None
-    if context is None:
-        yield map(draw, range(steps))
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield iter(produce())
         return
+    context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_produce, args=(draw, steps, receiver, sender))
+    child = context.Process(target=_produce, args=(produce, receiver, sender))
     child.start()
     sender.close()
     try:
-        yield (_received(receiver) for _ in range(steps))
+        yield _received(receiver, child)
+    except BaseException:
+        child.terminate()  # its results would go unread
+        raise
     finally:
         receiver.close()
         child.join()
 
 
-def _produce(draw: Callable[[int], Episode], steps: int, receiver, sender) -> None:
-    """The producer child of ``_training_episodes``: ``draw(step)`` for
-    every step, each result or the first exception sent in order."""
-    # Ctrl-C reaches the whole process group; the parent handles it and closes the pipe
+def _produce(produce: Callable[[], Iterable], receiver, sender) -> None:
+    """The child of ``_forked``: every item of ``produce()``, or the first
+    exception, sent in order."""
+    # Ctrl-C reaches the whole process group; the parent handles it and stops the child
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     receiver.close()  # else this process would hold the read end open and never see the parent leave
     try:
-        for step in range(steps):
-            sender.send(draw(step))
+        for item in produce():
+            sender.send(item)
     except BrokenPipeError:  # the parent stopped reading
         pass
     except Exception as exc:
@@ -327,11 +339,18 @@ def _produce(draw: Callable[[int], Episode], steps: int, receiver, sender) -> No
             pass
 
 
-def _received(receiver):
-    item = receiver.recv()
-    if isinstance(item, Exception):
-        raise item
-    return item
+def _received(receiver, child) -> Iterator:
+    while True:
+        try:
+            item = receiver.recv()
+        except EOFError:
+            child.join()
+            raise ChildProcessError(
+                f"a forked worker exited with code {child.exitcode} before sending its results"
+            ) from None
+        if isinstance(item, Exception):
+            raise item
+        yield item
 
 
 def train(
@@ -401,13 +420,6 @@ def _score_episode(
     return ious, entropies, diversities, qk_dists, fg_summaries(episode)
 
 
-def _score_slice(indices: range, shared: tuple) -> list[tuple]:
-    """``_score_episode`` on the batch episodes at ``indices``; ``shared``
-    is (params, episodes, variant, eps, scale_logits)."""
-    params, episodes, *options = shared
-    return [_score_episode(params, episodes[i], *options) for i in indices]
-
-
 def evaluate(
     params: WarmParams,
     episodes: list[Episode],
@@ -423,9 +435,10 @@ def evaluate(
     query/key distance) are measured on the foreground ways only,
     averaged over shots, ways and episodes.
 
-    Episodes are scored independently, on up to ``workers`` forked
-    processes over contiguous slices of the batch (``_fork_map``). The
-    per-episode values are put back in episode order before any mean is
+    Episodes are scored independently, the batch cut into at most
+    ``workers`` contiguous slices, each scored in its own forked child
+    (``_fork_map``) that inherits the parameters and the batch; only the
+    per-episode values come back, in episode order, before any mean is
     taken, so the result does not depend on the worker count.
     """
     if not episodes:
@@ -436,9 +449,11 @@ def evaluate(
                 f"parameters have D={params.feature_dim} but episode {i} has "
                 f"D={episode.support[0].feature_dim}"
             )
-    shared = (params, episodes, variant, eps, scale_logits)
-    (scored,) = _fork_map(_score_slice, [range(len(episodes))], shared, workers)
-    ious, *lists = zip(*scored)
+
+    def score(part: Sequence[Episode]) -> list[tuple]:
+        return [_score_episode(params, episode, variant, eps, scale_logits) for episode in part]
+
+    ious, *lists = zip(*_fork_map(score, episodes, workers))
     entropies, diversities, qk_dists, summaries = (list(chain.from_iterable(parts)) for parts in lists)
     return MetricsReport(
         *mean_iou(ious),
@@ -449,93 +464,52 @@ def evaluate(
     )
 
 
-def _grid_slice(runs: list[tuple[TrainConfig, str]], shared: tuple) -> list[tuple[TrainRun, MetricsReport]]:
-    """Train runs of one seed in lockstep (``train_grid``), then score each
-    in this process on the batch with its own eps and logit scaling;
-    ``shared`` is (generator config, episodes). Training forks no
-    episode producer: grid slices already own the CPUs."""
-    gen_cfg, episodes = shared
-    # spent moments are left behind: they would double what a worker sends back
-    return [
-        (replace(run, state=None), evaluate(run.params, episodes, variant, cfg.eps, cfg.scale_logits))
-        for (cfg, variant), run in zip(runs, train_grid(runs, gen_cfg))
-    ]
+def _grid_slice(
+    part: Sequence[tuple[int, tuple[TrainConfig, str]]], gen_cfg: GeneratorConfig, episodes: list[Episode]
+) -> list[tuple[TrainRun, MetricsReport]]:
+    """Train a part of a flattened grid, given as (seed group, run) pairs,
+    one seed group at a time in lockstep (``train_grid``), and score each
+    run in this process on the batch with its own eps and logit scaling.
+    Training forks no episode producer: grid parts already own the CPUs."""
+    done = []
+    for _, group in groupby(part, key=itemgetter(0)):
+        runs = [run for _, run in group]
+        for (cfg, variant), run in zip(runs, train_grid(runs, gen_cfg)):
+            report = evaluate(run.params, episodes, variant, cfg.eps, cfg.scale_logits)
+            # spent moments are left behind: they would double what a worker sends back
+            done.append((replace(run, state=None), report))
+    return done
 
 
-def _slices(runs: Sequence, count: int) -> list[Sequence]:
-    """``runs`` cut into min(count, len(runs)) contiguous slices, longer ones first."""
-    count = min(count, len(runs))
-    size, extra = divmod(len(runs), count)
+def _slices(items: Sequence, count: int) -> list[Sequence]:
+    """``items`` cut into min(count, len(items)) contiguous slices, longer ones first."""
+    count = min(count, len(items))
+    size, extra = divmod(len(items), count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
-    return [runs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-# What every task of a pool reads besides its slice, set once per worker
-# process by the pool initializer; never assigned in the calling process.
-_worker_shared = None
+def _fork_map(func: Callable[[Sequence], list], items: Sequence, workers: int) -> list:
+    """The results of ``func(part)``, one per item, over ``items`` cut into
+    at most ``workers`` contiguous parts (``_slices``), joined in order.
 
-
-def _set_worker_shared(shared) -> None:
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _worker_task(func: Callable, part: Sequence) -> list:
-    return func(part, _worker_shared)
-
-
-def _fork_context():
-    """The ``fork`` multiprocessing context, or None where the platform
-    has no ``fork``.
-
-    Fork, not spawn: a child gets the caller's state without pickling and
-    needs no re-import; the package starts no threads of its own to fork.
-    """
-    # imported here: with the pool's modules, about 1.7 MB more in every
-    # process, which calls that never fork should not pay
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _fork_map(func: Callable, groups: list[Sequence], shared, workers: int) -> list[list]:
-    """``func(part, shared)`` over every group cut into at most ``workers``
-    contiguous parts (``_slices``); per group, the parts' result lists
-    joined in order.
-
-    With more than one worker the parts go to a pool of forked processes
-    (never more than the parts), which inherit ``shared`` copy-on-write
-    through the pool initializer instead of pickling it; only the parts
-    and their results cross a pipe. Where ``fork`` is unavailable, or with
-    one worker, the parts run in this process. When parts fail, the error
-    of the first one in order is raised, as in-process, and the pool is
-    joined before this returns or raises.
+    With more than one worker each part runs in its own ``_forked`` child,
+    which inherits ``func`` and whatever it reads; only the results cross
+    a pipe. ``func`` returns a list, so a child computes its whole part
+    before it sends: were the results streamed, a full pipe would stall
+    the child while this process still reads an earlier part. With one
+    worker the whole list runs in this process. The parts are read back
+    in order, so when parts fail, the error of the first one in order is
+    raised, and the children still running are stopped.
     """
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
-    context = _fork_context() if workers > 1 else None
-    if context is None:
-        workers = 1
-    sliced = [_slices(group, workers) for group in groups]
-    parts = [part for group_parts in sliced for part in group_parts]
-    workers = min(workers, len(parts))
-    if workers == 1:
-        done = [func(part, shared) for part in parts]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=context,
-            initializer=_set_worker_shared,
-            initargs=(shared,),
-        ) as pool:
-            # map yields in task order; a failure cancels the tasks not yet started
-            done = list(pool.map(_worker_task, [func] * len(parts), parts))
-    results = iter(done)
-    return [[item for _ in group_parts for item in next(results)] for group_parts in sliced]
+    parts = _slices(items, workers)
+    if len(parts) == 1:
+        return func(items)
+    with ExitStack() as stack:
+        streams = [stack.enter_context(_forked(partial(func, part))) for part in parts]
+        return [item for part, stream in zip(parts, streams) for item in islice(stream, len(part))]
 
 
 def run_grid(
@@ -547,17 +521,20 @@ def run_grid(
     """Train and score a grid given as one list of (config, variant) runs
     per seed; returns (trained run, metrics report) pairs in the same shape.
 
-    Each seed's runs are cut into at most ``workers`` contiguous slices,
-    and each slice runs ``_grid_slice`` on the pool of ``_fork_map``,
-    whose workers inherit ``episodes`` rather than receive it over a
-    pipe. Training and evaluation inside a slice stay in its process, so
-    pools never nest. The numbers do not depend on the worker count:
+    The (seed, run) pairs of all seeds are cut once into at most
+    ``workers`` contiguous parts, and each part runs ``_grid_slice`` in
+    a forked child of ``_fork_map``, which inherits ``episodes`` rather
+    than receives it over a pipe. A seed cut between two parts trains in
+    both. Training and evaluation inside a part stay in its process, so
+    workers never nest. The numbers do not depend on the worker count:
     every run is bit-identical to a standalone ``train`` plus
-    ``evaluate``, and when slices fail, the error of the first one in
-    (seed, run) order is raised. Workers keep this process's BLAS thread count, so ``workers``
-    times that count should not exceed the CPUs (``cli.worker_cap`` picks
-    such a count).
+    ``evaluate``, and when parts fail, the error of the first one in
+    (seed, run) order is raised. Workers keep this process's BLAS thread
+    count, so ``workers`` times that count should not exceed the CPUs
+    (``cli.worker_cap`` picks such a count).
     """
     if not seed_runs or not all(seed_runs):
         raise ArgumentError("grid needs at least one run per seed")
-    return _fork_map(_grid_slice, seed_runs, (gen_cfg, episodes), workers)
+    flat = [(group, run) for group, runs in enumerate(seed_runs) for run in runs]
+    done = iter(_fork_map(partial(_grid_slice, gen_cfg=gen_cfg, episodes=episodes), flat, workers))
+    return [[next(done) for _ in runs] for runs in seed_runs]

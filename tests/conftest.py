@@ -3,9 +3,10 @@
 Training runs and evaluations on the default benchmark are cached per
 (variant, seed) so the trainer examples, the acceptance criteria and the
 ablation grid never repeat a run within one pytest session. Runs go
-through the same grid runner as ``ablate``: a seed's runs train in
-lockstep on shared episodes, split across ``worker_cap()`` processes
-(one unless BLAS runs fewer threads than there are CPUs).
+through the same grid runner as ``ablate``: the requested runs are cut
+into contiguous parts, one forked process each, at most ``worker_cap()``
+of them (one unless BLAS runs fewer threads than there are CPUs), and a
+part's runs of one seed train in lockstep on shared episodes.
 """
 
 import multiprocessing

@@ -580,6 +580,37 @@ class TestTrainWorkers:
         assert messages["2"] == messages["1"]
 
 
+class TestDeadWorker:
+    """A forked worker that exits without sending its results is an OS
+    failure: exit 3 with one stderr line, and no process outlives the call."""
+
+    # per verb, the trainer binding a worker calls first, and how many of its calls go through
+    @pytest.mark.parametrize(
+        "verb, target, calls", [("train", "gen_episode", 3), ("eval", "_score_episode", 0), ("ablate", "train_grid", 0)]
+    )
+    def test_exit_3_with_one_line(self, config_path, tmp_path, monkeypatch, capfd, wait_limit, verb, target, calls):
+        checkpoint = tmp_path / "train" / "checkpoint.json"
+        assert main(["train", "--config", str(config_path), "--out", str(checkpoint.parent)]) == 0
+        parent, real, made = os.getpid(), getattr(trainer, target), []
+
+        # the children inherit the patch and the parent's empty call list
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                made.append(None)
+                if len(made) > calls:
+                    os._exit(9)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, target, dying)
+        monkeypatch.setenv("WARM_THREADS", "2")
+        capfd.readouterr()
+        argv = [verb, "--config", str(config_path), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--checkpoint", str(checkpoint)] if verb == "eval" else [])) == 3
+        assert multiprocessing.active_children() == []
+        err = capfd.readouterr().err
+        assert err == "io/format failure: a forked worker exited with code 9 before sending its results\n"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("verb", ["sweep-fps", "ablate", "token-sweep"])
     def test_seed_flag_only_on_verbs_that_read_it(self, config_path, tmp_path, capsys, verb):

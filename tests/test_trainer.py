@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ from warmproto import GeneratorConfig, TrainConfig, apply_update, evaluate, init
 from warmproto import trainer
 from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from warmproto.trainer import TrainRun, init_optimizer, lr_at, make_eval_episodes, run_grid, train_grid
-from warmproto.warm import PARAM_NAMES, load_checkpoint, params_as_dict
+from warmproto.warm import ABLATION_GRID, PARAM_NAMES, load_checkpoint, params_as_dict
 
 DESK = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
 FAST = TrainConfig(epochs=1, episodes_per_epoch=5, num_tokens=6)
@@ -290,6 +292,53 @@ class TestRunGrid:
             messages.append(str(err.value))
         assert "'center+restore'" in messages[0] and "seed=2" in messages[0]
         assert messages == [messages[0]] * 3
+
+    def test_pairs_of_all_seeds_are_cut_once(self, tmp_path, monkeypatch):
+        # 21 pairs on 2 workers are cut 11+10, so seed 1 trains in both and 4 episode streams are drawn
+        seed_runs = [[(replace(FAST, episodes_per_epoch=3, seed=seed), v) for v in ABLATION_GRID] for seed in range(3)]
+        episodes = make_eval_episodes(DESK, 2, 77)
+        reference = run_grid(seed_runs, DESK, episodes, workers=1)
+        real = trainer.gen_episode
+
+        # forked workers inherit the patch and mark each training episode in a file per process
+        def recording(cfg, rng, split):
+            with (tmp_path / str(os.getpid())).open("a") as fh:
+                fh.write(".")
+            return real(cfg, rng, split=split)
+
+        monkeypatch.setattr(trainer, "gen_episode", recording)
+        grid = run_grid(seed_runs, DESK, episodes, workers=2)
+        generated = {p.name: len(p.read_text()) for p in tmp_path.iterdir()}
+        assert len(generated) <= 2 and str(os.getpid()) not in generated
+        assert sum(generated.values()) == 4 * 3
+        assert multiprocessing.active_children() == []
+        for row, ref_row in zip(grid, reference, strict=True):
+            for (result, scored), (ref_result, ref_scored) in zip(row, ref_row, strict=True):
+                for name in PARAM_NAMES:
+                    np.testing.assert_array_equal(getattr(result.params, name), getattr(ref_result.params, name))
+                assert result.log == ref_result.log
+                assert scored == ref_scored
+
+    def test_interrupt_stops_the_workers(self, monkeypatch, wait_limit):
+        parent, real = os.getpid(), trainer.train_grid
+
+        def slow(runs, gen_cfg):
+            if os.getpid() != parent:
+                time.sleep(20)
+            return real(runs, gen_cfg)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(trainer, "train_grid", slow)
+        episodes = make_eval_episodes(DESK, 1, 77)
+        signal.signal(signal.SIGALRM, interrupt)  # wait_limit puts the previous handler back
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(self.SEED_RUNS, DESK, episodes, workers=2)
+        assert time.monotonic() - started < 10
+        assert multiprocessing.active_children() == []
 
     def test_rejects_empty_grid_and_bad_worker_count(self):
         episodes = make_eval_episodes(DESK, 1, 77)
