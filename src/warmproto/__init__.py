@@ -73,7 +73,7 @@ from .metrics import (  # noqa: E402
     mean_iou,
     miou,
 )
-from .rng import derive_rng, make_rng  # noqa: E402
+from .rng import derive_rng  # noqa: E402
 from .trainer import TrainConfig, apply_update, evaluate, make_eval_episodes, train, train_grid  # noqa: E402
 from .warm import (  # noqa: E402
     WarmParams,

@@ -31,7 +31,7 @@ from .fps import evaluate_fps, fps_seed_sweep, write_sweep_csv, write_sweep_summ
 from .metrics import write_metrics_csv
 from .rng import derive_rng
 from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, run_grid, train
-from .warm import ABLATION_GRID, MODES, VARIANTS, load_checkpoint
+from .warm import ABLATION_GRID, VARIANTS, load_checkpoint
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.generator.validate()
         self.train.validate()
-        parse_method(self.method)
+        if self.method != "fps-min-dist" and self.method not in VARIANTS:
+            raise ConfigError(f"unknown method {self.method!r}; expected one of {['fps-min-dist', *VARIANTS]}")
         for name in ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -67,30 +68,6 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be a nonempty list of seeds >= 0, got {list(self.seeds)}")
         if not self.token_counts or any(m < 1 for m in self.token_counts):
             raise ConfigError("token_counts must be a nonempty list of counts >= 1")
-
-
-def parse_method(method: str) -> str:
-    """Normalize a method string to a ``VARIANTS`` name.
-
-    Accepts fps-min-dist, the ``VARIANTS`` names (warm, naive and the
-    grid row names), and the ablation:<mode>,<on|off> form, which names
-    the grid row with that (mode, restore) pair.
-    """
-    if method == "fps-min-dist" or method in VARIANTS:
-        return method
-    if method.startswith("ablation:"):
-        body = method[len("ablation:") :]
-        mode, _, restore_word = body.partition(",")
-        if mode not in MODES:
-            raise ConfigError(f"unknown ablation mode {mode!r}; expected one of {MODES}")
-        if restore_word not in ("on", "off"):
-            raise ConfigError(f"ablation restore flag must be 'on' or 'off', got {restore_word!r}")
-        by_pair = {VARIANTS[name]: name for name in ABLATION_GRID}
-        # naive has no restoration step, so it is the row for either flag
-        return by_pair.get((mode, restore_word == "on"), mode)
-    raise ConfigError(
-        f"unknown method {method!r}; expected warm, naive, fps-min-dist, or ablation:<mode>,<on|off>"
-    )
 
 
 def _fits(value, hint) -> bool:
@@ -231,6 +208,11 @@ def _check_batch(episodes, name: str, expected: int, value) -> None:
 
 def cmd_gen(args) -> None:
     cfg = load_experiment_config(args.config)
+    names = {f"ep_{i:05d}.warmep" for i in range(cfg.num_episodes)}
+    # eval --data would score another batch's leftovers with this one
+    stale = sorted(p.name for p in Path(args.out).glob("*.warmep") if p.name not in names)
+    if stale:
+        raise ArgumentError(f"{args.out} holds {stale[0]}, which a batch of {cfg.num_episodes} does not write")
     out = _out_dir(args)
     seed = cfg.gen_seed if args.seed is None else args.seed
     for i in range(cfg.num_episodes):
@@ -242,45 +224,45 @@ def cmd_gen(args) -> None:
 
 def cmd_train(args) -> None:
     cfg = load_experiment_config(args.config)
-    variant = parse_method(cfg.method)
-    if variant == "fps-min-dist":
+    if cfg.method == "fps-min-dist":
         raise ConfigError("method 'fps-min-dist' has no learnable parameters; nothing to train")
     train_cfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
     out = _out_dir(args)
     run = train(
         train_cfg,
         cfg.generator,
-        variant=variant,
+        variant=cfg.method,
         out_dir=out,
         config_hash=config_sha256(cfg),
         workers=worker_cap(),
     )
     write_sidecar(out / "train_config.json", "train", cfg)
     final = run.log[-1][3] if run.log else float("nan")
-    print(f"train[{variant}]: {len(run.log)} episodes, final loss {final:.4f}, checkpoint {out / 'checkpoint.json'}")
+    print(f"train[{cfg.method}]: {len(run.log)} episodes, final loss {final:.4f}, checkpoint {out / 'checkpoint.json'}")
 
 
 def cmd_eval(args) -> None:
     cfg = load_experiment_config(args.config)
-    variant = parse_method(cfg.method)
-    if variant != "fps-min-dist":
-        if args.seed is not None:
-            raise ConfigError(f"--seed picks the FPS starts of method 'fps-min-dist'; method {variant!r} does not read it")
-        if args.checkpoint is None:
-            raise ConfigError(f"method {variant!r} needs --checkpoint")
+    if cfg.method == "fps-min-dist":
+        if args.checkpoint is not None:
+            raise ConfigError("method 'fps-min-dist' has no learnable parameters; it does not read --checkpoint")
+    elif args.seed is not None:
+        raise ConfigError(f"--seed picks the FPS starts of method 'fps-min-dist'; method {cfg.method!r} does not read it")
+    elif args.checkpoint is None:
+        raise ConfigError(f"method {cfg.method!r} needs --checkpoint")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
-    if variant == "fps-min-dist":
+    if cfg.method == "fps-min-dist":
         seed = cfg.eval_seed if args.seed is None else args.seed
         report = evaluate_fps(episodes, cfg.fps_tokens, seed)
     else:
         params, _meta = load_checkpoint(args.checkpoint)
-        report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits, worker_cap())
+        report = evaluate(params, episodes, cfg.method, cfg.train.eps, cfg.train.scale_logits, worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
     write_metrics_csv(out / "metrics.csv", [report], labels)
     write_sidecar(out / "eval_config.json", "eval", cfg)
-    print(f"eval[{variant}]: mIoU {report.miou:.4f} over {len(episodes)} episodes -> {out / 'metrics.csv'}")
+    print(f"eval[{cfg.method}]: mIoU {report.miou:.4f} over {len(episodes)} episodes -> {out / 'metrics.csv'}")
 
 
 def cmd_sweep_fps(args) -> None:
@@ -318,13 +300,12 @@ def cmd_ablate(args) -> None:
 
 def cmd_token_sweep(args) -> None:
     cfg = load_experiment_config(args.config)
-    variant = parse_method(cfg.method)
-    if variant == "fps-min-dist":
+    if cfg.method == "fps-min-dist":
         raise ConfigError("token-sweep needs a trainable method")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     counts = [int(m) for m in cfg.token_counts]
-    seed_runs = [[(replace(cfg.train, seed=seed, num_tokens=m), variant) for m in counts] for seed in cfg.seeds]
+    seed_runs = [[(replace(cfg.train, seed=seed, num_tokens=m), cfg.method) for m in counts] for seed in cfg.seeds]
     grid = run_grid(seed_runs, cfg.generator, episodes, worker_cap())
     # per token count, one mIoU per seed in seed order
     scores = zip(*[[report.miou for _, report in row] for row in grid])

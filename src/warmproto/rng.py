@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Generator seeded from a single integer."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-
-
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for the independent stream identified by (seed, *key).
 

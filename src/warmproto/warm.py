@@ -44,8 +44,6 @@ VARIANTS: dict[str, tuple[str, bool]] = {
 
 ABLATION_GRID = tuple(VARIANTS)[:7]
 
-MODES = tuple(dict.fromkeys(mode for mode, _ in VARIANTS.values()))
-
 
 def resolve_variant(name: str) -> tuple[str, bool]:
     try:

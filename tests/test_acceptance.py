@@ -16,10 +16,10 @@ from warmproto import (
     TrainConfig,
     ablation_forward,
     compute_stats,
+    derive_rng,
     evaluate,
     farthest_point_sampling,
     init_params,
-    make_rng,
     margin_loss,
     point_distances,
     whiten,
@@ -41,7 +41,7 @@ def report(n, ok, detail):
 
 class TestAcceptance:
     def test_01_whitening_identity(self):
-        rng = make_rng(0)
+        rng = derive_rng(0)
         n, d = 64, 16
         started = time.perf_counter()
         worst = 0.0
@@ -55,7 +55,7 @@ class TestAcceptance:
         report(1, worst < 1e-4 and elapsed < 10.0, f"max normalized error {worst:.2e}, {elapsed:.1f}s")
 
     def test_02_coloring_round_trip(self):
-        rng = make_rng(1)
+        rng = derive_rng(1)
         worst = 0.0
         for _ in range(1000):
             f = rng.standard_normal((64, 16)) * float(rng.uniform(0.5, 10.0)) + rng.standard_normal(16)
@@ -66,14 +66,14 @@ class TestAcceptance:
         report(2, worst < 1e-6, f"max abs reconstruction error {worst:.2e}")
 
     def test_03_white_data_collapse(self):
-        rng = make_rng(2)
+        rng = derive_rng(2)
         worst = 0.0
         for trial in range(20):
             feats = {}
             for label in (0, 1):
                 raw = rng.standard_normal((40, 8))
                 feats[label] = whiten(raw, compute_stats(raw, eps=1e-12))
-            params = init_params(8, 5, make_rng(100 + trial))
+            params = init_params(8, 5, derive_rng(100 + trial))
             w = ablation_forward(params, feats, "warm")
             n = ablation_forward(params, feats, "naive")
             for label in (0, 1):
@@ -85,12 +85,12 @@ class TestAcceptance:
 
     def test_04_gradient_correctness(self):
         started = time.perf_counter()
-        rng = make_rng(3)
+        rng = derive_rng(3)
         d, l, m = 4, 6, 3
         feats = {1: rng.standard_normal((l, d)) * 2 + 1, 0: rng.standard_normal((l, d)) * 1.5 - 2}
         query = rng.standard_normal((5, d))
         truth = np.array([1, 0, 1, 0, 1])
-        params = init_params(d, m, make_rng(4))
+        params = init_params(d, m, derive_rng(4))
         template = params
 
         def pack(p):
@@ -127,7 +127,7 @@ class TestAcceptance:
         report(4, err < 1e-3 and elapsed < 30.0, f"max rel err {err:.2e} over all params, {elapsed:.1f}s")
 
     def test_05_fps_greedy_oracle(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         checked = 0
         mismatched = []
         for _ in range(500):
@@ -223,7 +223,7 @@ class TestAcceptance:
         )
 
     def test_10_loss_zero_certificates(self):
-        rng = make_rng(6)
+        rng = derive_rng(6)
         # margin: every query point is closer to its own class's prototypes
         protos = {0: rng.standard_normal((4, 3)), 1: rng.standard_normal((4, 3)) + 50.0}
         query = np.vstack([protos[0] + 0.01, protos[1] + 0.01])

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from warmproto import cli, trainer
-from warmproto.cli import BLAS_THREAD_VARS, load_experiment_config, main, parse_method, worker_cap
+from warmproto.cli import BLAS_THREAD_VARS, load_experiment_config, main, worker_cap
 from warmproto.episodes import load_episode, save_episode
 from warmproto.errors import CheckpointError, ConfigError, NumericError
-from warmproto.rng import make_rng
+from warmproto.rng import derive_rng
 from warmproto.trainer import evaluate, make_eval_episodes, train
-from warmproto.warm import ABLATION_GRID, init_params, load_checkpoint, save_checkpoint
+from warmproto.warm import ABLATION_GRID, VARIANTS, init_params, load_checkpoint, save_checkpoint
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -124,21 +124,20 @@ class TestConfigLoading:
         cfg = load_experiment_config(path)
         assert cfg.train.lr == 1 and cfg.train.grad_clip == 2 and cfg.generator.instance_spread == 4
 
-    def test_method_strings(self):
-        assert parse_method("warm") == "warm"
-        assert parse_method("fps-min-dist") == "fps-min-dist"
-        assert parse_method("ablation:whiten,on") == "whiten+restore"
-        assert parse_method("ablation:center,off") == "center"
-        for name in ABLATION_GRID:
-            assert parse_method(name) == name
-        for mode in ("naive", "center", "normalize", "whiten"):
-            for flag in ("on", "off"):
-                expected = "naive" if mode == "naive" else mode + ("+restore" if flag == "on" else "")
-                assert parse_method(f"ablation:{mode},{flag}") == expected
-        with pytest.raises(ConfigError):
-            parse_method("ablation:whitening,on")
-        with pytest.raises(ConfigError):
-            parse_method("mystery")
+    def test_method_strings(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        for name in ["fps-min-dist", *VARIANTS]:
+            path.write_text(json.dumps({"method": name}))
+            assert load_experiment_config(path).method == name
+        for name in ("ablation:whiten,on", "mystery"):
+            path.write_text(json.dumps({"method": name}))
+            with pytest.raises(ConfigError):
+                load_experiment_config(path)
+            assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: unknown method {name!r}; expected one of ") and err.count("\n") == 1
+            assert all(repr(valid) in err for valid in ["fps-min-dist", *VARIANTS])
+        assert not (tmp_path / "o").exists()
 
 
 class TestGen:
@@ -152,6 +151,24 @@ class TestGen:
             assert f1.read_bytes() == (out2 / f1.name).read_bytes()
         sidecar = json.loads((out1 / "generator_config.json").read_text())
         assert sidecar["command"] == "gen" and len(sidecar["config_sha256"]) == 64
+
+    def test_gen_refuses_another_batchs_files(self, config_path, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(config_path), "--out", str(out)]) == 0
+        assert main(["gen", "--config", str(config_path), "--out", str(out)]) == 0  # same batch again
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        fewer, more = tmp_path / "fewer.json", tmp_path / "more.json"
+        fewer.write_text(json.dumps(dict(SMALL_CONFIG, num_episodes=2)))
+        more.write_text(json.dumps(dict(SMALL_CONFIG, num_episodes=4)))
+        assert main(["gen", "--config", str(fewer), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out} holds ep_00002.warmep, which a batch of 2 does not write\n"
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before  # nothing deleted or rewritten
+        assert main(["gen", "--config", str(more), "--out", str(out)]) == 0
+        assert len(list(out.glob("*.warmep"))) == 4
+        (out / "other.warmep").write_bytes(b"")
+        assert main(["gen", "--config", str(more), "--out", str(out)]) == 1
+        assert "holds other.warmep," in capsys.readouterr().err
 
     def test_gen_invalid_config_exit_1(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -679,7 +696,7 @@ class TestExitCodes:
     )
     def test_malformed_checkpoint_exit_1(self, config_path, tmp_path, capsys, defect):
         checkpoint = tmp_path / "checkpoint.json"
-        save_checkpoint(checkpoint, init_params(8, 6, make_rng(0)), seed=0)
+        save_checkpoint(checkpoint, init_params(8, 6, derive_rng(0)), seed=0)
         checkpoint.write_text(json.dumps(defect(json.loads(checkpoint.read_text()))))
         with pytest.raises(CheckpointError):
             load_checkpoint(checkpoint)
@@ -729,6 +746,16 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["eval", "--config", str(config_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: method 'warm' needs --checkpoint\n"
+        assert not out.exists()
+
+    def test_eval_fps_checkpoint_exit_1_before_any_work(self, tmp_path, capsys):
+        fps = tmp_path / "fps.json"
+        fps.write_text(json.dumps(dict(SMALL_CONFIG, method="fps-min-dist")))
+        out = tmp_path / "o"
+        code = main(["eval", "--config", str(fps), "--checkpoint", str(tmp_path / "none.json"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--checkpoint" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_command_exit_1(self):

@@ -14,7 +14,6 @@ from warmproto import (
     episodes,
     gen_episode,
     load_episode,
-    make_rng,
     save_episode,
     split_fg_bg,
 )
@@ -55,7 +54,7 @@ class TestGeneratorConfig:
 class TestGenEpisode:
     def test_shape_contract(self):
         cfg = SMALL
-        ep = gen_episode(cfg, make_rng(0))
+        ep = gen_episode(cfg, derive_rng(0))
         assert ep.n_way == 1 and ep.k_shot == 1
         assert len(ep.support) == 1 and len(ep.query) == 1
         assert ep.support[0].features.shape == (128, 8)
@@ -68,7 +67,7 @@ class TestGenEpisode:
             feature_dim=8, points_per_cloud=128, min_fg_points=16,
             intra_class_scale=0.0, instance_spread=0.0,
         )
-        ep = gen_episode(cfg, make_rng(3))
+        ep = gen_episode(cfg, derive_rng(3))
         fg_s, _ = split_fg_bg(ep.support[0], 1)
         fg_q, _ = split_fg_bg(ep.query[0], 1)
         center = class_center(cfg, ep.class_ids[0])
@@ -91,10 +90,10 @@ class TestGenEpisode:
         ]
         for cfg in configs:
             for split in ("base", "novel"):
-                save_episode(gen_episode(cfg, make_rng(21), split), tmp_path / "cached.warmep")
+                save_episode(gen_episode(cfg, derive_rng(21), split), tmp_path / "cached.warmep")
                 with monkeypatch.context() as patch:
                     patch.setattr(episodes, "class_center", uncached)
-                    save_episode(gen_episode(cfg, make_rng(21), split), tmp_path / "uncached.warmep")
+                    save_episode(gen_episode(cfg, derive_rng(21), split), tmp_path / "uncached.warmep")
                 assert (tmp_path / "cached.warmep").read_bytes() == (tmp_path / "uncached.warmep").read_bytes()
 
     def test_cached_center_is_read_only(self):
@@ -106,8 +105,8 @@ class TestGenEpisode:
         np.testing.assert_array_equal(class_center(TWO_WAY, 3), center)
 
     def test_deterministic(self):
-        ep1 = gen_episode(SMALL, make_rng(11))
-        ep2 = gen_episode(SMALL, make_rng(11))
+        ep1 = gen_episode(SMALL, derive_rng(11))
+        ep2 = gen_episode(SMALL, derive_rng(11))
         assert ep1.class_ids == ep2.class_ids
         for a, b in zip(ep1.support + ep1.query, ep2.support + ep2.query):
             np.testing.assert_array_equal(a.features, b.features)
@@ -115,18 +114,18 @@ class TestGenEpisode:
 
     def test_novel_split(self):
         cfg = SMALL
-        ep = gen_episode(cfg, make_rng(5), split="novel")
+        ep = gen_episode(cfg, derive_rng(5), split="novel")
         assert ep.class_ids[0] in cfg.novel_classes
 
     def test_rejects_unknown_split(self):
         with pytest.raises(ArgumentError):
-            gen_episode(SMALL, make_rng(0), split="test")
+            gen_episode(SMALL, derive_rng(0), split="test")
 
     def test_two_way_five_shot(self):
         cfg = GeneratorConfig(
             feature_dim=8, points_per_cloud=256, n_way=2, k_shot=5, num_query=2, min_fg_points=16
         )
-        ep = gen_episode(cfg, make_rng(7))
+        ep = gen_episode(cfg, derive_rng(7))
         assert len(ep.support) == 10 and len(ep.query) == 2
         assert len(set(ep.class_ids)) == 2
         for way in range(2):
@@ -141,7 +140,7 @@ class TestGenEpisode:
         # training trusts a base-split episode to draw only base classes
         for cfg in (SMALL, TWO_WAY):
             for seed in range(1000):
-                ep = gen_episode(cfg, make_rng(seed), split="base")
+                ep = gen_episode(cfg, derive_rng(seed), split="base")
                 assert set(ep.class_ids) <= set(cfg.base_classes)
                 for way in range(cfg.n_way):
                     for shot in range(cfg.k_shot):
@@ -156,7 +155,7 @@ class TestGenEpisode:
         )
         summaries = []
         for i in range(100):
-            summaries.extend(fg_summaries(gen_episode(cfg, make_rng(i))))
+            summaries.extend(fg_summaries(gen_episode(cfg, derive_rng(i))))
         rep = dispersion_metrics(summaries)
         assert rep["d_inter"] is not None and rep["d_intra"] is not None
         assert rep["d_inter"] > rep["d_intra"] > 0
@@ -167,7 +166,7 @@ class TestGenEpisode:
         cfg = GeneratorConfig()
         summaries = []
         for i in range(100):
-            summaries.extend(fg_summaries(gen_episode(cfg, make_rng(i))))
+            summaries.extend(fg_summaries(gen_episode(cfg, derive_rng(i))))
         rep = dispersion_metrics(summaries)
         assert rep["d_inter"] > rep["d_intra"] > 0
         token_dispersion = 0.02 * np.sqrt(2 * cfg.feature_dim)
@@ -194,7 +193,7 @@ class TestSplitFgBg:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 30))
     def test_partition_property(self, seed, n):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         feats = rng.standard_normal((n, 3))
         labels = rng.integers(0, 2, n)
         labels[rng.integers(n)] = 1
@@ -207,7 +206,7 @@ class TestSplitFgBg:
 
 class TestEpisodeFile:
     def test_round_trip_bit_identical(self, tmp_path):
-        ep = gen_episode(SMALL, make_rng(21))
+        ep = gen_episode(SMALL, derive_rng(21))
         path = tmp_path / "ep.warmep"
         save_episode(ep, path)
         loaded = load_episode(path)
@@ -218,14 +217,14 @@ class TestEpisodeFile:
             np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_save_deterministic_bytes(self, tmp_path):
-        ep = gen_episode(SMALL, make_rng(22))
+        ep = gen_episode(SMALL, derive_rng(22))
         p1, p2 = tmp_path / "a.warmep", tmp_path / "b.warmep"
         save_episode(ep, p1)
         save_episode(ep, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_file(self, tmp_path):
-        ep = gen_episode(SMALL, make_rng(23))
+        ep = gen_episode(SMALL, derive_rng(23))
         path = tmp_path / "ep.warmep"
         save_episode(ep, path)
         data = path.read_bytes()
@@ -241,7 +240,7 @@ class TestEpisodeFile:
         assert "truncated header" in str(err.value)
 
     def test_bad_magic(self, tmp_path):
-        ep = gen_episode(SMALL, make_rng(24))
+        ep = gen_episode(SMALL, derive_rng(24))
         path = tmp_path / "ep.warmep"
         save_episode(ep, path)
         data = bytearray(path.read_bytes())
@@ -252,7 +251,7 @@ class TestEpisodeFile:
         assert err.value.offset == 0
 
     def test_dimension_mismatch_names_both_values(self, tmp_path):
-        ep = gen_episode(SMALL, make_rng(25))
+        ep = gen_episode(SMALL, derive_rng(25))
         path = tmp_path / "ep.warmep"
         save_episode(ep, path)
         data = bytearray(path.read_bytes())
@@ -271,7 +270,7 @@ class TestEpisodeFile:
             load_episode(path)
 
     def test_duplicate_class_ids_is_format_error(self, tmp_path):
-        ep = gen_episode(TWO_WAY, make_rng(26))
+        ep = gen_episode(TWO_WAY, derive_rng(26))
         path = tmp_path / "ep.warmep"
         ep.class_ids = [ep.class_ids[0]] * 2  # bypasses Episode's own check
         save_episode(ep, path)
@@ -281,7 +280,7 @@ class TestEpisodeFile:
         assert err.value.offset == 30  # class ids follow the 30-byte header
 
     def test_support_without_foreground_is_format_error(self, tmp_path):
-        ep = gen_episode(TWO_WAY, make_rng(27))
+        ep = gen_episode(TWO_WAY, derive_rng(27))
         ep.support[3].labels[:] = 0  # way 1, shot 1
         path = tmp_path / "ep.warmep"
         save_episode(ep, path)
@@ -293,7 +292,7 @@ class TestEpisodeFile:
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ep.warmep"
-        save_episode(gen_episode(SMALL, make_rng(28)), path)
+        save_episode(gen_episode(SMALL, derive_rng(28)), path)
         before = path.read_bytes()
 
         def crash(src, dst):
@@ -301,7 +300,7 @@ class TestEpisodeFile:
 
         monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError):
-            save_episode(gen_episode(SMALL, make_rng(29)), path)
+            save_episode(gen_episode(SMALL, derive_rng(29)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ep.warmep"]
 
@@ -313,7 +312,7 @@ FUZZ_CFG = GeneratorConfig(feature_dim=3, points_per_cloud=16, min_fg_points=2, 
 def fuzz_file(tmp_path_factory):
     """A small valid 2-way container: (path to overwrite, its bytes)."""
     path = tmp_path_factory.mktemp("fuzz") / "ep.warmep"
-    save_episode(gen_episode(FUZZ_CFG, make_rng(40)), path)
+    save_episode(gen_episode(FUZZ_CFG, derive_rng(40)), path)
     return path, path.read_bytes()
 
 

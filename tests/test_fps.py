@@ -10,7 +10,6 @@ from warmproto import (
     derive_rng,
     farthest_point_sampling,
     gen_episode,
-    make_rng,
     miou,
     point_distances,
     predict,
@@ -54,13 +53,13 @@ class TestFarthestPointSampling:
         np.testing.assert_array_equal(feats[res], [[0.0], [10.0]])
 
     def test_exhaustion_is_permutation(self):
-        rng = make_rng(1)
+        rng = derive_rng(1)
         feats = rng.standard_normal((9, 3))
         res = farthest_point_sampling(feats, 9, rng)
         assert sorted(res.tolist()) == list(range(9))
 
     def test_matches_oracle_every_step(self):
-        rng = make_rng(2)
+        rng = derive_rng(2)
         for trial in range(200):
             n = int(rng.integers(2, 9))
             d = int(rng.integers(1, 4))
@@ -75,13 +74,13 @@ class TestFarthestPointSampling:
         assert sorted(res.tolist()) == list(range(5))
 
     def test_deterministic_given_seed(self):
-        feats = make_rng(3).standard_normal((50, 4))
-        a = farthest_point_sampling(feats, 10, make_rng(77))
-        b = farthest_point_sampling(feats, 10, make_rng(77))
+        feats = derive_rng(3).standard_normal((50, 4))
+        a = farthest_point_sampling(feats, 10, derive_rng(77))
+        b = farthest_point_sampling(feats, 10, derive_rng(77))
         np.testing.assert_array_equal(a, b)
 
     def test_permutation_equivariance(self):
-        rng = make_rng(4)
+        rng = derive_rng(4)
         feats = rng.standard_normal((12, 3))
         perm = rng.permutation(12)
         res = farthest_point_sampling(feats, 5, FixedStart(7))
@@ -129,18 +128,18 @@ class TestFpsMatchesNormRows:
         scale=st.sampled_from([1e-3, 1.0, 30.0]),
     )
     def test_indices_and_subset_equal(self, seed, n, count, duplicates, scale):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         feats = rng.standard_normal((n, 32)) * scale
         # copied rows tie in distance, so the smallest-index rule decides
         feats[rng.integers(n, size=duplicates)] = feats[rng.integers(n, size=duplicates)]
         count = min(count, n)
-        res = farthest_point_sampling(feats, count, make_rng(seed + 1))
-        indices, subset = fps_norm_rows(feats, count, make_rng(seed + 1))
+        res = farthest_point_sampling(feats, count, derive_rng(seed + 1))
+        indices, subset = fps_norm_rows(feats, count, derive_rng(seed + 1))
         np.testing.assert_array_equal(res, indices)
         np.testing.assert_array_equal(feats[res], subset)
 
     def test_few_distinct_rows_force_ties(self):
-        rng = make_rng(9)
+        rng = derive_rng(9)
         base = rng.standard_normal((5, 32))
         feats = base[rng.integers(5, size=700)]
         for start in range(0, 700, 50):
@@ -164,7 +163,7 @@ class TestMinDistClassify:
         assert labels.tolist() == [0]
 
     def test_prototype_row_order_irrelevant(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         query = rng.standard_normal((20, 3))
         p = rng.standard_normal((6, 3))
         protos_a = {0: p, 1: rng.standard_normal((4, 3))}
@@ -182,7 +181,7 @@ class TestMinDistClassify:
         episodes = make_eval_episodes(cfg, 20, 99, "novel")
         correct = total = 0
         for i, ep in enumerate(episodes):
-            protos = fps_prototypes(ep.pooled_support_by_class(), 16, make_rng(1000 + i))
+            protos = fps_prototypes(ep.pooled_support_by_class(), 16, derive_rng(1000 + i))
             for q in ep.query:
                 pred = predict(point_distances(q.features, protos))
                 correct += int(np.sum(pred == q.labels))
@@ -197,7 +196,7 @@ class TestFpsSeedSweep:
             feature_dim=8, points_per_cloud=128, min_fg_points=16,
             intra_class_scale=0.0, instance_spread=0.0,
         )
-        return [gen_episode(cfg, make_rng(s)) for s in range(3)]
+        return [gen_episode(cfg, derive_rng(s)) for s in range(3)]
 
     def test_degenerate_points_zero_spread(self):
         res = fps_seed_sweep(self._identical_episode(), 8, range(5))
@@ -206,7 +205,7 @@ class TestFpsSeedSweep:
 
     def test_exhaustive_subset_zero_spread(self):
         cfg = GeneratorConfig(feature_dim=4, points_per_cloud=128, min_fg_points=16)
-        episodes = [gen_episode(cfg, make_rng(s)) for s in range(2)]
+        episodes = [gen_episode(cfg, derive_rng(s)) for s in range(2)]
         res = fps_seed_sweep(episodes, 10_000, range(4))  # capped at L_c: full subsets
         assert res.best == res.worst
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from warmproto import ablation_forward, init_params, make_rng, warm_backward
+from warmproto import ablation_forward, derive_rng, init_params, warm_backward
 from warmproto.errors import ArgumentError
 from warmproto.losses import (
     margin_loss,
@@ -44,14 +44,14 @@ def total_objective(params, feats, query, truth, variant, lam=0.5):
 
 class TestWarmBackward:
     def _instance(self, seed=42, d=4, l=6, m=3):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         feats = {
             1: rng.standard_normal((l, d)) * 2 + 1.0,
             0: rng.standard_normal((l, d)) * 1.5 - 2.0,
         }
         query = rng.standard_normal((4, d))
         truth = np.array([1, 0, 1, 0])
-        params = init_params(d, m, make_rng(seed + 1))
+        params = init_params(d, m, derive_rng(seed + 1))
         return params, feats, query, truth
 
     def test_zero_loss_gradient_gives_zero_param_gradients(self):
@@ -66,7 +66,7 @@ class TestWarmBackward:
         # with w_q = w_k = 0 the attention is uniform; on the raw-feature
         # path the value-projection gradient is mean(keys)^T (sum of the
         # upstream token gradients)
-        rng = make_rng(7)
+        rng = derive_rng(7)
         d, l, m = 3, 5, 2
         keys = rng.standard_normal((l, d)) + 2.0
         feats = {1: keys, 0: rng.standard_normal((l, d))}
@@ -81,7 +81,7 @@ class TestWarmBackward:
     def test_uniform_attention_whitened_value_gradient_vanishes(self):
         # whitened keys have exactly zero column means, so the same
         # closed form collapses to zero through the coloring map
-        rng = make_rng(8)
+        rng = derive_rng(8)
         d, l, m = 3, 7, 2
         feats = {1: rng.standard_normal((l, d)) * 2, 0: rng.standard_normal((l, d))}
         tokens = rng.standard_normal((2 * m, d))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmproto import derive_rng, half_powers, make_rng, softmax_rows, sym_eig
+from warmproto import derive_rng, half_powers, softmax_rows, sym_eig
 from warmproto.errors import ArgumentError, NumericError, SymmetryError
 from warmproto.linalg import pairwise_distances
 
@@ -43,7 +43,7 @@ class TestSymEig:
         np.testing.assert_allclose(evecs.T @ evecs, np.eye(3), atol=1e-12)
 
     def test_reconstruction_and_orthonormality(self):
-        rng = make_rng(0)
+        rng = derive_rng(0)
         for d in (1, 2, 5, 17, 40):
             m = random_symmetric(rng, d)
             evals, evecs = sym_eig(m)
@@ -52,7 +52,7 @@ class TestSymEig:
             np.testing.assert_allclose(evecs.T @ evecs, np.eye(d), atol=1e-8)
 
     def test_trace_and_determinant_preserved(self):
-        rng = make_rng(1)
+        rng = derive_rng(1)
         m = random_symmetric(rng, 6)
         evals, _ = sym_eig(m)
         assert np.sum(evals) == pytest.approx(np.trace(m), abs=1e-8)
@@ -90,27 +90,27 @@ class TestMatPowHalf:
         np.testing.assert_allclose(out, np.diag([0.5, 100.0]), atol=1e-10)
 
     def test_square_recovers_input(self):
-        rng = make_rng(2)
+        rng = derive_rng(2)
         for d in (2, 6, 12):
             m = random_psd(rng, d) + 0.01 * np.eye(d)
             root = half_powers(m, 1e-6)[1]
             assert np.linalg.norm(root @ root - m) < 1e-6
 
     def test_inv_sqrt_whitens(self):
-        rng = make_rng(3)
+        rng = derive_rng(3)
         m = random_psd(rng, 8) + 0.01 * np.eye(8)
         inv_root = half_powers(m, 1e-6)[0]
         np.testing.assert_allclose(inv_root @ m @ inv_root, np.eye(8), atol=1e-6)
 
     def test_opposite_exponents_cancel(self):
-        rng = make_rng(4)
+        rng = derive_rng(4)
         m = random_psd(rng, 5)
         inv_root, root = half_powers(m, 1e-4)
         prod = inv_root @ root
         np.testing.assert_allclose(prod, np.eye(5), atol=1e-6)
 
     def test_result_symmetric(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         m = random_psd(rng, 7)
         out = half_powers(m, 1e-4)[1]
         np.testing.assert_array_equal(out, out.T)
@@ -136,7 +136,7 @@ class TestSoftmaxRows:
         assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_rows_sum_to_one(self):
-        rng = make_rng(6)
+        rng = derive_rng(6)
         out = softmax_rows(rng.standard_normal((20, 13)) * 30)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(20), atol=1e-12)
         assert np.all(out >= 0)
@@ -144,7 +144,7 @@ class TestSoftmaxRows:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-50, 50))
     def test_shift_invariance(self, seed, shift):
-        m = make_rng(seed).standard_normal((3, 5))
+        m = derive_rng(seed).standard_normal((3, 5))
         np.testing.assert_allclose(softmax_rows(m + shift), softmax_rows(m), atol=1e-12)
 
     def test_rejects_non_finite(self):
@@ -178,7 +178,7 @@ class TestPairwiseDistances:
         assert out[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_direct_computation(self):
-        rng = make_rng(7)
+        rng = derive_rng(7)
         a, b = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
         direct = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         np.testing.assert_allclose(pairwise_distances(a, b), direct, atol=1e-10)
@@ -207,7 +207,7 @@ class TestPairwiseDistances:
         st.integers(0, 5),
     )
     def test_bit_identical_to_allocating_expression(self, seed, n, m, d, offset, spread, shared):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         # a common offset with a small spread makes the expansion cancel
         a = offset + spread * rng.standard_normal((n, d))
         b = offset + spread * rng.standard_normal((m, d))
@@ -222,7 +222,7 @@ class TestPairwiseDistances:
                 assert out[i, j] == 0.0 and not np.signbit(out[i, j])
 
     def test_coincident_rows_exact_zero(self):
-        a = make_rng(3).standard_normal((50, 32)) * 40.0
+        a = derive_rng(3).standard_normal((50, 32)) * 40.0
         out = pairwise_distances(a, a)
         assert out.tobytes() == self._allocating(a, a).tobytes()
         assert np.all(np.diagonal(out) == 0.0) and not np.any(np.signbit(out))
@@ -230,12 +230,12 @@ class TestPairwiseDistances:
 
 class TestRng:
     def test_equal_seeds_identical_streams(self):
-        a, b = make_rng(123), make_rng(123)
+        a, b = derive_rng(123), derive_rng(123)
         np.testing.assert_array_equal(a.standard_normal(100), b.standard_normal(100))
         np.testing.assert_array_equal(a.integers(0, 1000, 50), b.integers(0, 1000, 50))
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(make_rng(0).standard_normal(8), make_rng(1).standard_normal(8))
+        assert not np.array_equal(derive_rng(0).standard_normal(8), derive_rng(1).standard_normal(8))
 
     def test_derived_streams_are_independent_of_consumption(self):
         a = derive_rng(9, 1, 4)
@@ -245,7 +245,14 @@ class TestRng:
         _ = b.standard_normal(3)
         np.testing.assert_array_equal(first, a2.standard_normal(10))
 
+    @pytest.mark.parametrize("seed", [0, 3, 7700, 2**63])
+    def test_seed_only_stream_is_default_rng(self, seed):
+        # derive_rng(seed) with no key is numpy's stream for that seed
+        a, b = derive_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(a.standard_normal(64), b.standard_normal(64))
+        np.testing.assert_array_equal(a.integers(0, 2**62, 16), b.integers(0, 2**62, 16))
+
     def test_known_stream_pinned(self):
         # guards against silent generator/algorithm changes
-        vals = make_rng(2024).integers(0, 2**16, 4)
-        np.testing.assert_array_equal(vals, make_rng(2024).integers(0, 2**16, 4))
+        vals = derive_rng(2024).integers(0, 2**16, 4)
+        np.testing.assert_array_equal(vals, derive_rng(2024).integers(0, 2**16, 4))

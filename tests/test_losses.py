@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warmproto import GeneratorConfig, TrainConfig, make_rng, margin_loss, point_distances, predict, train
+from warmproto import GeneratorConfig, TrainConfig, derive_rng, margin_loss, point_distances, predict, train
 from warmproto.errors import ArgumentError, EmptyClassError, NumericError
 from warmproto.losses import (
     DistanceField,
@@ -34,7 +34,7 @@ class TestPointDistances:
         assert field.distances[0, 0] == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_brute_force(self):
-        rng = make_rng(0)
+        rng = derive_rng(0)
         query = rng.standard_normal((5, 3))
         protos = {0: rng.standard_normal((4, 3)), 1: rng.standard_normal((2, 3))}
         field = point_distances(query, protos)
@@ -44,7 +44,7 @@ class TestPointDistances:
                 assert field.distances[ci, l] == pytest.approx(expected, abs=1e-9)
 
     def test_prototype_permutation_invariant(self):
-        rng = make_rng(1)
+        rng = derive_rng(1)
         query = rng.standard_normal((6, 2))
         p = rng.standard_normal((5, 2))
         a = point_distances(query, {0: p})
@@ -66,7 +66,7 @@ class TestPredict:
         assert predict(field).tolist() == [0]
 
     def test_separable_data_perfect_accuracy(self):
-        rng = make_rng(2)
+        rng = derive_rng(2)
         protos = {0: np.array([[0.0, 0.0]]), 1: np.array([[100.0, 100.0]])}
         q0 = rng.standard_normal((30, 2))
         q1 = rng.standard_normal((30, 2)) + 100.0
@@ -77,7 +77,7 @@ class TestPredict:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
     def test_monotone_transform_invariance(self, seed, scale, power_shift):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         d = rng.uniform(0.1, 10.0, size=(3, 7))
         field_a = DistanceField((0, 1, 2), d, np.zeros_like(d, dtype=np.int64))
         field_b = DistanceField((0, 1, 2), scale * d + abs(power_shift), np.zeros_like(d, dtype=np.int64))
@@ -98,7 +98,7 @@ class TestMarginLoss:
         assert margin_loss(field, [0]) == pytest.approx(1.0)
 
     def test_hardest_negative_of_three_classes(self):
-        rng = make_rng(3)
+        rng = derive_rng(3)
         d = rng.uniform(0.5, 4.0, size=(3, 10))
         field = self._field(d)
         truth = rng.integers(0, 3, 10)
@@ -127,7 +127,7 @@ class TestMarginLoss:
 
 class TestMarginGrad:
     def test_zero_when_satisfied(self):
-        rng = make_rng(4)
+        rng = derive_rng(4)
         query = rng.standard_normal((4, 2))
         protos = {0: query + 0.01, 1: query + 100.0}
         field = point_distances(query, protos)
@@ -136,7 +136,7 @@ class TestMarginGrad:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_finite_difference(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         query = rng.standard_normal((6, 3))
         p0 = rng.standard_normal((4, 3))
         p1 = rng.standard_normal((3, 3))
@@ -161,7 +161,7 @@ class TestMarginGrad:
 
 class TestSimplificationLoss:
     def test_perfect_cover_is_zero(self):
-        rng = make_rng(6)
+        rng = derive_rng(6)
         f = rng.standard_normal((5, 3))
         protos = {0: f[::-1].copy(), 1: rng.standard_normal((4, 3))}
         feats = {0: f, 1: protos[1].copy()}
@@ -176,7 +176,7 @@ class TestSimplificationLoss:
         assert simplification_loss_and_grad(feats, protos)[0] == pytest.approx(7.5)
 
     def test_matches_brute_force(self):
-        rng = make_rng(7)
+        rng = derive_rng(7)
         feats = {0: rng.standard_normal((5, 2)), 1: rng.standard_normal((6, 2))}
         protos = {0: rng.standard_normal((3, 2)), 1: rng.standard_normal((4, 2))}
         expected_terms = []
@@ -194,7 +194,7 @@ class TestSimplificationLoss:
             simplification_loss_and_grad({0: np.ones((2, 2))}, {0: np.ones((1, 2)), 1: np.ones((1, 2))})
 
     def test_finite_difference(self):
-        rng = make_rng(8)
+        rng = derive_rng(8)
         feats = {0: rng.standard_normal((5, 2)), 1: rng.standard_normal((4, 2))}
         p0, p1 = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
 
@@ -231,7 +231,7 @@ class TestTotalLoss:
 
     def test_weighted_sum(self):
         (episode,) = make_eval_episodes(DESK, 1, 6)
-        rng = make_rng(6)
+        rng = derive_rng(6)
         protos = {c: rng.standard_normal((3, 8)) for c in episode.pooled_support_by_class()}
         margin, sim, total, grads = episode_loss(protos, episode, 0.5, 0.0)
         _, _, _, margin_grads = episode_loss(protos, episode, 0.0, 0.0)
@@ -244,7 +244,7 @@ class TestTotalLoss:
 
     def test_lambda_zero_disables_simplification(self):
         (episode,) = make_eval_episodes(DESK, 1, 7)
-        rng = make_rng(7)
+        rng = derive_rng(7)
         protos = {c: rng.standard_normal((3, 8)) for c in episode.pooled_support_by_class()}
         margin, sim, total, grads = episode_loss(protos, episode, 0.0, 0.0)
         assert sim > 0 and total == margin
@@ -279,7 +279,7 @@ class TestTies:
     def test_exact_hinge_tie_has_zero_gradient(self, seed, n, d, k):
         # class 1 mirrors class 0 in channel 0, and every query point lies on
         # the mirror plane: each point is exactly as far from both classes
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         query = small_ints(rng, (n, d))
         query[:, 0] = 0.0
         p0 = small_ints(rng, (k, d))
@@ -301,7 +301,7 @@ class TestTies:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 5), st.integers(1, 5), st.data())
     def test_margin_duplicate_row_lowest_index_takes_all(self, seed, n, d, k, data):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         query = small_ints(rng, (n, d))
         protos = {0: small_ints(rng, (k, d)), 1: small_ints(rng, (k, d))}
         truth = rng.integers(0, 2, n)
@@ -323,7 +323,7 @@ class TestTies:
         # each prototype row keeps its own term of the mean prototype-to-
         # feature distance; the feature-to-nearest-prototype and the
         # worst-covered-prototype terms go to the lower copy only
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         feats = {0: small_ints(rng, (n, d))}
         p = small_ints(rng, (k, d))
         i = data.draw(st.integers(0, k - 1))

@@ -9,8 +9,8 @@ from warmproto import (
     WarmParams,
     attention_diversity,
     attention_entropy,
+    derive_rng,
     dispersion_metrics,
-    make_rng,
     ablation_forward,
     mean_iou,
     miou,
@@ -43,7 +43,7 @@ class TestMiou:
         assert score == 1.0
 
     def test_point_order_invariance(self):
-        rng = make_rng(0)
+        rng = derive_rng(0)
         pred = rng.integers(0, 3, 50)
         truth = rng.integers(0, 3, 50)
         perm = rng.permutation(50)
@@ -52,7 +52,7 @@ class TestMiou:
         assert a == pytest.approx(b, abs=1e-15)
 
     def test_simultaneous_relabeling_invariance(self):
-        rng = make_rng(1)
+        rng = derive_rng(1)
         pred = rng.integers(0, 3, 40)
         truth = rng.integers(0, 3, 40)
         remap = np.array([2, 0, 1])
@@ -158,7 +158,7 @@ class TestMiouConfusionCounts:
         assert_same_as_loop(np.array(pred, dtype=np.int64), np.array(truth, dtype=np.int64), class_set)
 
     def test_random_predictions_at_episode_size(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         for _ in range(200):
             k = int(rng.integers(2, 6))
             assert_same_as_loop(rng.integers(0, k, 512), rng.integers(0, k, 512), range(k))
@@ -178,7 +178,7 @@ class TestMeanIou:
         assert list(per_class) == [0, 1, 2]
 
     def test_equals_per_episode_miou_loop(self):
-        rng = make_rng(6)
+        rng = derive_rng(6)
         results = []
         for _ in range(30):
             k = int(rng.integers(2, 5))
@@ -211,7 +211,7 @@ class TestDispersion:
         assert rep["d_instance"] == 0.0
 
     def test_rotation_invariance(self):
-        rng = make_rng(2)
+        rng = derive_rng(2)
         mus = [rng.standard_normal(4) for _ in range(6)]
         ids = [1, 1, 2, 2, 3, 3]
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -223,7 +223,7 @@ class TestDispersion:
 
     def test_matches_pairwise_norm_loop_exactly(self):
         # reference: the plain pair loop over np.linalg.norm, same pair order
-        rng = make_rng(3)
+        rng = derive_rng(3)
         for n, d, scale in ((1, 3, 1.0), (2, 8, 1e-3), (40, 32, 10.0), (75, 33, 1e3)):
             summaries = [FgSummary(int(rng.integers(4)), scale * rng.standard_normal(d), 1.0) for _ in range(n)]
             intra, inter = [], []
@@ -255,13 +255,13 @@ class TestAttentionEntropy:
             assert attention_entropy(np.ones((3, 1))) == 1.0
 
     def test_column_permutation_invariance(self):
-        rng = make_rng(3)
+        rng = derive_rng(3)
         a = rng.dirichlet(np.ones(6), size=4)
         perm = rng.permutation(6)
         assert attention_entropy(a) == pytest.approx(attention_entropy(a[:, perm]), abs=1e-12)
 
     def test_bounds(self):
-        rng = make_rng(4)
+        rng = derive_rng(4)
         a = rng.dirichlet(np.ones(10) * 0.3, size=20)
         assert 0.0 <= attention_entropy(a) <= 1.0
 
@@ -288,7 +288,7 @@ class TestAttentionDiversity:
             attention_diversity(np.array([[1.0, 0.0]]))
 
     def test_bounds(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         a = rng.dirichlet(np.ones(8), size=10)
         assert 0.0 <= attention_diversity(a) <= 1.0
 
@@ -306,7 +306,7 @@ class TestQkDistance:
         return float(pairwise_distances(trace.q, trace.k).mean())
 
     def test_equal_projections_zero(self):
-        rng = make_rng(6)
+        rng = derive_rng(6)
         row = rng.standard_normal((1, 3))
         tokens = np.repeat(row, 4, axis=0)
         keys = np.repeat(row, 6, axis=0)

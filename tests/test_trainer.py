@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from warmproto import GeneratorConfig, TrainConfig, apply_update, evaluate, init_params, make_rng, train
+from warmproto import GeneratorConfig, TrainConfig, apply_update, derive_rng, evaluate, init_params, train
 from warmproto import trainer
 from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from warmproto.trainer import TrainRun, init_optimizer, lr_at, make_eval_episodes, run_grid, train_grid
@@ -25,7 +25,7 @@ def zero_grads(params):
 
 class TestApplyUpdate:
     def test_zero_gradient_no_decay_keeps_params(self):
-        params = init_params(4, 3, make_rng(0))
+        params = init_params(4, 3, derive_rng(0))
         state = init_optimizer(params)
         new, state2 = apply_update(params, zero_grads(params), state, lr=0.1, weight_decay=0.0)
         for name in PARAM_NAMES:
@@ -33,7 +33,7 @@ class TestApplyUpdate:
         assert state2.step == 1
 
     def test_decay_only_path_shrinks_exponentially(self):
-        params = init_params(4, 3, make_rng(1))
+        params = init_params(4, 3, derive_rng(1))
         state = init_optimizer(params)
         lr, wd = 0.01, 0.5
         new, _ = apply_update(params, zero_grads(params), state, lr=lr, weight_decay=wd)
@@ -41,7 +41,7 @@ class TestApplyUpdate:
             np.testing.assert_allclose(getattr(new, name), (1 - lr * wd) * getattr(params, name), atol=1e-15)
 
     def test_constant_gradient_step_size_approaches_lr(self):
-        params = init_params(3, 2, make_rng(2))
+        params = init_params(3, 2, derive_rng(2))
         state = init_optimizer(params)
         grads = {name: np.full_like(arr, 2.0) for name, arr in params_as_dict(params).items()}
         lr = 1e-3
@@ -52,7 +52,7 @@ class TestApplyUpdate:
         np.testing.assert_allclose(delta, lr, rtol=1e-5)
 
     def test_pure_function_inputs_untouched(self):
-        params = init_params(3, 2, make_rng(3))
+        params = init_params(3, 2, derive_rng(3))
         state = init_optimizer(params)
         tokens_before = params.tokens.copy()
         m_before = state.m["tokens"].copy()
@@ -350,7 +350,7 @@ class TestRunGrid:
 class TestEvaluate:
     def test_deterministic(self):
         episodes = make_eval_episodes(DESK, 4, 123)
-        params = init_params(8, 6, make_rng(5))
+        params = init_params(8, 6, derive_rng(5))
         assert evaluate(params, episodes) == evaluate(params, episodes)
 
     def test_ground_truth_means_on_separable_data(self):
@@ -375,13 +375,13 @@ class TestEvaluate:
 
     def test_checkpoint_dim_mismatch(self):
         episodes = make_eval_episodes(DESK, 2, 11)
-        params = init_params(16, 6, make_rng(6))
+        params = init_params(16, 6, derive_rng(6))
         with pytest.raises(CheckpointError):
             evaluate(params, episodes)
 
     def test_report_fields_populated(self):
         episodes = make_eval_episodes(DESK, 3, 17)
-        params = init_params(8, 6, make_rng(7))
+        params = init_params(8, 6, derive_rng(7))
         report = evaluate(params, episodes)
         assert 0.0 <= report.miou <= 1.0
         assert report.d_instance > 0

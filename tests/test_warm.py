@@ -11,10 +11,10 @@ from warmproto import (
     average_shots,
     color,
     compute_stats,
+    derive_rng,
     half_powers,
     init_params,
     load_checkpoint,
-    make_rng,
     save_checkpoint,
     sym_eig,
     whiten,
@@ -72,7 +72,7 @@ class TestComputeStats:
         np.testing.assert_allclose(stats.inv_sqrt, 100.0 * np.eye(3), atol=1e-9)
 
     def test_inv_sqrt_inverts_clamped_cov(self):
-        rng = make_rng(0)
+        rng = derive_rng(0)
         f = full_rank_features(rng, 40, 6)
         stats = compute_stats(f)
         np.testing.assert_allclose(stats.inv_sqrt @ stats.cov @ stats.inv_sqrt, np.eye(6), atol=1e-6)
@@ -90,7 +90,7 @@ class TestComputeStats:
             return sym_eig(m)
 
         monkeypatch.setattr(linalg, "sym_eig", counted)
-        stats = compute_stats(make_rng(9).standard_normal((20, 5)))
+        stats = compute_stats(derive_rng(9).standard_normal((20, 5)))
         assert len(calls) == 1
         inv_sqrt, sqrt = half_powers(stats.cov, 1e-4)
         np.testing.assert_array_equal(stats.inv_sqrt, inv_sqrt)
@@ -106,13 +106,13 @@ class TestWhitenColor:
         np.testing.assert_allclose(z.T @ z / 3, np.eye(2), atol=1e-12)
 
     def test_already_white_is_fixed_point(self):
-        rng = make_rng(1)
+        rng = derive_rng(1)
         f = make_white(rng, 50, 4)
         stats = compute_stats(f)
         np.testing.assert_allclose(whiten(f, stats), f, atol=1e-8)
 
     def test_whitening_identity_random_inputs(self):
-        rng = make_rng(2)
+        rng = derive_rng(2)
         for _ in range(20):
             f = full_rank_features(rng, 64, 16, scale=float(rng.uniform(0.5, 20)))
             stats = compute_stats(f)
@@ -122,20 +122,20 @@ class TestWhitenColor:
             assert np.linalg.norm(gram - np.eye(16)) < 1e-4
 
     def test_round_trip(self):
-        rng = make_rng(3)
+        rng = derive_rng(3)
         f = full_rank_features(rng, 30, 8, scale=5.0)
         stats = compute_stats(f)
         assert np.max(np.abs(color(whiten(f, stats), stats) - f)) < 1e-6
 
     def test_identity_stats_are_identity_map(self):
-        rng = make_rng(4)
+        rng = derive_rng(4)
         f = make_white(rng, 40, 5)
         stats = compute_stats(f)
         tokens = rng.standard_normal((7, 5))
         np.testing.assert_allclose(color(tokens, stats), tokens, atol=1e-8)
 
     def test_zero_tokens_color_to_mean(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         f = full_rank_features(rng, 20, 4)
         stats = compute_stats(f)
         out = color(np.zeros((3, 4)), stats)
@@ -153,14 +153,14 @@ class TestCrossAttention:
     """Single-head attention of a token pool over its class's keys."""
 
     def test_singleton_key(self):
-        rng = make_rng(6)
+        rng = derive_rng(6)
         params = init_params(4, 1, rng)
         out = attend(params.tokens[params.token_rows(1)], np.ones((1, 4)), params)
         np.testing.assert_allclose(out.weights, [[1.0]])
         np.testing.assert_allclose(out.attended, np.ones((1, 4)) @ params.w_v, atol=1e-12)
 
     def test_zero_projections_give_uniform_rows(self):
-        rng = make_rng(7)
+        rng = derive_rng(7)
         keys = rng.standard_normal((6, 4))
         params = WarmParams(np.zeros((2, 4)), np.zeros((4, 4)), np.zeros((4, 4)), rng.standard_normal((4, 4)))
         out = attend(np.zeros((1, 4)), keys, params)
@@ -168,7 +168,7 @@ class TestCrossAttention:
         np.testing.assert_allclose(out.attended, (keys @ params.w_v).mean(axis=0, keepdims=True), atol=1e-12)
 
     def test_matches_hand_composition(self):
-        rng = make_rng(8)
+        rng = derive_rng(8)
         params = init_params(4, 3, rng)
         tokens = rng.standard_normal((3, 4))
         keys = rng.standard_normal((6, 4))
@@ -181,20 +181,20 @@ class TestCrossAttention:
         np.testing.assert_allclose(out.attended, a @ (keys @ params.w_v), atol=1e-12)
 
     def test_rows_are_probabilities(self):
-        rng = make_rng(9)
+        rng = derive_rng(9)
         params = init_params(5, 4, rng)
         out = attend(rng.standard_normal((4, 5)), rng.standard_normal((9, 5)) * 10, params)
         np.testing.assert_allclose(out.weights.sum(axis=1), np.ones(4), atol=1e-12)
         assert np.all(out.weights >= 0)
 
     def test_empty_keys(self):
-        rng = make_rng(10)
+        rng = derive_rng(10)
         params = init_params(3, 2, rng)
         with pytest.raises(EmptyClassError):
             attend(params.tokens[params.token_rows(1)], np.zeros((0, 3)), params)
 
     def test_scale_flag_divides_logits(self):
-        rng = make_rng(11)
+        rng = derive_rng(11)
         params = init_params(4, 2, rng)
         tokens, keys = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
         scaled = attend(tokens, keys, params, scale_logits=True)
@@ -211,7 +211,7 @@ class TestForwardVariants:
         }
 
     def test_white_data_collapse(self):
-        rng = make_rng(12)
+        rng = derive_rng(12)
         feats = {1: make_white(rng, 24, 4), 0: make_white(rng, 30, 4)}
         params = init_params(4, 3, rng)
         w = ablation_forward(params, feats, "warm")
@@ -222,7 +222,7 @@ class TestForwardVariants:
             )
 
     def test_zero_projections_isolate_coloring(self):
-        rng = make_rng(13)
+        rng = derive_rng(13)
         feats = self._feats(rng)
         tokens = rng.standard_normal((6, 4)) * 0.1
         params = WarmParams(tokens, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
@@ -235,7 +235,7 @@ class TestForwardVariants:
             )
 
     def test_matches_stagewise_composition(self):
-        rng = make_rng(14)
+        rng = derive_rng(14)
         feats = {1: full_rank_features(rng, 6, 4), 0: full_rank_features(rng, 6, 4)}
         params = init_params(4, 3, rng)
         res = ablation_forward(params, feats, "warm", eps=1e-4)
@@ -248,7 +248,7 @@ class TestForwardVariants:
             np.testing.assert_allclose(res.prototypes[label], expected, atol=1e-10)
 
     def test_naive_single_key_broadcast(self):
-        rng = make_rng(15)
+        rng = derive_rng(15)
         params = init_params(4, 3, rng)
         key = rng.standard_normal((1, 4))
         res = ablation_forward(params, {1: key, 0: rng.standard_normal((2, 4))}, "naive")
@@ -256,7 +256,7 @@ class TestForwardVariants:
         np.testing.assert_allclose(res.prototypes[1], expected, atol=1e-12)
 
     def test_naive_zero_value_projection(self):
-        rng = make_rng(16)
+        rng = derive_rng(16)
         tokens = rng.standard_normal((4, 3))
         params = WarmParams(tokens, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), np.zeros((3, 3)))
         res = ablation_forward(params, {1: rng.standard_normal((5, 3)), 0: rng.standard_normal((5, 3))}, "naive")
@@ -264,7 +264,7 @@ class TestForwardVariants:
         np.testing.assert_allclose(res.prototypes[0], tokens[2:], atol=1e-12)
 
     def test_whiten_restore_equals_warm(self):
-        rng = make_rng(17)
+        rng = derive_rng(17)
         feats = self._feats(rng)
         params = init_params(4, 3, rng)
         a = ablation_forward(params, feats, "whiten+restore")
@@ -273,7 +273,7 @@ class TestForwardVariants:
             np.testing.assert_array_equal(a.prototypes[label], w.prototypes[label])
 
     def test_center_on_zero_mean_data_equals_naive(self):
-        rng = make_rng(18)
+        rng = derive_rng(18)
         feats = {}
         for label, n in ((1, 10), (0, 12)):
             f = rng.standard_normal((n, 4))
@@ -287,7 +287,7 @@ class TestForwardVariants:
             )
 
     def test_normalize_equals_whiten_on_diagonal_covariance(self):
-        rng = make_rng(19)
+        rng = derive_rng(19)
         # rows (+-a, 0), (0, +-b): sample covariance exactly diagonal
         feats = {}
         for label, (a, b) in ((1, (2.0, 0.5)), (0, (1.0, 3.0))):
@@ -304,7 +304,7 @@ class TestForwardVariants:
                 )
 
     def test_restore_off_skips_inverse_map(self):
-        rng = make_rng(20)
+        rng = derive_rng(20)
         feats = self._feats(rng)
         params = init_params(4, 3, rng)
         res = ablation_forward(params, feats, "whiten")
@@ -316,16 +316,16 @@ class TestForwardVariants:
             np.testing.assert_allclose(res.prototypes[label], pool + attended, atol=1e-10)
 
     def test_determinism(self):
-        rng = make_rng(21)
+        rng = derive_rng(21)
         feats = self._feats(rng)
-        params = init_params(4, 3, make_rng(5))
+        params = init_params(4, 3, derive_rng(5))
         a = ablation_forward(params, feats, "warm")
         b = ablation_forward(params, feats, "warm")
         for label in (0, 1):
             np.testing.assert_array_equal(a.prototypes[label], b.prototypes[label])
 
     def test_empty_class_propagates(self):
-        rng = make_rng(22)
+        rng = derive_rng(22)
         params = init_params(4, 3, rng)
         with pytest.raises(EmptyClassError):
             ablation_forward(params, {1: np.zeros((0, 4)), 0: rng.standard_normal((5, 4))}, "warm")
@@ -334,7 +334,7 @@ class TestForwardVariants:
         with pytest.raises(ArgumentError):
             resolve_variant("whitening")
         with pytest.raises(ArgumentError):
-            ablation_forward(init_params(2, 1, make_rng(23)), {1: np.ones((3, 2))}, "whitening")
+            ablation_forward(init_params(2, 1, derive_rng(23)), {1: np.ones((3, 2))}, "whitening")
 
 
 class TestAverageShots:
@@ -361,7 +361,7 @@ class TestAverageShots:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        params = init_params(6, 4, make_rng(30))
+        params = init_params(6, 4, derive_rng(30))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, seed=9, config_hash="abc")
         loaded, meta = load_checkpoint(path)
@@ -382,7 +382,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_inconsistent_header(self, tmp_path):
-        params = init_params(3, 2, make_rng(31))
+        params = init_params(3, 2, derive_rng(31))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, seed=0)
         import json
@@ -397,7 +397,7 @@ class TestCheckpoint:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(3, 24), st.integers(2, 6))
 def test_whiten_gram_property(seed, n, d):
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     f = rng.standard_normal((max(n, d + 2), d)) * 3.0
     stats = compute_stats(f)
     z = whiten(f, stats)
