@@ -15,9 +15,15 @@ glibc's adaptive defaults their pages go back to the kernel after each
 call and are faulted in again on the next. ``HEAP_KEPT`` records
 whether the setting took (False on a C library without ``mallopt``, or
 where it refuses the values). Forked workers inherit the setting.
+
+It also sets the three BLAS thread variables to 1, over any user value:
+BLAS products round differently at other thread counts. If numpy loaded
+first, and so has read them, none is set and ``BLAS_PINNED`` is False.
 """
 
 import ctypes
+import os
+import sys
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -34,6 +40,9 @@ def _keep_heap() -> bool:
 
 
 HEAP_KEPT = _keep_heap()
+BLAS_PINNED = "numpy" not in sys.modules
+if BLAS_PINNED:
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .episodes import (  # noqa: E402
     Episode,

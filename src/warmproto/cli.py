@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_PINNED
 from .episodes import GeneratorConfig, gen_episode, load_episode, save_episode
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .files import atomic_write, write_csv
@@ -144,20 +145,14 @@ def write_sidecar(path, command: str, cfg: ExperimentConfig) -> None:
     atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-# BLAS thread-count variables, read when numpy loads; the first one set counts
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def worker_cap() -> int:
     """Worker processes for ``eval`` with an attention method, for the
     ``ablate`` and ``token-sweep`` grids, and for ``train``, where above 1
     it turns on the forked episode producer.
 
-    WARM_THREADS if set. Otherwise the CPUs this process may use divided
-    by the BLAS threads each process runs, taken from BLAS_THREAD_VARS;
-    with none of them set, BLAS already uses every CPU, so 1. Workers
-    inherit the BLAS thread count, and more busy BLAS threads than CPUs
-    made a grid several times slower. Each worker is one forked child
+    WARM_THREADS if set. Otherwise the CPUs this process may use when the
+    import pinned BLAS to one thread (``BLAS_PINNED``), else 1, as BLAS
+    may then thread over every CPU. Each worker is one forked child
     (``trainer._forked``), never more than there are episodes or runs,
     and outputs do not depend on the count.
     Every verb validates it; ``gen`` and the FPS verbs run in one process.
@@ -165,11 +160,7 @@ def worker_cap() -> int:
     raw = os.environ.get("WARM_THREADS")
     if raw is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        for var in BLAS_THREAD_VARS:
-            value = os.environ.get(var, "")
-            if value.isdigit() and int(value) >= 1:
-                return max(1, cpus // int(value))
-        return 1
+        return cpus if BLAS_PINNED else 1
     try:
         cap = int(raw)
     except ValueError as exc:
@@ -213,10 +204,10 @@ def cmd_gen(args) -> None:
     stale = sorted(p.name for p in Path(args.out).glob("*.warmep") if p.name not in names)
     if stale:
         raise ArgumentError(f"{args.out} holds {stale[0]}, which a batch of {cfg.num_episodes} does not write")
+    cfg = cfg if args.seed is None else replace(cfg, gen_seed=args.seed)
     out = _out_dir(args)
-    seed = cfg.gen_seed if args.seed is None else args.seed
     for i in range(cfg.num_episodes):
-        episode = gen_episode(cfg.generator, derive_rng(seed, EVAL_STREAM, i), split=cfg.gen_split)
+        episode = gen_episode(cfg.generator, derive_rng(cfg.gen_seed, EVAL_STREAM, i), split=cfg.gen_split)
         save_episode(episode, out / f"ep_{i:05d}.warmep")
     write_sidecar(out / "generator_config.json", "gen", cfg)
     print(f"gen: wrote {cfg.num_episodes} episodes to {out}")
@@ -226,10 +217,10 @@ def cmd_train(args) -> None:
     cfg = load_experiment_config(args.config)
     if cfg.method == "fps-min-dist":
         raise ConfigError("method 'fps-min-dist' has no learnable parameters; nothing to train")
-    train_cfg = cfg.train if args.seed is None else replace(cfg.train, seed=args.seed)
+    cfg = cfg if args.seed is None else replace(cfg, train=replace(cfg.train, seed=args.seed))
     out = _out_dir(args)
     run = train(
-        train_cfg,
+        cfg.train,
         cfg.generator,
         variant=cfg.method,
         out_dir=out,
@@ -267,35 +258,35 @@ def cmd_eval(args) -> None:
 
 def cmd_sweep_fps(args) -> None:
     cfg = load_experiment_config(args.config)
-    n_seeds = cfg.fps_seeds if args.seeds is None else args.seeds
+    cfg = cfg if args.seeds is None else replace(cfg, fps_seeds=args.seeds)
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
-    result = fps_seed_sweep(episodes, cfg.fps_tokens, range(n_seeds))
+    result = fps_seed_sweep(episodes, cfg.fps_tokens, range(cfg.fps_seeds))
     labels = list(range(cfg.generator.n_way + 1))
     write_sweep_csv(out / "sweep.csv", result, labels)
     write_sweep_summary_csv(out / "sweep_summary.csv", result)
     write_sidecar(out / "sweep_config.json", "sweep-fps", cfg)
     print(
-        f"sweep-fps: {n_seeds} seeds, best {result.best:.4f}, worst {result.worst:.4f}, "
+        f"sweep-fps: {cfg.fps_seeds} seeds, best {result.best:.4f}, worst {result.worst:.4f}, "
         f"spread {result.best - result.worst:.4f}"
     )
 
 
 def cmd_ablate(args) -> None:
     cfg = load_experiment_config(args.config)
-    seeds = list(cfg.seeds) if args.seeds is None else list(range(args.seeds))
+    cfg = cfg if args.seeds is None else replace(cfg, seeds=tuple(range(args.seeds)))
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
-    seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in seeds]
+    seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in cfg.seeds]
     rows = [
         [variant, seed, repr(float(report.qk_dist)), repr(float(report.miou))]
-        for seed, row in zip(seeds, run_grid(seed_runs, cfg.generator, episodes, worker_cap()))
+        for seed, row in zip(cfg.seeds, run_grid(seed_runs, cfg.generator, episodes, worker_cap()))
         for variant, (_, report) in zip(ABLATION_GRID, row)
     ]
     write_csv(out / "ablation.csv", ["variant", "seed", "qk_dist", "miou"], rows)
     write_sidecar(out / "ablation_config.json", "ablate", cfg)
-    print(f"ablate: {len(rows)} rows ({len(ABLATION_GRID)} variants x {len(seeds)} seeds) -> {out / 'ablation.csv'}")
+    print(f"ablate: {len(rows)} rows ({len(ABLATION_GRID)} variants x {len(cfg.seeds)} seeds) -> {out / 'ablation.csv'}")
 
 
 def cmd_token_sweep(args) -> None:

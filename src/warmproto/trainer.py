@@ -530,8 +530,8 @@ def run_grid(
     every run is bit-identical to a standalone ``train`` plus
     ``evaluate``, and when parts fail, the error of the first one in
     (seed, run) order is raised. Workers keep this process's BLAS thread
-    count, so ``workers`` times that count should not exceed the CPUs
-    (``cli.worker_cap`` picks such a count).
+    count, which the import pins to one, so ``cli.worker_cap`` gives one
+    worker per CPU.
     """
     if not seed_runs or not all(seed_runs):
         raise ArgumentError("grid needs at least one run per seed")

@@ -5,8 +5,9 @@ Training runs and evaluations on the default benchmark are cached per
 ablation grid never repeat a run within one pytest session. Runs go
 through the same grid runner as ``ablate``: the requested runs are cut
 into contiguous parts, one forked process each, at most ``worker_cap()``
-of them (one unless BLAS runs fewer threads than there are CPUs), and a
-part's runs of one seed train in lockstep on shared episodes.
+of them (one per CPU, since importing the package here, before numpy,
+pins BLAS to one thread), and a part's runs of one seed train in
+lockstep on shared episodes.
 """
 
 import multiprocessing

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from warmproto import cli, trainer
-from warmproto.cli import BLAS_THREAD_VARS, load_experiment_config, main, worker_cap
+from warmproto.cli import load_experiment_config, main, worker_cap
 from warmproto.episodes import load_episode, save_episode
 from warmproto.errors import CheckpointError, ConfigError, NumericError
 from warmproto.rng import derive_rng
@@ -22,6 +22,18 @@ from warmproto.trainer import evaluate, make_eval_episodes, train
 from warmproto.warm import ABLATION_GRID, VARIANTS, init_params, load_checkpoint, save_checkpoint
 
 REPO = Path(__file__).resolve().parents[1]
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# what a fresh interpreter sees once it has imported the package, after numpy if argv[1] says so
+PIN_SCRIPT = """
+import json, os, sys
+if sys.argv[1] == "numpy":
+    import numpy
+import warmproto
+from warmproto.cli import worker_cap
+env = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+print(json.dumps([warmproto.BLAS_PINNED, env, worker_cap()]))
+"""
 
 SMALL_CONFIG = {
     "generator": {"feature_dim": 8, "points_per_cloud": 128, "min_fg_points": 16},
@@ -39,6 +51,15 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_CONFIG))
     return path
+
+
+def fresh_env(**values):
+    """The environment for a subprocess that imports this tree's package:
+    this one's, less WARM_THREADS and the BLAS variables (which the
+    package's import set here), plus ``values``."""
+    env = {k: v for k, v in os.environ.items() if k not in (*BLAS_VARS, "WARM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return dict(env, **values)
 
 
 def read_csv(path):
@@ -369,6 +390,31 @@ def csv_bytes(rows):
     return buf.getvalue().encode()
 
 
+class TestSeedFlags:
+    """A seed flag runs what its config runs with the value written in:
+    the same files, the sidecar and the checkpoint's config hash too."""
+
+    @pytest.mark.parametrize(
+        "verb, flag, field",
+        [
+            ("gen", ["--seed", "9"], {"gen_seed": 9}),
+            ("train", ["--seed", "5"], {"train": dict(SMALL_CONFIG["train"], seed=5)}),
+            ("sweep-fps", ["--seeds", "2"], {"fps_seeds": 2}),
+            ("ablate", ["--seeds", "2"], {"seeds": [0, 1]}),
+        ],
+    )
+    def test_flag_writes_what_the_config_field_writes(self, config_path, tmp_path, verb, flag, field):
+        written = tmp_path / "written.json"
+        written.write_text(json.dumps(dict(SMALL_CONFIG, **field)))
+        assert main([verb, "--config", str(config_path), "--out", str(tmp_path / "flag"), *flag]) == 0
+        assert main([verb, "--config", str(written), "--out", str(tmp_path / "field")]) == 0
+        files = {
+            name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir() if p.name != "timing.csv"}
+            for name in ("flag", "field")
+        }
+        assert files["flag"] == files["field"]
+
+
 class TestGridMatchesSeparateRuns:
     """ablate and token-sweep train each seed's runs in lockstep on shared
     episodes; their files must equal one train + evaluate call per run."""
@@ -430,18 +476,32 @@ class TestGridWorkers:
         assert all(f == files["1"] for f in files.values())
         assert output in files["1"]
 
-    def test_default_workers_leave_a_cpu_per_blas_thread(self, monkeypatch):
+    def test_default_workers_one_per_cpu_whatever_blas_says(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
+        monkeypatch.setattr(cli, "BLAS_PINNED", True)
         monkeypatch.delenv("WARM_THREADS", raising=False)
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        assert worker_cap() == 1  # BLAS already threads over every CPU
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert worker_cap() == cpus
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus))
-        assert worker_cap() == 1
+        for threads in (None, "1", "2", str(cpus)):
+            for var in BLAS_VARS:
+                if threads is None:
+                    monkeypatch.delenv(var, raising=False)
+                else:
+                    monkeypatch.setenv(var, threads)
+            assert worker_cap() == cpus
         monkeypatch.setenv("WARM_THREADS", "3")
         assert worker_cap() == 3
+
+    @pytest.mark.parametrize("first", ["warmproto", "numpy"])
+    def test_import_pins_blas_unless_numpy_came_first(self, first):
+        env = fresh_env(OPENBLAS_NUM_THREADS="2")
+        argv = [sys.executable, "-c", PIN_SCRIPT, first]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
+        pinned, seen, workers = json.loads(done.stdout)
+        if first == "numpy":  # numpy has read the user's value: it stands, untouched, at one worker
+            assert pinned is False and workers == 1
+            assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+        else:  # the user's value does not win
+            assert pinned is True and workers == len(os.sched_getaffinity(0))
+            assert seen == dict.fromkeys(BLAS_VARS, "1")
 
     @pytest.mark.parametrize("value", ["0", "x"])
     def test_bad_worker_count_exit_1(self, config_path, tmp_path, monkeypatch, capsys, value):
@@ -597,6 +657,31 @@ class TestTrainWorkers:
         assert messages["2"] == messages["1"]
 
 
+class TestBlasThreads:
+    """The import pins BLAS to one thread, so a verb writes the same bytes
+    whatever BLAS variables it was started with."""
+
+    def test_same_bytes_at_any_blas_variables(self, tmp_path):
+        path = tmp_path / "two.json"  # the default config, cut to 2 steps and 10 eval episodes
+        path.write_text(json.dumps({"train": {"epochs": 1, "episodes_per_epoch": 2}, "eval_episodes": 10}))
+        warmproto = [sys.executable, "-m", "warmproto.cli"]
+        files = {}
+        for threads in ("1", "2", None):
+            env = fresh_env() if threads is None else fresh_env(**dict.fromkeys(BLAS_VARS, threads))
+            out = tmp_path / f"threads-{threads}"
+            for verb, *extra in (["train"], ["eval", "--checkpoint", str(out / "train" / "checkpoint.json")]):
+                argv = [*warmproto, verb, *extra, "--config", str(path), "--out", str(out / verb)]
+                subprocess.run(argv, env=env, capture_output=True, check=True, timeout=300)
+            files[threads] = {
+                str(p.relative_to(out)): p.read_bytes()
+                for p in out.rglob("*")
+                if p.is_file() and p.name != "timing.csv"
+            }
+        assert {"train/training_log.csv", "train/checkpoint.json", "eval/metrics.csv"} <= set(files["1"])
+        assert files["2"] == files["1"]
+        assert files[None] == files["1"]
+
+
 class TestDeadWorker:
     """A forked worker that exits without sending its results is an OS
     failure: exit 3 with one stderr line, and no process outlives the call."""
@@ -730,8 +815,7 @@ class TestExitCodes:
         train_cfg = dict(SMALL_CONFIG["train"], episodes_per_epoch=2)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(SMALL_CONFIG, method="naive", generator=generator, train=train_cfg)))
-        env = dict(os.environ, WARM_THREADS="2", OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        env = fresh_env(WARM_THREADS="2")
         argv = [sys.executable, "-m", "warmproto.cli", verb, "--config", str(path), "--out", str(tmp_path / "o")]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 2

@@ -4,8 +4,10 @@
 Runs a fixed set of verbs on a small 2-way 2-shot config, each in its own
 ``python -m warmproto.cli`` subprocess, with the package imported from
 ``--src`` (default: the ``src`` beside this script). BLAS runs at 1 thread
-(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``), and
-the whole set runs twice, at ``WARM_THREADS`` 1 and then 2, each time in a
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``): the
+package pins these at import, but the script sets them too, so that a tree
+from before that pin runs at the same thread count and still diffs clean.
+The whole set runs twice, at ``WARM_THREADS`` 1 and then 2, each time in a
 fresh temporary directory that is the verbs' working directory. For each
 verb it prints the command, its stdout, and one ``sha256  path`` line per
 file under its ``--out``; ``timing.csv`` is left out, since it holds wall
