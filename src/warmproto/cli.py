@@ -43,12 +43,10 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     eval_episodes: int = 100
     eval_seed: int = 7700
-    eval_split: str = "novel"
     fps_tokens: int = 3
     fps_seeds: int = 100
     token_counts: tuple[int, ...] = (1, 10, 100)
     num_episodes: int = 100
-    gen_split: str = "novel"
     gen_seed: int = 7700
 
     def validate(self) -> None:
@@ -62,9 +60,6 @@ class ExperimentConfig:
         for name in ("eval_seed", "gen_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("eval_split", "gen_split"):
-            if getattr(self, name) not in ("base", "novel"):
-                raise ConfigError(f"{name} must be 'base' or 'novel', got {getattr(self, name)!r}")
         if not self.seeds or any(s < 0 for s in self.seeds):
             raise ConfigError(f"seeds must be a nonempty list of seeds >= 0, got {list(self.seeds)}")
         if not self.token_counts or any(m < 1 for m in self.token_counts):
@@ -78,8 +73,6 @@ def _fits(value, hint) -> bool:
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # the length is left to validate()
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if args:  # X | None
-        return any(_fits(value, a) for a in args)
     if hint is float:  # json.loads reads NaN and Infinity as floats
         return _fits(value, int) or isinstance(value, float) and math.isfinite(value)
     if hint is int:
@@ -178,7 +171,7 @@ def _out_dir(args) -> Path:
 
 def _eval_batch(cfg: ExperimentConfig, data_dir):
     if data_dir is None:
-        return make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed, cfg.eval_split)
+        return make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed)
     paths = sorted(Path(data_dir).glob("*.warmep"))
     if not paths:
         raise ArgumentError(f"no .warmep episode files under {data_dir}")
@@ -207,7 +200,7 @@ def cmd_gen(args) -> None:
     cfg = cfg if args.seed is None else replace(cfg, gen_seed=args.seed)
     out = _out_dir(args)
     for i in range(cfg.num_episodes):
-        episode = gen_episode(cfg.generator, derive_rng(cfg.gen_seed, EVAL_STREAM, i), split=cfg.gen_split)
+        episode = gen_episode(cfg.generator, derive_rng(cfg.gen_seed, EVAL_STREAM, i), split="novel")
         save_episode(episode, out / f"ep_{i:05d}.warmep")
     write_sidecar(out / "generator_config.json", "gen", cfg)
     print(f"gen: wrote {cfg.num_episodes} episodes to {out}")
@@ -249,7 +242,7 @@ def cmd_eval(args) -> None:
         report = evaluate_fps(episodes, cfg.fps_tokens, seed)
     else:
         params, _meta = load_checkpoint(args.checkpoint)
-        report = evaluate(params, episodes, cfg.method, cfg.train.eps, cfg.train.scale_logits, worker_cap())
+        report = evaluate(params, episodes, cfg.method, cfg.train.eps, worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
     write_metrics_csv(out / "metrics.csv", [report], labels)
     write_sidecar(out / "eval_config.json", "eval", cfg)

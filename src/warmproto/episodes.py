@@ -291,7 +291,7 @@ def split_fg_bg(cloud: PointCloud, class_label: int) -> tuple[np.ndarray, np.nda
     mask = cloud.labels == class_label
     if not np.any(mask):
         raise EmptyClassError(f"cloud contains no points of class {class_label}")
-    return cloud.features[mask].copy(), cloud.features[~mask].copy()
+    return cloud.features[mask], cloud.features[~mask]
 
 
 def save_episode(episode: Episode, path) -> None:

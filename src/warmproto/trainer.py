@@ -76,8 +76,6 @@ class TrainConfig:
     num_tokens: int = 100
     seed: int = 0
     margin: float = 0.0
-    grad_clip: float | None = None
-    scale_logits: bool = False
     token_std: float = 0.02
 
     @property
@@ -104,8 +102,6 @@ class TrainConfig:
             raise ConfigError(f"train seed must be >= 0, got {self.seed}")
         if self.num_tokens < 1:
             raise ConfigError(f"num_tokens must be >= 1, got {self.num_tokens}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError(f"grad_clip must be positive when set, got {self.grad_clip}")
         if not self.token_std >= 0:
             raise ConfigError(f"token_std must be >= 0, got {self.token_std}")
 
@@ -160,11 +156,11 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 
 
 def episode_forward(
-    params: WarmParams, episode: Episode, variant: str, eps: float, scale_logits: bool = False
+    params: WarmParams, episode: Episode, variant: str, eps: float
 ) -> tuple[dict[int, np.ndarray], list[ForwardResult]]:
     """Per-shot forward passes, prototypes averaged across shots."""
     shots = [
-        ablation_forward(params, episode.support_features_by_class(shot), variant, eps, scale_logits)
+        ablation_forward(params, episode.support_features_by_class(shot), variant, eps)
         for shot in range(episode.k_shot)
     ]
     return average_shots([s.prototypes for s in shots]), shots
@@ -218,7 +214,7 @@ class TrainRun:
         """
         cfg, params = self.cfg, self.params
         lr = lr_at(cfg, step)
-        protos, shots = episode_forward(params, episode, self.variant, cfg.eps, cfg.scale_logits)
+        protos, shots = episode_forward(params, episode, self.variant, cfg.eps)
         margin, sim, total, grad_by_class = episode_loss(protos, episode, cfg.lam, cfg.margin)
         per_shot = {label: g / episode.k_shot for label, g in grad_by_class.items()}
         grads = {name: np.zeros_like(arr) for name, arr in params_as_dict(params).items()}
@@ -231,9 +227,6 @@ class TrainRun:
                 f"non-finite loss or gradient at step {step} of variant {self.variant!r} "
                 f"(episode stream seed={cfg.seed}, key=({_TRAIN_STREAM}, {step}))"
             )
-        if cfg.grad_clip is not None and grad_norm > cfg.grad_clip:
-            scale = cfg.grad_clip / grad_norm
-            grads = {name: g * scale for name, g in grads.items()}
         self.params, self.state = apply_update(params, grads, self.state, lr, cfg.weight_decay)
         self.log.append((step, margin, sim, total, grad_norm, lr))
 
@@ -388,24 +381,21 @@ def write_timing_csv(path, wall_ms) -> None:
     write_csv(path, ["episode_idx", "wall_ms"], ([i, f"{ms:.3f}"] for i, ms in enumerate(wall_ms)))
 
 
-def make_eval_episodes(
-    gen_cfg: GeneratorConfig, count: int, seed: int, split: str = "novel"
-) -> list[Episode]:
-    """Deterministic evaluation batch: episode i uses stream (seed, i)."""
+def make_eval_episodes(gen_cfg: GeneratorConfig, count: int, seed: int) -> list[Episode]:
+    """Deterministic evaluation batch of novel-class episodes: episode i
+    uses stream (seed, i)."""
     if count < 1:
         raise ArgumentError(f"count must be >= 1, got {count}")
     return [
-        gen_episode(gen_cfg, derive_rng(seed, EVAL_STREAM, i), split=split) for i in range(count)
+        gen_episode(gen_cfg, derive_rng(seed, EVAL_STREAM, i), split="novel") for i in range(count)
     ]
 
 
-def _score_episode(
-    params: WarmParams, episode: Episode, variant: str, eps: float, scale_logits: bool
-) -> tuple:
+def _score_episode(params: WarmParams, episode: Episode, variant: str, eps: float) -> tuple:
     """One episode's share of an ``evaluate`` report: its (mIoU, per-class
     IoU), foreground attention entropies, diversities and query/key
     distances, and foreground summaries."""
-    protos, shots = episode_forward(params, episode, variant, eps, scale_logits)
+    protos, shots = episode_forward(params, episode, variant, eps)
     preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
     truths = np.concatenate([q.labels for q in episode.query])
     ious = miou(preds, truths, range(episode.n_way + 1))
@@ -425,7 +415,6 @@ def evaluate(
     episodes: list[Episode],
     variant: str = "warm",
     eps: float = 1e-4,
-    scale_logits: bool = False,
     workers: int = 1,
 ) -> MetricsReport:
     """Frozen-parameter evaluation over an episode batch.
@@ -451,7 +440,7 @@ def evaluate(
             )
 
     def score(part: Sequence[Episode]) -> list[tuple]:
-        return [_score_episode(params, episode, variant, eps, scale_logits) for episode in part]
+        return [_score_episode(params, episode, variant, eps) for episode in part]
 
     ious, *lists = zip(*_fork_map(score, episodes, workers))
     entropies, diversities, qk_dists, summaries = (list(chain.from_iterable(parts)) for parts in lists)
@@ -469,13 +458,13 @@ def _grid_slice(
 ) -> list[tuple[TrainRun, MetricsReport]]:
     """Train a part of a flattened grid, given as (seed group, run) pairs,
     one seed group at a time in lockstep (``train_grid``), and score each
-    run in this process on the batch with its own eps and logit scaling.
+    run in this process on the batch with its own eps.
     Training forks no episode producer: grid parts already own the CPUs."""
     done = []
     for _, group in groupby(part, key=itemgetter(0)):
         runs = [run for _, run in group]
         for (cfg, variant), run in zip(runs, train_grid(runs, gen_cfg)):
-            report = evaluate(run.params, episodes, variant, cfg.eps, cfg.scale_logits)
+            report = evaluate(run.params, episodes, variant, cfg.eps)
             # spent moments are left behind: they would double what a worker sends back
             done.append((replace(run, state=None), report))
     return done

@@ -186,7 +186,6 @@ class ClassTrace:
     weights: np.ndarray
     attended: np.ndarray
     out_map: np.ndarray | None  # restoration matrix, None means identity
-    scale_logits: bool
 
 
 @dataclass
@@ -217,15 +216,13 @@ def ablation_forward(
     features_by_class: dict[int, np.ndarray],
     variant: str,
     eps: float = 1e-4,
-    scale_logits: bool = False,
 ) -> ForwardResult:
     """Forward pass of one ``VARIANTS`` entry: the full operator ("warm")
     or one of its ablations.
 
     Per class: transform the features, attend with the class's token pool
-    (single head, softmax(Wq(tokens) Wk(keys)^T) Wv(keys), logits divided
-    by sqrt(D) when ``scale_logits``), add the residual, then apply the
-    restoration map (if any).
+    (single head, softmax(Wq(tokens) Wk(keys)^T) Wv(keys), no logit
+    scaling), add the residual, then apply the restoration map (if any).
     """
     mode, restore = resolve_variant(variant)
     if not features_by_class:
@@ -242,17 +239,14 @@ def ablation_forward(
         q = tokens @ params.w_q
         k = keys_in @ params.w_k
         v = keys_in @ params.w_v
-        logits = q @ k.T
-        if scale_logits:
-            logits = logits / np.sqrt(params.feature_dim)
-        weights = softmax_rows(logits)
+        weights = softmax_rows(q @ k.T)
         attended = weights @ v
         mid = tokens + attended
         out = mid if out_map is None else mid @ out_map
         if out_shift is not None:
             out = out + out_shift
         prototypes[label] = out
-        traces[label] = ClassTrace(rows, keys_in, q, k, v, weights, attended, out_map, scale_logits)
+        traces[label] = ClassTrace(rows, keys_in, q, k, v, weights, attended, out_map)
     return ForwardResult(prototypes, traces)
 
 
@@ -281,8 +275,6 @@ def warm_backward(
         d_v = trace.weights.T @ d_mid
         tmp = d_weights * trace.weights
         d_logits = tmp - trace.weights * tmp.sum(axis=1, keepdims=True)
-        if trace.scale_logits:
-            d_logits = d_logits / np.sqrt(params.feature_dim)
         d_q = d_logits @ trace.k
         d_k = d_logits.T @ trace.q
         grads["w_q"] += params.tokens[trace.rows].T @ d_q

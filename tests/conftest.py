@@ -33,7 +33,7 @@ def default_gen():
 @pytest.fixture(scope="session")
 def bench_episodes(default_gen):
     """The default evaluation benchmark: 100 novel-class episodes."""
-    return make_eval_episodes(default_gen, 100, EVAL_SEED, "novel")
+    return make_eval_episodes(default_gen, 100, EVAL_SEED)
 
 
 @pytest.fixture(scope="session")

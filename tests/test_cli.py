@@ -7,14 +7,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from warmproto import cli, trainer
-from warmproto.cli import load_experiment_config, main, worker_cap
+from warmproto.cli import ExperimentConfig, load_experiment_config, main, worker_cap
 from warmproto.episodes import load_episode, save_episode
 from warmproto.errors import CheckpointError, ConfigError, NumericError
 from warmproto.rng import derive_rng
@@ -74,24 +74,34 @@ class TestConfigLoading:
         assert cfg.generator.feature_dim == 32
 
     def test_bundled_default_config_parses(self):
-        cfg = load_experiment_config(REPO / "configs" / "default.json")
+        path = REPO / "configs" / "default.json"
+        cfg = load_experiment_config(path)
         cfg.validate()
         assert cfg.train.lr == pytest.approx(1e-4)
         assert cfg.train.num_tokens == 100
+        # field for field: a key missing from the file or set otherwise shows here
+        assert json.loads(path.read_text()) == json.loads(json.dumps(asdict(ExperimentConfig())))
 
-    def test_unknown_top_level_field(self, tmp_path):
+    def _exits_on_unknown(self, tmp_path, capsys, data, field):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"generatro": {}}))
-        with pytest.raises(ConfigError) as err:
-            load_experiment_config(path)
-        assert "generatro" in str(err.value)
+        path.write_text(json.dumps(data))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown field(s)") and err.count("\n") == 1
+        assert f"'{field}'" in err
+        assert not (tmp_path / "o").exists()
+        return err
 
-    def test_unknown_nested_field(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"train": {"learning_rate": 0.1}}))
-        with pytest.raises(ConfigError) as err:
-            load_experiment_config(path)
-        assert "learning_rate" in str(err.value) and "train" in str(err.value)
+    def test_unknown_top_level_field(self, tmp_path, capsys):
+        # a misspelt section, and the split switches that configs no longer have
+        for field, value in [("generatro", {}), ("eval_split", "novel"), ("gen_split", "novel")]:
+            self._exits_on_unknown(tmp_path, capsys, {field: value}, field)
+
+    def test_unknown_nested_field(self, tmp_path, capsys):
+        # a misspelt field, and the training switches that configs no longer have
+        for field, value in [("learning_rate", 0.1), ("scale_logits", False), ("grad_clip", None)]:
+            err = self._exits_on_unknown(tmp_path, capsys, {"train": {field: value}}, field)
+            assert "'train'" in err
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.json"
@@ -141,9 +151,9 @@ class TestConfigLoading:
 
     def test_json_integers_fill_float_fields(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"train": {"lr": 1, "grad_clip": 2}, "generator": {"instance_spread": 4}}))
+        path.write_text(json.dumps({"train": {"lr": 1, "lam": 2}, "generator": {"instance_spread": 4}}))
         cfg = load_experiment_config(path)
-        assert cfg.train.lr == 1 and cfg.train.grad_clip == 2 and cfg.generator.instance_spread == 4
+        assert cfg.train.lr == 1 and cfg.train.lam == 2 and cfg.generator.instance_spread == 4
 
     def test_method_strings(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -419,13 +429,11 @@ class TestGridMatchesSeparateRuns:
     """ablate and token-sweep train each seed's runs in lockstep on shared
     episodes; their files must equal one train + evaluate call per run."""
 
-    def _config(self, tmp_path, **train_overrides):
-        data = dict(SMALL_CONFIG, seeds=[0, 1])
-        data["train"] = dict(data["train"], **train_overrides)
+    def _config(self, tmp_path):
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(dict(SMALL_CONFIG, seeds=[0, 1])))
         cfg = load_experiment_config(path)
-        episodes = make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed, cfg.eval_split)
+        episodes = make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed)
         return path, cfg, episodes
 
     def test_ablate_two_seeds(self, tmp_path):
@@ -436,13 +444,12 @@ class TestGridMatchesSeparateRuns:
         for seed in cfg.seeds:
             for variant in ABLATION_GRID:
                 params = train(replace(cfg.train, seed=seed), cfg.generator, variant=variant).params
-                report = evaluate(params, episodes, variant, cfg.train.eps, cfg.train.scale_logits)
+                report = evaluate(params, episodes, variant, cfg.train.eps)
                 rows.append([variant, seed, repr(report.qk_dist), repr(report.miou)])
         assert (out / "ablation.csv").read_bytes() == csv_bytes(rows)
 
-    @pytest.mark.parametrize("scale_logits", [False, True])
-    def test_token_sweep_two_seeds(self, tmp_path, scale_logits):
-        path, cfg, episodes = self._config(tmp_path, scale_logits=scale_logits)
+    def test_token_sweep_two_seeds(self, tmp_path):
+        path, cfg, episodes = self._config(tmp_path)
         out = tmp_path / "tokens"
         assert main(["token-sweep", "--config", str(path), "--out", str(out)]) == 0
         rows = [["M", "miou_mean", "miou_std"]]
@@ -450,7 +457,7 @@ class TestGridMatchesSeparateRuns:
             scores = []
             for seed in cfg.seeds:
                 params = train(replace(cfg.train, seed=seed, num_tokens=m), cfg.generator).params
-                scores.append(evaluate(params, episodes, scale_logits=scale_logits).miou)
+                scores.append(evaluate(params, episodes).miou)
             rows.append([m, repr(float(np.mean(scores))), repr(float(np.std(scores)))])
         assert (out / "token_sweep.csv").read_bytes() == csv_bytes(rows)
 
@@ -515,8 +522,8 @@ class TestGridWorkers:
         # forked workers inherit the patch; one grid variant's loss turns non-finite
         real = trainer.episode_forward
 
-        def failing(params, episode, variant, eps, scale_logits):
-            protos, shots = real(params, episode, variant, eps, scale_logits)
+        def failing(params, episode, variant, eps):
+            protos, shots = real(params, episode, variant, eps)
             if variant == "normalize+restore":
                 protos = {c: np.full_like(p, np.nan) for c, p in protos.items()}
             return protos, shots
@@ -554,12 +561,11 @@ class TestEvalWorkers:
         argv = ["eval", "--config", str(path), "--checkpoint", str(checkpoint), "--out", str(out)]
         return main(argv + (["--data", str(data)] if data else []))
 
-    @pytest.mark.parametrize("method, scale_logits", [("warm", False), ("naive", False), ("warm", True)])
-    def test_same_bytes_at_every_worker_count(self, tmp_path, monkeypatch, method, scale_logits):
-        train_cfg = dict(SMALL_CONFIG["train"], scale_logits=scale_logits)
+    @pytest.mark.parametrize("method", ["warm", "naive"])
+    def test_same_bytes_at_every_worker_count(self, tmp_path, monkeypatch, method):
         # 2 episodes are fewer than 3 workers; 5 are cut 3+2 on 2 workers and 2+2+1 on 3
         for episodes in (2, 5):
-            path, checkpoint, batch = self._setup(tmp_path, episodes, method=method, train=train_cfg)
+            path, checkpoint, batch = self._setup(tmp_path, episodes, method=method)
             files = {}
             for workers in (None, "1", "2", "3"):
                 if workers is None:
@@ -594,7 +600,7 @@ class TestEvalWorkers:
     def test_numeric_error_in_worker_exit_2_same_message(self, tmp_path, monkeypatch, capsys):
         path, checkpoint, _ = self._setup(tmp_path, 5)
         cfg = load_experiment_config(path)
-        batch = make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed, cfg.eval_split)
+        batch = make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed)
         index = {float(e.query[0].features[0, 0]): i for i, e in enumerate(batch)}
         real = trainer._score_episode
 
@@ -636,8 +642,8 @@ class TestTrainWorkers:
         # the parent's third forward pass turns non-finite while the producer runs ahead
         real, calls = trainer.episode_forward, []
 
-        def failing(params, episode, variant, eps, scale_logits):
-            protos, shots = real(params, episode, variant, eps, scale_logits)
+        def failing(params, episode, variant, eps):
+            protos, shots = real(params, episode, variant, eps)
             calls.append(None)
             if len(calls) == 3:
                 protos = {c: np.full_like(p, np.nan) for c, p in protos.items()}

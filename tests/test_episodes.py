@@ -200,6 +200,7 @@ class TestSplitFgBg:
         cloud = PointCloud(feats, labels)
         fg, bg = split_fg_bg(cloud, 1)
         assert fg.shape[0] + bg.shape[0] == n
+        assert not np.shares_memory(fg, cloud.features) and not np.shares_memory(bg, cloud.features)
         merged = sorted(map(tuple, np.vstack([fg, bg])))
         assert merged == sorted(map(tuple, feats))
 

@@ -178,7 +178,7 @@ class TestMinDistClassify:
 
     def test_beats_chance_on_generated_episodes(self):
         cfg = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
-        episodes = make_eval_episodes(cfg, 20, 99, "novel")
+        episodes = make_eval_episodes(cfg, 20, 99)
         correct = total = 0
         for i, ep in enumerate(episodes):
             protos = fps_prototypes(ep.pooled_support_by_class(), 16, derive_rng(1000 + i))
@@ -215,7 +215,7 @@ class TestFpsSeedSweep:
 
     def test_spread_positive_on_default_benchmark(self):
         cfg = GeneratorConfig()
-        episodes = make_eval_episodes(cfg, 12, 500, "novel")
+        episodes = make_eval_episodes(cfg, 12, 500)
         res = fps_seed_sweep(episodes, 8, range(12))
         assert res.best - res.worst > 0
 
@@ -227,7 +227,7 @@ class TestFpsSeedSweep:
         # episode-major sweep against one seed-major evaluation per row;
         # duplicate and unsorted seeds keep one row each, in order
         cfg = GeneratorConfig(feature_dim=8, points_per_cloud=256, min_fg_points=16, n_way=3, k_shot=2)
-        episodes = make_eval_episodes(cfg, 4, 31, "novel")
+        episodes = make_eval_episodes(cfg, 4, 31)
         seeds = [3, 0, 3]
         res = fps_seed_sweep(episodes, 5, seeds)
         assert res.seeds == seeds

@@ -151,7 +151,7 @@ class TestTrainGrid:
             (cfg, "naive"),
             (cfg, "normalize+restore"),
             (cfg, "warm"),
-            (replace(cfg, num_tokens=3, scale_logits=True), "whiten"),
+            (replace(cfg, num_tokens=3, eps=1e-3), "whiten"),
         ]
         for (run_cfg, variant), grid in zip(runs, train_grid(runs, DESK)):
             alone = train(run_cfg, DESK, variant=variant)
@@ -247,9 +247,9 @@ class TestRunGrid:
         # forked workers inherit the patch and leave one file per evaluated run
         real = trainer.evaluate
 
-        def recording(params, episodes, variant, eps, scale_logits):
+        def recording(params, episodes, variant, eps):
             (tmp_path / f"{os.getpid()}-{variant}-{params.tokens[0, 0]!r}").touch()
-            return real(params, episodes, variant, eps, scale_logits)
+            return real(params, episodes, variant, eps)
 
         monkeypatch.setattr(trainer, "evaluate", recording)
         episodes = make_eval_episodes(DESK, 3, 77)
@@ -259,7 +259,7 @@ class TestRunGrid:
             for (cfg, variant), (result, scored) in zip(runs, row):
                 alone = train(cfg, DESK, variant=variant)
                 np.testing.assert_array_equal(result.params.tokens, alone.params.tokens)
-                assert scored == real(alone.params, episodes, variant, cfg.eps, cfg.scale_logits)
+                assert scored == real(alone.params, episodes, variant, cfg.eps)
         for workers in (2, 3):
             for path in tmp_path.iterdir():
                 path.unlink()
@@ -277,8 +277,8 @@ class TestRunGrid:
     def test_worker_error_is_the_first_in_run_order(self, monkeypatch):
         real = trainer.episode_forward
 
-        def failing(params, episode, variant, eps, scale_logits):
-            protos, shots = real(params, episode, variant, eps, scale_logits)
+        def failing(params, episode, variant, eps):
+            protos, shots = real(params, episode, variant, eps)
             if variant in ("center+restore", "normalize"):
                 protos = {c: np.full_like(p, np.nan) for c, p in protos.items()}
             return protos, shots

@@ -47,11 +47,11 @@ def attend_by_definition(queries, keys, params):
     return e / e.sum(axis=1, keepdims=True) @ (keys @ params.w_v)
 
 
-def attend(queries, keys, params, scale_logits=False):
+def attend(queries, keys, params):
     """The forward pass's attention of ``queries`` (as the foreground
     token pool) over raw ``keys``: the trace of the naive variant."""
     pooled = WarmParams(np.vstack([queries, queries]), params.w_q, params.w_k, params.w_v)
-    return ablation_forward(pooled, {1: keys}, "naive", scale_logits=scale_logits).per_class[1]
+    return ablation_forward(pooled, {1: keys}, "naive").per_class[1]
 
 
 class TestComputeStats:
@@ -192,15 +192,6 @@ class TestCrossAttention:
         params = init_params(3, 2, rng)
         with pytest.raises(EmptyClassError):
             attend(params.tokens[params.token_rows(1)], np.zeros((0, 3)), params)
-
-    def test_scale_flag_divides_logits(self):
-        rng = derive_rng(11)
-        params = init_params(4, 2, rng)
-        tokens, keys = rng.standard_normal((2, 4)), rng.standard_normal((5, 4))
-        scaled = attend(tokens, keys, params, scale_logits=True)
-        logits = (tokens @ params.w_q) @ (keys @ params.w_k).T / 2.0
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        np.testing.assert_allclose(scaled.weights, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
 
 class TestForwardVariants:
