@@ -28,11 +28,10 @@ from . import BLAS_PINNED
 from .episodes import GeneratorConfig, gen_episode, load_episode, save_episode
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .files import atomic_write, write_csv
-from .fps import evaluate_fps, fps_seed_sweep, write_sweep_csv, write_sweep_summary_csv
-from .metrics import write_metrics_csv
+from .fps import evaluate_fps, fps_seed_sweep
 from .rng import derive_rng
 from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, run_grid, train
-from .warm import ABLATION_GRID, VARIANTS, load_checkpoint
+from .warm import ABLATION_GRID, VARIANTS, load_checkpoint, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -98,17 +97,28 @@ def _build_dataclass(cls, data: dict, section: str):
         raise ConfigError(f"bad value in section '{section}': {exc}") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; json.loads would keep the last of
+    two equal keys, so the strict checks would never see the first value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"key '{key}' appears twice in one JSON object")
+        data[key] = value
+    return data
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     if path is None:
         cfg = ExperimentConfig()
         cfg.validate()
         return cfg
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno}") from exc
     if not isinstance(data, dict):
@@ -212,14 +222,15 @@ def cmd_train(args) -> None:
         raise ConfigError("method 'fps-min-dist' has no learnable parameters; nothing to train")
     cfg = cfg if args.seed is None else replace(cfg, train=replace(cfg.train, seed=args.seed))
     out = _out_dir(args)
-    run = train(
-        cfg.train,
-        cfg.generator,
-        variant=cfg.method,
-        out_dir=out,
-        config_hash=config_sha256(cfg),
-        workers=worker_cap(),
+    run = train(cfg.train, cfg.generator, variant=cfg.method, workers=worker_cap())
+    save_checkpoint(out / "checkpoint.json", run.params, cfg.train.seed, config_sha256(cfg))
+    write_csv(
+        out / "training_log.csv",
+        ["episode_idx", "loss_margin", "loss_sim", "loss_total", "grad_norm", "lr"],
+        ([step] + [repr(float(v)) for v in values] for step, *values in run.log),
     )
+    # kept apart from the training log so the log stays byte-reproducible
+    write_csv(out / "timing.csv", ["episode_idx", "wall_ms"], ([i, f"{ms:.3f}"] for i, ms in enumerate(run.wall)))
     write_sidecar(out / "train_config.json", "train", cfg)
     final = run.log[-1][3] if run.log else float("nan")
     print(f"train[{cfg.method}]: {len(run.log)} episodes, final loss {final:.4f}, checkpoint {out / 'checkpoint.json'}")
@@ -244,7 +255,14 @@ def cmd_eval(args) -> None:
         params, _meta = load_checkpoint(args.checkpoint)
         report = evaluate(params, episodes, cfg.method, cfg.train.eps, worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
-    write_metrics_csv(out / "metrics.csv", [report], labels)
+    diagnostics = ["d_intra", "d_inter", "d_instance", "attn_entropy", "attn_diversity", "qk_dist"]
+    values = [report.miou] + [report.per_class_iou.get(c) for c in labels] + [getattr(report, n) for n in diagnostics]
+    # None (no attention head, no same-class pair, a class absent from the batch) is a blank cell
+    write_csv(
+        out / "metrics.csv",
+        ["miou"] + [f"iou_{c}" for c in labels] + diagnostics,
+        [["" if v is None else repr(float(v)) for v in values]],
+    )
     write_sidecar(out / "eval_config.json", "eval", cfg)
     print(f"eval[{cfg.method}]: mIoU {report.miou:.4f} over {len(episodes)} episodes -> {out / 'metrics.csv'}")
 
@@ -257,8 +275,14 @@ def cmd_sweep_fps(args) -> None:
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
     result = fps_seed_sweep(episodes, cfg.fps_tokens, range(cfg.fps_seeds))
     labels = list(range(cfg.generator.n_way + 1))
-    write_sweep_csv(out / "sweep.csv", result, labels)
-    write_sweep_summary_csv(out / "sweep_summary.csv", result)
+    rows = [
+        [seed, repr(float(report.miou))]
+        + [repr(float(report.per_class_iou.get(c, float("nan")))) for c in labels]
+        for seed, report in zip(result.seeds, result.reports)
+    ]
+    write_csv(out / "sweep.csv", ["seed", "mean_miou"] + [f"iou_{c}" for c in labels], rows)
+    summary = (result.best, result.worst, result.mean, result.stdev, result.best - result.worst)
+    write_csv(out / "sweep_summary.csv", ["best", "worst", "mean", "stdev", "spread"], [[repr(v) for v in summary]])
     write_sidecar(out / "sweep_config.json", "sweep-fps", cfg)
     print(
         f"sweep-fps: {cfg.fps_seeds} seeds, best {result.best:.4f}, worst {result.worst:.4f}, "
@@ -309,8 +333,11 @@ def cmd_report(args) -> None:
         if not path.exists():
             continue
         found = True
-        with path.open() as fh:
-            reader = list(csv.reader(fh))
+        try:
+            with path.open(encoding="utf-8") as fh:
+                reader = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
         print(f"== {name}")
         if name == "training_log.csv" and len(reader) > 11:
             for row in reader[:1] + reader[-10:]:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .episodes import Episode
 from .errors import ArgumentError
-from .files import write_csv
 from .losses import point_distances, predict
 from .metrics import MetricsReport, dispersion_metrics, fg_summaries, mean_iou, miou
 from .rng import derive_rng
@@ -129,17 +128,3 @@ def fps_seed_sweep(episodes: list[Episode], count: int, seeds) -> SweepResult:
         mean=float(scores.mean()),
         stdev=float(scores.std()),
     )
-
-
-def write_sweep_csv(path, result: SweepResult, class_labels: list[int]) -> None:
-    rows = [
-        [seed, repr(float(report.miou))]
-        + [repr(float(report.per_class_iou.get(c, float("nan")))) for c in class_labels]
-        for seed, report in zip(result.seeds, result.reports)
-    ]
-    write_csv(path, ["seed", "mean_miou"] + [f"iou_{c}" for c in class_labels], rows)
-
-
-def write_sweep_summary_csv(path, result: SweepResult) -> None:
-    summary = (result.best, result.worst, result.mean, result.stdev, result.best - result.worst)
-    write_csv(path, ["best", "worst", "mean", "stdev", "spread"], [[repr(v) for v in summary]])

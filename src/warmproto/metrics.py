@@ -17,9 +17,6 @@ import numpy as np
 
 from .episodes import Episode, split_fg_bg
 from .errors import ArgumentError, UndefinedMetricError
-from .files import write_csv
-
-METRIC_COLUMNS = ("d_intra", "d_inter", "d_instance", "attn_entropy", "attn_diversity", "qk_dist")
 
 
 def miou(pred, truth, class_set) -> tuple[float, dict[int, float]]:
@@ -168,19 +165,3 @@ class MetricsReport:
     attn_entropy: float | None = None
     attn_diversity: float | None = None
     qk_dist: float | None = None
-
-
-def write_metrics_csv(path, reports: list[MetricsReport], class_labels: list[int]) -> None:
-    """Fixed column order: miou, per-class iou, then METRIC_COLUMNS."""
-
-    def cell(v):
-        return "" if v is None else repr(float(v))
-
-    header = ["miou"] + [f"iou_{c}" for c in class_labels] + list(METRIC_COLUMNS)
-    rows = [
-        [cell(r.miou)]
-        + [cell(r.per_class_iou.get(c)) for c in class_labels]
-        + [cell(getattr(r, name)) for name in METRIC_COLUMNS]
-        for r in reports
-    ]
-    write_csv(path, header, rows)

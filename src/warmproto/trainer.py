@@ -21,13 +21,11 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, groupby, islice
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
 from .episodes import Episode, GeneratorConfig, gen_episode
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError
-from .files import write_csv
 from .losses import margin_loss, margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
     MetricsReport,
@@ -49,15 +47,12 @@ from .warm import (
     init_params,
     params_as_dict,
     resolve_variant,
-    save_checkpoint,
     warm_backward,
 )
 
 _INIT_STREAM = 201
 _TRAIN_STREAM = 202
 EVAL_STREAM = 203  # also the stream `gen` writes, so gen+load reproduces in-memory batches
-
-TRAIN_LOG_COLUMNS = ("episode_idx", "loss_margin", "loss_sim", "loss_total", "grad_norm", "lr")
 
 # moment decay rates and the denominator's stabilizer of the optimizer update
 _BETA1, _BETA2, _STAB_EPS = 0.9, 0.999, 1e-8
@@ -189,8 +184,9 @@ def episode_loss(
 @dataclass
 class TrainRun:
     """One run's evolving state: parameters, optimizer moments, log rows
-    (TRAIN_LOG_COLUMNS) and wall milliseconds per step. ``run_grid``
-    returns its runs without the moments (``state`` None)."""
+    (step, margin loss, simplification loss, total loss, gradient norm,
+    learning rate) and wall milliseconds per step. ``run_grid`` returns
+    its runs without the moments (``state`` None)."""
 
     cfg: TrainConfig
     variant: str
@@ -346,39 +342,16 @@ def _received(receiver, child) -> Iterator:
         yield item
 
 
-def train(
-    cfg: TrainConfig,
-    gen_cfg: GeneratorConfig,
-    variant: str = "warm",
-    out_dir=None,
-    config_hash: str = "",
-    workers: int = 1,
-) -> TrainRun:
-    """Full training run; optionally persists checkpoint, log and timing.
+def train(cfg: TrainConfig, gen_cfg: GeneratorConfig, variant: str = "warm", workers: int = 1) -> TrainRun:
+    """Full training run: the single-run case of ``train_grid``.
 
-    The single-run case of ``train_grid``. Episodes come from the base
-    split only; with ``workers`` above 1 a forked child generates them
-    while the run steps. The parameters and the log do not depend on
-    ``workers``; the per-step wall times in ``timing.csv`` count the wait
-    for each episode rather than its generation.
+    Episodes come from the base split only; with ``workers`` above 1 a
+    forked child generates them while the run steps. The parameters and
+    the log do not depend on ``workers``; the per-step wall times count
+    the wait for each episode rather than its generation.
     """
     (run,) = train_grid([(cfg, variant)], gen_cfg, workers)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(out_dir / "checkpoint.json", run.params, cfg.seed, config_hash)
-        write_train_log(out_dir / "training_log.csv", run.log)
-        write_timing_csv(out_dir / "timing.csv", run.wall)
     return run
-
-
-def write_train_log(path, rows) -> None:
-    write_csv(path, TRAIN_LOG_COLUMNS, ([step] + [repr(float(v)) for v in values] for step, *values in rows))
-
-
-def write_timing_csv(path, wall_ms) -> None:
-    # kept apart from the training log so the log stays byte-reproducible
-    write_csv(path, ["episode_idx", "wall_ms"], ([i, f"{ms:.3f}"] for i, ms in enumerate(wall_ms)))
 
 
 def make_eval_episodes(gen_cfg: GeneratorConfig, count: int, seed: int) -> list[Episode]:

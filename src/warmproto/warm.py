@@ -318,8 +318,8 @@ def save_checkpoint(path, params: WarmParams, seed: int, config_hash: str = "") 
 def load_checkpoint(path) -> tuple[WarmParams, dict]:
     """Read a checkpoint back; malformed or inconsistent content raises CheckpointError."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"checkpoint {path} must hold a JSON object at the top level")

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from warmproto import (
-    GeneratorConfig,
     TrainConfig,
     ablation_forward,
     compute_stats,
@@ -25,12 +24,12 @@ from warmproto import (
     whiten,
 )
 from warmproto.losses import margin_loss_grad, simplification_loss_and_grad
-from warmproto.trainer import train
 from warmproto.warm import ABLATION_GRID, PARAM_NAMES, WarmParams, warm_backward
 
 from .conftest import FPS_BASELINE_TOKENS
 from .gradcheck import grad_check
 from .test_fps import FixedStart, fps_oracle
+from .test_trainer import cli_train
 
 
 def report(n, ok, detail):
@@ -236,10 +235,10 @@ class TestAcceptance:
         report(10, ok, f"margin {margin_val}, simplification {sim_val}")
 
     def test_11_determinism(self, tmp_path):
-        gen = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
+        # cli_train runs main(["train", ...]) on the 8-D, 128-point desk generator
         cfg = TrainConfig(epochs=1, episodes_per_epoch=20, num_tokens=8, seed=12)
-        a = train(cfg, gen, out_dir=tmp_path / "a")
-        b = train(cfg, gen, out_dir=tmp_path / "b")
+        cli_train(tmp_path, cfg, "a")
+        cli_train(tmp_path, cfg, "b")
         ckpt_same = (tmp_path / "a" / "checkpoint.json").read_bytes() == (
             tmp_path / "b" / "checkpoint.json"
         ).read_bytes()

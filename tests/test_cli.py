@@ -103,6 +103,29 @@ class TestConfigLoading:
             err = self._exits_on_unknown(tmp_path, capsys, {"train": {field: value}}, field)
             assert "'train'" in err
 
+    def test_repeated_key_exit_1(self, tmp_path, capsys):
+        # json.loads alone keeps the last value, so the invalid first one would pass unchecked
+        text = json.dumps(SMALL_CONFIG)
+        path = tmp_path / "c.json"
+        for raw, key in [
+            ('{"eval_episodes": 0, ' + text[1:], "eval_episodes"),
+            (text.replace('"train": {', '"train": {"num_tokens": 0, '), "num_tokens"),
+        ]:
+            path.write_text(raw)
+            assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"'{key}'" in err
+            assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff{")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{\n  "train": oops\n}')
@@ -392,6 +415,13 @@ class TestSweeps:
 
     def test_report_empty_dir_exit_1(self, tmp_path):
         assert main(["report", "--data", str(tmp_path)]) == 1
+
+    def test_report_non_utf8_csv_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(b"miou\r\n\xff\r\n")
+        assert main(["report", "--data", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"io/format failure: {path} ") and err.count("\n") == 1
 
 
 def csv_bytes(rows):
@@ -795,6 +825,14 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {checkpoint} ") and err.count("\n") == 1
+
+    def test_non_utf8_checkpoint_exit_1(self, config_path, tmp_path, capsys):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_bytes(b"\xff{")
+        argv = ["eval", "--config", str(config_path), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read checkpoint {checkpoint}: ") and err.count("\n") == 1
 
     def test_non_finite_training_loss_exit_2(self, tmp_path, capsys):
         # class centers near 1e200 overflow every squared distance

@@ -1,5 +1,8 @@
 """Mean IoU, dispersion, attention entropy/diversity, query-key distance."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,9 @@ from warmproto import (
     miou,
     pairwise_distances,
 )
+from warmproto.cli import main
 from warmproto.errors import ArgumentError, UndefinedMetricError
-from warmproto.metrics import FgSummary, MetricsReport, write_metrics_csv
+from warmproto.metrics import FgSummary
 
 
 class TestMiou:
@@ -325,13 +329,23 @@ class TestQkDistance:
 
 class TestMetricsCsv:
     def test_fixed_column_order_and_blanks(self, tmp_path):
-        report = MetricsReport(
-            miou=0.5, per_class_iou={0: 0.4, 1: 0.6}, d_intra=1.0, d_inter=2.0,
-            d_instance=3.0, attn_entropy=None, attn_diversity=None, qk_dist=None,
-        )
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, [report], [0, 1])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "miou,iou_0,iou_1,d_intra,d_inter,d_instance,attn_entropy,attn_diversity,qk_dist"
-        cells = lines[1].split(",")
-        assert cells[0] == "0.5" and cells[-1] == "" and cells[-2] == "" and cells[-3] == ""
+        # one row: miou, per-class iou, then the diagnostics; None is a blank cell
+        config = {
+            "method": "fps-min-dist",
+            "generator": {"feature_dim": 8, "points_per_cloud": 128, "min_fg_points": 16},
+            "eval_episodes": 3,
+        }
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(config_path), "--out", str(out)]) == 0
+        with (out / "metrics.csv").open() as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == [
+            "miou", "iou_0", "iou_1", "d_intra", "d_inter", "d_instance",
+            "attn_entropy", "attn_diversity", "qk_dist",
+        ]
+        assert len(lines) == 2
+        cells = lines[1]
+        assert 0.0 <= float(cells[0]) <= 1.0
+        assert cells[-3:] == ["", "", ""]  # the baseline has no attention head

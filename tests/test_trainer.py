@@ -1,22 +1,33 @@
 """Optimizer update, learning-rate schedule, training loop, evaluation."""
 
+import json
 import multiprocessing
 import os
 import signal
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from warmproto import GeneratorConfig, TrainConfig, apply_update, derive_rng, evaluate, init_params, train
 from warmproto import trainer
+from warmproto.cli import main
 from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from warmproto.trainer import TrainRun, init_optimizer, lr_at, make_eval_episodes, run_grid, train_grid
 from warmproto.warm import ABLATION_GRID, PARAM_NAMES, load_checkpoint, params_as_dict
 
 DESK = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
 FAST = TrainConfig(epochs=1, episodes_per_epoch=5, num_tokens=6)
+
+
+def cli_train(tmp_path, cfg, name):
+    """``main(["train", ...])`` on the DESK generator and ``cfg``; returns its output directory."""
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({"generator": asdict(DESK), "train": asdict(cfg)}))
+    out = tmp_path / name
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    return out
 
 
 def zero_grads(params):
@@ -91,25 +102,26 @@ class TestLrSchedule:
 class TestTrain:
     def test_epochs_zero_returns_init(self, tmp_path):
         cfg = TrainConfig(epochs=0, episodes_per_epoch=5, num_tokens=6)
-        result = train(cfg, DESK, out_dir=tmp_path)
+        result = train(cfg, DESK)
         initial = TrainRun.start(cfg, DESK, "warm").params
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(result.params, name), getattr(initial, name))
-        loaded, _ = load_checkpoint(tmp_path / "checkpoint.json")
+        loaded, _ = load_checkpoint(cli_train(tmp_path, cfg, "out") / "checkpoint.json")
         np.testing.assert_array_equal(loaded.tokens, result.params.tokens)
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = TrainConfig(epochs=1, episodes_per_epoch=8, num_tokens=6, seed=3)
-        a = train(cfg, DESK, out_dir=tmp_path / "a")
-        b = train(cfg, DESK, out_dir=tmp_path / "b")
+        a = train(cfg, DESK)
+        b = train(cfg, DESK)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(a.params, name), getattr(b.params, name))
         assert a.log == b.log
-        log_a = (tmp_path / "a" / "training_log.csv").read_bytes()
-        log_b = (tmp_path / "b" / "training_log.csv").read_bytes()
+        out_a, out_b = cli_train(tmp_path, cfg, "a"), cli_train(tmp_path, cfg, "b")
+        log_a = (out_a / "training_log.csv").read_bytes()
+        log_b = (out_b / "training_log.csv").read_bytes()
         assert log_a == log_b
-        ck_a = (tmp_path / "a" / "checkpoint.json").read_bytes()
-        ck_b = (tmp_path / "b" / "checkpoint.json").read_bytes()
+        ck_a = (out_a / "checkpoint.json").read_bytes()
+        ck_b = (out_b / "checkpoint.json").read_bytes()
         assert ck_a == ck_b
 
     def test_log_columns_and_lr_schedule_in_log(self):
