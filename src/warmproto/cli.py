@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import typing
@@ -27,7 +26,7 @@ import numpy as np
 from . import BLAS_PINNED
 from .episodes import GeneratorConfig, gen_episode, load_episode, save_episode
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
-from .files import atomic_write, write_csv
+from .files import atomic_write, json_int, write_csv
 from .fps import evaluate_fps, fps_seed_sweep
 from .rng import derive_rng
 from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, run_grid, train
@@ -72,8 +71,8 @@ def _fits(value, hint) -> bool:
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # the length is left to validate()
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if hint is float:  # json.loads reads NaN and Infinity as floats
-        return _fits(value, int) or isinstance(value, float) and math.isfinite(value)
+    if hint is float:  # NaN, Infinity and integers past a double's range do not fit
+        return (_fits(value, int) or isinstance(value, float)) and abs(value) <= sys.float_info.max
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, hint)
@@ -118,7 +117,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(raw, object_pairs_hook=_unique_keys)
+        data = json.loads(raw, object_pairs_hook=_unique_keys, parse_int=json_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno}") from exc
     if not isinstance(data, dict):
@@ -153,24 +152,15 @@ def worker_cap() -> int:
     ``ablate`` and ``token-sweep`` grids, and for ``train``, where above 1
     it turns on the forked episode producer.
 
-    WARM_THREADS if set. Otherwise the CPUs this process may use when the
-    import pinned BLAS to one thread (``BLAS_PINNED``), else 1, as BLAS
-    may then thread over every CPU. Each worker is one forked child
-    (``trainer._forked``), never more than there are episodes or runs,
-    and outputs do not depend on the count.
-    Every verb validates it; ``gen`` and the FPS verbs run in one process.
+    The CPUs this process may use when the import pinned BLAS to one
+    thread (``BLAS_PINNED``), else 1, as BLAS may then thread over every
+    CPU; to run on fewer, limit the CPU set (``taskset -c 0``). Each
+    worker is one forked child (``trainer._forked``), never more than
+    there are episodes or runs, and outputs do not depend on the count.
+    ``gen`` and the FPS verbs run in one process.
     """
-    raw = os.environ.get("WARM_THREADS")
-    if raw is None:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        return cpus if BLAS_PINNED else 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"WARM_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"WARM_THREADS must be >= 1, got {cap}")
-    return cap
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus if BLAS_PINNED else 1
 
 
 def _out_dir(args) -> Path:
@@ -207,7 +197,6 @@ def cmd_gen(args) -> None:
     stale = sorted(p.name for p in Path(args.out).glob("*.warmep") if p.name not in names)
     if stale:
         raise ArgumentError(f"{args.out} holds {stale[0]}, which a batch of {cfg.num_episodes} does not write")
-    cfg = cfg if args.seed is None else replace(cfg, gen_seed=args.seed)
     out = _out_dir(args)
     for i in range(cfg.num_episodes):
         episode = gen_episode(cfg.generator, derive_rng(cfg.gen_seed, EVAL_STREAM, i), split="novel")
@@ -241,16 +230,13 @@ def cmd_eval(args) -> None:
     if cfg.method == "fps-min-dist":
         if args.checkpoint is not None:
             raise ConfigError("method 'fps-min-dist' has no learnable parameters; it does not read --checkpoint")
-    elif args.seed is not None:
-        raise ConfigError(f"--seed picks the FPS starts of method 'fps-min-dist'; method {cfg.method!r} does not read it")
     elif args.checkpoint is None:
         raise ConfigError(f"method {cfg.method!r} needs --checkpoint")
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
     if cfg.method == "fps-min-dist":
-        seed = cfg.eval_seed if args.seed is None else args.seed
-        report = evaluate_fps(episodes, cfg.fps_tokens, seed)
+        report = evaluate_fps(episodes, cfg.fps_tokens, cfg.eval_seed)
     else:
         params, _meta = load_checkpoint(args.checkpoint)
         report = evaluate(params, episodes, cfg.method, cfg.train.eps, worker_cap())
@@ -269,7 +255,6 @@ def cmd_eval(args) -> None:
 
 def cmd_sweep_fps(args) -> None:
     cfg = load_experiment_config(args.config)
-    cfg = cfg if args.seeds is None else replace(cfg, fps_seeds=args.seeds)
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
@@ -292,7 +277,6 @@ def cmd_sweep_fps(args) -> None:
 
 def cmd_ablate(args) -> None:
     cfg = load_experiment_config(args.config)
-    cfg = cfg if args.seeds is None else replace(cfg, seeds=tuple(range(args.seeds)))
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in cfg.seeds]
@@ -338,6 +322,8 @@ def cmd_report(args) -> None:
                 reader = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path} is not a readable CSV file: {exc}") from exc
         print(f"== {name}")
         if name == "training_log.csv" and len(reader) > 11:
             for row in reader[:1] + reader[-10:]:
@@ -351,7 +337,7 @@ def cmd_report(args) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):  # no prefixes: --seed must not pass for --seeds
+    def __init__(self, *args, **kwargs):  # no prefixes: one spelling per option
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):  # usage errors exit 1, not argparse's 2
@@ -363,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="warmproto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, *, data=False, out=True, checkpoint=False, seed=False, seeds=False):
+    def add(name, func, *, data=False, out=True, checkpoint=False, seed=False):
         p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("--config", type=Path, default=None, help="JSON experiment config")
         if out:
@@ -373,17 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
         if checkpoint:
             p.add_argument("--checkpoint", type=Path, default=None, help="parameter checkpoint JSON")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the relevant seed")
-        if seeds:
-            p.add_argument("--seeds", type=int, default=None, help="number of seeds to run")
+            p.add_argument("--seed", type=int, default=None, help="override the config's train.seed")
         p.set_defaults(func=func)
         return p
 
-    add("gen", cmd_gen, seed=True)
+    add("gen", cmd_gen)
     add("train", cmd_train, seed=True)
-    add("eval", cmd_eval, data=True, checkpoint=True, seed=True)
-    add("sweep-fps", cmd_sweep_fps, data=True, seeds=True)
-    add("ablate", cmd_ablate, data=True, seeds=True)
+    add("eval", cmd_eval, data=True, checkpoint=True)
+    add("sweep-fps", cmd_sweep_fps, data=True)
+    add("ablate", cmd_ablate, data=True)
     add("token-sweep", cmd_token_sweep, data=True)
     report = sub.add_parser("report", help="print a text summary of a result directory")
     report.add_argument("--data", type=Path, required=True, help="result directory to summarize")
@@ -401,11 +385,8 @@ def main(argv=None) -> int:
             return 1
         return 0 if exc.code in (0, None) else 1
     try:
-        for flag, low in (("seed", 0), ("seeds", 1)):
-            value = getattr(args, flag, None)
-            if value is not None and value < low:
-                raise ConfigError(f"--{flag} must be >= {low}, got {value}")
-        worker_cap()
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # the finiteness checks report overflow in one NumericError line;
         # numpy's warnings would precede it. Forked workers inherit this.
         with np.errstate(all="ignore"):

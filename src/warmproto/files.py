@@ -1,4 +1,4 @@
-"""Atomic file output.
+"""Atomic file output, and the integer reader of every JSON input.
 
 Every artifact is written to a temporary sibling and renamed over its
 target with ``os.replace``, so a reader (or a crash) sees either the old
@@ -33,3 +33,11 @@ def write_csv(path, header, rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     atomic_write(path, buf.getvalue())
+
+
+def json_int(text: str) -> int | float:
+    """A JSON integer literal; past int()'s digit limit it is past any double too, so +-infinity."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)

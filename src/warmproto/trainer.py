@@ -493,7 +493,7 @@ def run_grid(
     ``evaluate``, and when parts fail, the error of the first one in
     (seed, run) order is raised. Workers keep this process's BLAS thread
     count, which the import pins to one, so ``cli.worker_cap`` gives one
-    worker per CPU.
+    worker per CPU this process may use.
     """
     if not seed_runs or not all(seed_runs):
         raise ArgumentError("grid needs at least one run per seed")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .episodes import BACKGROUND
 from .errors import ArgumentError, CheckpointError, EmptyClassError, InsufficientPointsError, NumericError
-from .files import atomic_write
+from .files import atomic_write, json_int
 from .linalg import half_powers, require_finite, softmax_rows
 
 # The one table of forward variants: name -> (feature transform, restore).
@@ -318,7 +318,7 @@ def save_checkpoint(path, params: WarmParams, seed: int, config_hash: str = "") 
 def load_checkpoint(path) -> tuple[WarmParams, dict]:
     """Read a checkpoint back; malformed or inconsistent content raises CheckpointError."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=json_int)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -337,8 +337,8 @@ def load_checkpoint(path) -> tuple[WarmParams, dict]:
             w_k=np.array(payload["w_k"], dtype=np.float64),
             w_v=np.array(payload["w_v"], dtype=np.float64),
         )
-    # ArgumentError is a ValueError; NumericError is a NaN or infinity, which json reads
-    except (TypeError, ValueError, NumericError) as exc:
+    # ArgumentError is a ValueError; NumericError is json's NaN or infinity; OverflowError a huge integer
+    except (TypeError, ValueError, OverflowError, NumericError) as exc:
         raise CheckpointError(f"checkpoint {path} holds malformed values: {exc}") from exc
     if params.feature_dim != d or params.num_tokens != m:
         raise CheckpointError(

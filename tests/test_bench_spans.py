@@ -50,7 +50,7 @@ def test_every_span_is_called_by_the_verbs(tmp_path, monkeypatch):
     # in one process, so every call goes through the wrapped bindings
     from warmproto import cli
 
-    monkeypatch.setenv("WARM_THREADS", "1")
+    monkeypatch.setattr(cli, "worker_cap", lambda: 1)
     config = {
         "generator": {"feature_dim": 8, "points_per_cloud": 128, "min_fg_points": 16},
         "train": {"epochs": 1, "episodes_per_epoch": 2, "num_tokens": 4},

@@ -55,11 +55,16 @@ def config_path(tmp_path):
 
 def fresh_env(**values):
     """The environment for a subprocess that imports this tree's package:
-    this one's, less WARM_THREADS and the BLAS variables (which the
-    package's import set here), plus ``values``."""
-    env = {k: v for k, v in os.environ.items() if k not in (*BLAS_VARS, "WARM_THREADS")}
+    this one's, less the BLAS variables (which the package's import set
+    here), plus ``values``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return dict(env, **values)
+
+
+def use_workers(monkeypatch, count):
+    """Run the verbs on ``count`` workers, or on what ``worker_cap`` gives when None."""
+    monkeypatch.setattr(cli, "worker_cap", worker_cap if count is None else lambda: count)
 
 
 def read_csv(path):
@@ -142,15 +147,21 @@ class TestConfigLoading:
             pytest.param({"train": {"lr_milestones": 0.5}}, "lr_milestones", id="lr_milestones-number"),
             pytest.param({"seeds": 5}, "seeds", id="seeds-number"),
             pytest.param({"token_counts": [1.5]}, "token_counts", id="token_counts-float"),
+            # integers past a double's range, and past int()'s 4,300-digit limit, which json.loads applies
+            pytest.param({"train": {"lr": 10**400}}, "lr", id="lr-huge-int"),
+            pytest.param({"generator": {"instance_spread": 10**400}}, "instance_spread", id="spread-huge-int"),
+            pytest.param('{"train": {"lr": 1%s}}' % ("0" * 5000), "lr", id="lr-5001-digits"),
+            pytest.param('{"eval_episodes": -1%s}' % ("0" * 5000), "eval_episodes", id="eval_episodes-5001-digits"),
         ],
     )
     def test_wrong_json_type_exit_1(self, tmp_path, capsys, data, field):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"'{field}'" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "data, field",
@@ -314,7 +325,7 @@ class TestTrainEval:
         if verb == "eval" and not method:
             assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "train")]) == 0
             argv += ["--checkpoint", str(tmp_path / "train" / "checkpoint.json")]
-        monkeypatch.setenv("WARM_THREADS", workers)
+        use_workers(monkeypatch, int(workers))
 
         def no_grid(*args, **kwargs):
             raise AssertionError("the grid trained before the batch was checked")
@@ -371,9 +382,11 @@ class TestTrainEval:
 
 
 class TestSweeps:
-    def test_sweep_fps_single_seed(self, config_path, tmp_path):
+    def test_sweep_fps_single_seed(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, fps_seeds=1)))
         out = tmp_path / "sweep"
-        assert main(["sweep-fps", "--config", str(config_path), "--out", str(out), "--seeds", "1"]) == 0
+        assert main(["sweep-fps", "--config", str(path), "--out", str(out)]) == 0
         rows = read_csv(out / "sweep.csv")
         assert rows[0] == ["seed", "mean_miou", "iou_0", "iou_1"]
         assert len(rows) == 2
@@ -406,9 +419,11 @@ class TestSweeps:
         assert rows[0] == ["M", "miou_mean", "miou_std"]
         assert [r[0] for r in rows[1:]] == ["2", "4"]
 
-    def test_report_prints_summaries(self, config_path, tmp_path, capsys):
+    def test_report_prints_summaries(self, tmp_path, capsys):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, fps_seeds=2)))
         out = tmp_path / "sweep"
-        main(["sweep-fps", "--config", str(config_path), "--out", str(out), "--seeds", "2"])
+        assert main(["sweep-fps", "--config", str(path), "--out", str(out)]) == 0
         assert main(["report", "--data", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "sweep_summary.csv" in printed
@@ -423,6 +438,14 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert err.startswith(f"io/format failure: {path} ") and err.count("\n") == 1
 
+    def test_report_oversized_csv_field_exit_3(self, tmp_path, capsys):
+        # the csv module refuses a field over its 131,072-character limit
+        path = tmp_path / "metrics.csv"
+        path.write_text("miou\r\n" + "x" * 200_000 + "\r\n")
+        assert main(["report", "--data", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"io/format failure: {path} ") and err.count("\n") == 1
+
 
 def csv_bytes(rows):
     buf = io.StringIO(newline="")
@@ -431,23 +454,14 @@ def csv_bytes(rows):
 
 
 class TestSeedFlags:
-    """A seed flag runs what its config runs with the value written in:
+    """``train --seed`` runs what its config runs with the value written in:
     the same files, the sidecar and the checkpoint's config hash too."""
 
-    @pytest.mark.parametrize(
-        "verb, flag, field",
-        [
-            ("gen", ["--seed", "9"], {"gen_seed": 9}),
-            ("train", ["--seed", "5"], {"train": dict(SMALL_CONFIG["train"], seed=5)}),
-            ("sweep-fps", ["--seeds", "2"], {"fps_seeds": 2}),
-            ("ablate", ["--seeds", "2"], {"seeds": [0, 1]}),
-        ],
-    )
-    def test_flag_writes_what_the_config_field_writes(self, config_path, tmp_path, verb, flag, field):
+    def test_flag_writes_what_the_config_field_writes(self, config_path, tmp_path):
         written = tmp_path / "written.json"
-        written.write_text(json.dumps(dict(SMALL_CONFIG, **field)))
-        assert main([verb, "--config", str(config_path), "--out", str(tmp_path / "flag"), *flag]) == 0
-        assert main([verb, "--config", str(written), "--out", str(tmp_path / "field")]) == 0
+        written.write_text(json.dumps(dict(SMALL_CONFIG, train=dict(SMALL_CONFIG["train"], seed=5))))
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "flag"), "--seed", "5"]) == 0
+        assert main(["train", "--config", str(written), "--out", str(tmp_path / "field")]) == 0
         files = {
             name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir() if p.name != "timing.csv"}
             for name in ("flag", "field")
@@ -493,7 +507,7 @@ class TestGridMatchesSeparateRuns:
 
 
 class TestGridWorkers:
-    """WARM_THREADS sets the worker processes of ablate and token-sweep;
+    """``worker_cap`` sets the worker processes of ablate and token-sweep;
     the files and the failures must not depend on it."""
 
     @pytest.mark.parametrize("verb, output", [("ablate", "ablation.csv"), ("token-sweep", "token_sweep.csv")])
@@ -501,22 +515,18 @@ class TestGridWorkers:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(dict(SMALL_CONFIG, seeds=[0, 1], token_counts=[2, 4, 6])))
         files = {}
-        # unset means one worker per usable CPU; 3 cuts 7 ablate runs 3+2+2, 2 cuts 3 token runs 2+1
-        for workers in (None, "1", "2", "3"):
-            if workers is None:
-                monkeypatch.delenv("WARM_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("WARM_THREADS", workers)
+        # None means one worker per usable CPU; 3 cuts 7 ablate runs 3+2+2, 2 cuts 3 token runs 2+1
+        for workers in (None, 1, 2, 3):
+            use_workers(monkeypatch, workers)
             out = tmp_path / f"out-{workers}"
             assert main([verb, "--config", str(path), "--out", str(out)]) == 0
             files[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert all(f == files["1"] for f in files.values())
-        assert output in files["1"]
+        assert all(f == files[1] for f in files.values())
+        assert output in files[1]
 
     def test_default_workers_one_per_cpu_whatever_blas_says(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
         monkeypatch.setattr(cli, "BLAS_PINNED", True)
-        monkeypatch.delenv("WARM_THREADS", raising=False)
         for threads in (None, "1", "2", str(cpus)):
             for var in BLAS_VARS:
                 if threads is None:
@@ -524,8 +534,29 @@ class TestGridWorkers:
                 else:
                     monkeypatch.setenv(var, threads)
             assert worker_cap() == cpus
+
+    def test_no_environment_variable_sets_the_count(self, monkeypatch):
+        # a WARM_THREADS in the environment is not read: only the CPU set counts
+        monkeypatch.setattr(cli, "BLAS_PINNED", True)
         monkeypatch.setenv("WARM_THREADS", "3")
-        assert worker_cap() == 3
+        assert worker_cap() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity on this platform")
+    def test_one_worker_when_pinned_to_one_cpu(self):
+        # limiting the CPU set is how to run on fewer workers; WARM_THREADS is not read
+        one_cpu = {min(os.sched_getaffinity(0))}
+        argv = [sys.executable, "-c", PIN_SCRIPT, "warmproto"]
+        done = subprocess.run(
+            argv,
+            env=fresh_env(WARM_THREADS="2"),
+            preexec_fn=lambda: os.sched_setaffinity(0, one_cpu),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        pinned, _, workers = json.loads(done.stdout)
+        assert pinned is True and workers == 1
 
     @pytest.mark.parametrize("first", ["warmproto", "numpy"])
     def test_import_pins_blas_unless_numpy_came_first(self, first):
@@ -539,14 +570,6 @@ class TestGridWorkers:
         else:  # the user's value does not win
             assert pinned is True and workers == len(os.sched_getaffinity(0))
             assert seen == dict.fromkeys(BLAS_VARS, "1")
-
-    @pytest.mark.parametrize("value", ["0", "x"])
-    def test_bad_worker_count_exit_1(self, config_path, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("WARM_THREADS", value)
-        code = main(["ablate", "--config", str(config_path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "WARM_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
     def test_numeric_error_in_worker_exit_2_same_message(self, config_path, tmp_path, monkeypatch, capsys):
         # forked workers inherit the patch; one grid variant's loss turns non-finite
@@ -562,17 +585,17 @@ class TestGridWorkers:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(dict(SMALL_CONFIG, seeds=[0, 1])))
         messages = {}
-        for workers in ("1", "2", "3"):
-            monkeypatch.setenv("WARM_THREADS", workers)
-            code = main(["ablate", "--config", str(path), "--out", str(tmp_path / workers)])
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            code = main(["ablate", "--config", str(path), "--out", str(tmp_path / str(workers))])
             assert code == 2
             messages[workers] = capsys.readouterr().err
-        assert "'normalize+restore'" in messages["1"] and "seed=0" in messages["1"]
-        assert messages["2"] == messages["1"] and messages["3"] == messages["1"]
+        assert "'normalize+restore'" in messages[1] and "seed=0" in messages[1]
+        assert messages[2] == messages[1] and messages[3] == messages[1]
 
 
 class TestEvalWorkers:
-    """eval scores contiguous slices of its batch on WARM_THREADS forked
+    """eval scores contiguous slices of its batch on ``worker_cap`` forked
     workers; the files and the failures must not depend on the count."""
 
     def _setup(self, tmp_path, episodes, **overrides):
@@ -597,17 +620,14 @@ class TestEvalWorkers:
         for episodes in (2, 5):
             path, checkpoint, batch = self._setup(tmp_path, episodes, method=method)
             files = {}
-            for workers in (None, "1", "2", "3"):
-                if workers is None:
-                    monkeypatch.delenv("WARM_THREADS", raising=False)
-                else:
-                    monkeypatch.setenv("WARM_THREADS", workers)
+            for workers in (None, 1, 2, 3):
+                use_workers(monkeypatch, workers)
                 for data in (None, batch):
                     out = tmp_path / f"out-{episodes}-{workers}-{data is None}"
                     assert self._eval(path, checkpoint, out, data) == 0
                     files[workers, data] = {p.name: p.read_bytes() for p in out.iterdir()}
-            assert all(f == files["1", None] for f in files.values())
-            assert sorted(files["1", None]) == ["eval_config.json", "metrics.csv"]
+            assert all(f == files[1, None] for f in files.values())
+            assert sorted(files[1, None]) == ["eval_config.json", "metrics.csv"]
 
     def test_workers_score_the_batch_and_are_joined(self, tmp_path, monkeypatch):
         # forked workers inherit the patch and leave one file per scored episode
@@ -620,7 +640,7 @@ class TestEvalWorkers:
         path, checkpoint, _ = self._setup(tmp_path, 5)
         (tmp_path / "pids").mkdir()
         monkeypatch.setattr(trainer, "_score_episode", recording)
-        monkeypatch.setenv("WARM_THREADS", "2")
+        use_workers(monkeypatch, 2)
         assert self._eval(path, checkpoint, tmp_path / "out") == 0
         assert multiprocessing.active_children() == []
         names = [p.name.split("-", 1) for p in (tmp_path / "pids").iterdir()]
@@ -643,30 +663,30 @@ class TestEvalWorkers:
 
         monkeypatch.setattr(trainer, "_score_episode", failing)
         messages = {}
-        for workers in ("1", "2", "3"):
-            monkeypatch.setenv("WARM_THREADS", workers)
-            assert self._eval(path, checkpoint, tmp_path / workers) == 2
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            assert self._eval(path, checkpoint, tmp_path / str(workers)) == 2
             messages[workers] = capsys.readouterr().err
             assert multiprocessing.active_children() == []
-        assert messages["1"] == "numeric failure: non-finite score in episode 1\n"
-        assert messages["2"] == messages["1"] and messages["3"] == messages["1"]
+        assert messages[1] == "numeric failure: non-finite score in episode 1\n"
+        assert messages[2] == messages[1] and messages[3] == messages[1]
 
 
 class TestTrainWorkers:
-    """With WARM_THREADS above 1, train's episodes come from a forked
+    """With ``worker_cap`` above 1, train's episodes come from a forked
     producer; the files and the failures must not depend on it, and no
     process may outlive the call."""
 
     def test_same_bytes_at_one_and_two_workers(self, config_path, tmp_path, monkeypatch):
         files = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("WARM_THREADS", workers)
-            out = tmp_path / workers
+        for workers in (1, 2):
+            use_workers(monkeypatch, workers)
+            out = tmp_path / str(workers)
             assert main(["train", "--config", str(config_path), "--out", str(out), "--seed", "5"]) == 0
             assert multiprocessing.active_children() == []
             files[workers] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timing.csv"}
-        assert sorted(files["1"]) == ["checkpoint.json", "train_config.json", "training_log.csv"]
-        assert files["2"] == files["1"]
+        assert sorted(files[1]) == ["checkpoint.json", "train_config.json", "training_log.csv"]
+        assert files[2] == files[1]
 
     def test_non_finite_loss_mid_run_exit_2_same_message(self, tmp_path, monkeypatch, capsys, wait_limit):
         # the parent's third forward pass turns non-finite while the producer runs ahead
@@ -683,14 +703,14 @@ class TestTrainWorkers:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(SMALL_CONFIG, train=dict(SMALL_CONFIG["train"], episodes_per_epoch=40))))
         messages = {}
-        for workers in ("1", "2"):
+        for workers in (1, 2):
             calls.clear()
-            monkeypatch.setenv("WARM_THREADS", workers)
-            assert main(["train", "--config", str(path), "--out", str(tmp_path / workers)]) == 2
+            use_workers(monkeypatch, workers)
+            assert main(["train", "--config", str(path), "--out", str(tmp_path / str(workers))]) == 2
             assert multiprocessing.active_children() == []
             messages[workers] = capsys.readouterr().err
-        assert messages["1"].startswith("numeric failure: non-finite loss or gradient at step 2 of variant 'warm'")
-        assert messages["2"] == messages["1"]
+        assert messages[1].startswith("numeric failure: non-finite loss or gradient at step 2 of variant 'warm'")
+        assert messages[2] == messages[1]
 
 
 class TestBlasThreads:
@@ -740,7 +760,7 @@ class TestDeadWorker:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(trainer, target, dying)
-        monkeypatch.setenv("WARM_THREADS", "2")
+        use_workers(monkeypatch, 2)
         capfd.readouterr()
         argv = [verb, "--config", str(config_path), "--out", str(tmp_path / "out")]
         assert main(argv + (["--checkpoint", str(checkpoint)] if verb == "eval" else [])) == 3
@@ -750,37 +770,14 @@ class TestDeadWorker:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("verb", ["sweep-fps", "ablate", "token-sweep"])
+    @pytest.mark.parametrize("verb", ["gen", "eval", "sweep-fps", "ablate", "token-sweep"])
     def test_seed_flag_only_on_verbs_that_read_it(self, config_path, tmp_path, capsys, verb):
-        code = main([verb, "--config", str(config_path), "--out", str(tmp_path / "o"), "--seed", "3"])
-        assert code == 1
-        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_eval_seed_only_for_fps(self, config_path, tmp_path, capsys):
-        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "t")]) == 0
-        checkpoint = str(tmp_path / "t" / "checkpoint.json")
-        out = tmp_path / "o"
-        code = main(["eval", "--config", str(config_path), "--checkpoint", checkpoint, "--out", str(out), "--seed", "5"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --seed ") and "'warm'" in err and len(err.splitlines()) == 1
-        assert not out.exists()
-        fps = tmp_path / "fps.json"
-        fps.write_text(json.dumps(dict(SMALL_CONFIG, method="fps-min-dist")))
-        assert main(["eval", "--config", str(fps), "--out", str(out), "--seed", "5"]) == 0
-        assert (out / "metrics.csv").exists()
-
-    @pytest.mark.parametrize("verb", ["sweep-fps", "ablate"])
-    def test_zero_seeds_exit_1_before_any_work(self, config_path, tmp_path, monkeypatch, capsys, verb):
-        def no_batch(*args):
-            raise AssertionError("the eval batch was built")
-
-        monkeypatch.setattr(cli, "_eval_batch", no_batch)
-        code = main([verb, "--config", str(config_path), "--out", str(tmp_path / "o"), "--seeds", "0"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "o").exists()
+        # every seed but train's is set in the config only
+        for flag in (["--seed", "3"], ["--seeds", "2"]):
+            code = main([verb, "--config", str(config_path), "--out", str(tmp_path / "o"), *flag])
+            assert code == 1
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "verb, data, argv, name",
@@ -790,9 +787,7 @@ class TestExitCodes:
             pytest.param("train", {}, ["--seed", "-3"], "--seed", id="train--seed"),
             pytest.param("ablate", {"seeds": [0, -1]}, [], "seeds", id="seeds"),
             pytest.param("gen", {"gen_seed": -5}, [], "gen_seed", id="gen_seed"),
-            pytest.param("gen", {}, ["--seed", "-1"], "--seed", id="gen--seed"),
             pytest.param("eval", {"eval_seed": -4, "method": "fps-min-dist"}, [], "eval_seed", id="eval_seed"),
-            pytest.param("eval", {"method": "fps-min-dist"}, ["--seed", "-2"], "--seed", id="eval--seed"),
         ],
     )
     def test_negative_seed_exit_1_before_any_output(self, tmp_path, capsys, verb, data, argv, name):
@@ -813,12 +808,17 @@ class TestExitCodes:
             pytest.param(lambda c: {**c, "w_q": {}}, id="w_q-object"),
             pytest.param(lambda c: [c], id="top-level-list"),
             pytest.param(lambda c: {**c, "w_q": [[float("nan")] + c["w_q"][0][1:]] + c["w_q"][1:]}, id="w_q-nan"),
+            pytest.param(lambda c: {**c, "w_q": [[10**400] + c["w_q"][0][1:]] + c["w_q"][1:]}, id="w_q-huge-int"),
+            # json.dumps cannot write these: the test puts the digits in place of the marker
+            pytest.param(lambda c: {**c, "w_k": [["DIGITS"] + c["w_k"][0][1:]] + c["w_k"][1:]}, id="w_k-5001-digits"),
+            pytest.param(lambda c: {**c, "feature_dim": "DIGITS"}, id="feature_dim-5001-digits"),
         ],
     )
     def test_malformed_checkpoint_exit_1(self, config_path, tmp_path, capsys, defect):
         checkpoint = tmp_path / "checkpoint.json"
         save_checkpoint(checkpoint, init_params(8, 6, derive_rng(0)), seed=0)
-        checkpoint.write_text(json.dumps(defect(json.loads(checkpoint.read_text()))))
+        text = json.dumps(defect(json.loads(checkpoint.read_text())))
+        checkpoint.write_text(text.replace('"DIGITS"', "1" + "0" * 5000))
         with pytest.raises(CheckpointError):
             load_checkpoint(checkpoint)
         argv = ["eval", "--config", str(config_path), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")]
@@ -851,15 +851,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("verb", ["train", "ablate"])
     def test_numeric_failure_is_one_stderr_line(self, tmp_path, verb):
-        # as a program, without pytest's warning capture; ablate's two grid workers
-        # overflow too, in forked processes
+        # as a program, without pytest's warning capture; ablate's grid workers,
+        # one per usable CPU, overflow too, in forked processes
         generator = dict(
             SMALL_CONFIG["generator"], inter_class_scale=1e200, intra_class_scale=0.0, instance_spread=1.0
         )
         train_cfg = dict(SMALL_CONFIG["train"], episodes_per_epoch=2)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(SMALL_CONFIG, method="naive", generator=generator, train=train_cfg)))
-        env = fresh_env(WARM_THREADS="2")
+        env = fresh_env()
         argv = [sys.executable, "-m", "warmproto.cli", verb, "--config", str(path), "--out", str(tmp_path / "o")]
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 2
@@ -892,7 +892,7 @@ class TestExitCodes:
     def test_help_exit_0(self):
         assert main(["--help"]) == 0
 
-    def test_missing_data_dir_exit_3(self, config_path, tmp_path):
+    def test_missing_data_dir_exit_1(self, config_path, tmp_path):
         code = main(
             [
                 "eval",

@@ -7,10 +7,15 @@ Runs a fixed set of verbs on a small 2-way 2-shot config, each in its own
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``): the
 package pins these at import, but the script sets them too, so that a tree
 from before that pin runs at the same thread count and still diffs clean.
-The whole set runs twice, at ``WARM_THREADS`` 1 and then 2, each time in a
-fresh temporary directory that is the verbs' working directory. For each
-verb it prints the command, its stdout, and one ``sha256  path`` line per
-file under its ``--out``; ``timing.csv`` is left out, since it holds wall
+The whole set runs twice, each time in a fresh temporary directory that is
+the verbs' working directory: first with every verb pinned to one CPU
+(``os.sched_setaffinity``), so at one worker, then on all the CPUs this
+script may use, one worker each. ``WARM_THREADS``, which older trees read
+for the worker count, is taken out of the verbs' environment, so such a
+tree runs at the same counts. For each verb it prints the command under a
+fixed label (``cpus=1`` or ``cpus=all``, so hosts with other CPU counts
+print the same lines), its stdout, and one ``sha256  path`` line per file
+under its ``--out``; ``timing.csv`` is left out, since it holds wall
 times. It exits 1 at the first verb that exits non-zero, after printing
 that verb's stderr.
 
@@ -55,18 +60,27 @@ VERBS = [
 ]
 
 
-def run_verbs(src: Path, workers: int) -> bool:
-    env = dict(os.environ, PYTHONPATH=str(src), WARM_THREADS=str(workers))
+def run_verbs(src: Path, cpus: str) -> bool:
+    """Run every verb on one CPU (``cpus`` "1") or on all usable ones ("all")."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("WARM_THREADS", None)
     env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    one_cpu = {min(os.sched_getaffinity(0))}
+    pin = (lambda: os.sched_setaffinity(0, one_cpu)) if cpus == "1" else None
     with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
         work = Path(tmp)
         (work / "warm.json").write_text(json.dumps(CONFIG))
         (work / "fps.json").write_text(json.dumps(dict(CONFIG, method="fps-min-dist")))
         for argv, out in VERBS:
             argv = [*argv, "--out", out]
-            print(f"$ WARM_THREADS={workers} warmproto {' '.join(argv)}")
+            print(f"$ cpus={cpus} warmproto {' '.join(argv)}")
             done = subprocess.run(
-                [sys.executable, "-m", "warmproto.cli", *argv], cwd=work, env=env, capture_output=True, text=True
+                [sys.executable, "-m", "warmproto.cli", *argv],
+                cwd=work,
+                env=env,
+                preexec_fn=pin,
+                capture_output=True,
+                text=True,
             )
             sys.stdout.write(done.stdout)
             if done.returncode != 0:
@@ -92,7 +106,9 @@ def main() -> int:
     src = args.src.resolve()
     if not (src / "warmproto" / "cli.py").is_file():
         parser.error(f"no warmproto package under {src}")
-    return 0 if all(run_verbs(src, workers) for workers in (1, 2)) else 1
+    if not hasattr(os, "sched_setaffinity"):
+        parser.error("pinning the first pass to one CPU needs os.sched_setaffinity")
+    return 0 if all(run_verbs(src, cpus) for cpus in ("1", "all")) else 1
 
 
 if __name__ == "__main__":
