@@ -85,15 +85,18 @@ from .metrics import (  # noqa: E402
 from .rng import derive_rng  # noqa: E402
 from .trainer import TrainConfig, apply_update, evaluate, make_eval_episodes, train, train_grid  # noqa: E402
 from .warm import (  # noqa: E402
+    ShotSupport,
     WarmParams,
     WhitenStats,
     ablation_forward,
     average_shots,
     color,
     compute_stats,
+    episode_support,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    shot_support,
     warm_backward,
     whiten,
 )

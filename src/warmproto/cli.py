@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_PINNED
-from .episodes import GeneratorConfig, gen_episode, load_episode, save_episode
+from .episodes import MAX_SIZE, GeneratorConfig, check_sizes, gen_episode, load_episode, save_episode
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .files import atomic_write, json_int, write_csv
 from .fps import evaluate_fps, fps_seed_sweep
@@ -60,8 +60,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.seeds or any(s < 0 for s in self.seeds):
             raise ConfigError(f"seeds must be a nonempty list of seeds >= 0, got {list(self.seeds)}")
-        if not self.token_counts or any(m < 1 for m in self.token_counts):
-            raise ConfigError("token_counts must be a nonempty list of counts >= 1")
+        if not self.token_counts or any(not 1 <= m <= MAX_SIZE for m in self.token_counts):
+            raise ConfigError(f"token_counts must be a nonempty list of counts in [1, {MAX_SIZE}]")
+        check_sizes(self, ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes"))
 
 
 def _fits(value, hint) -> bool:
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a config within the size bounds that still does not fit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

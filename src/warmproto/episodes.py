@@ -30,6 +30,8 @@ from .rng import derive_rng
 MAGIC = b"WARM-EP1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sHIIIII")  # magic, version, N, K, U, L, D
+# the largest N, K, U, L or D the header holds; the configs bound every size and count by it
+MAX_SIZE = 2**32 - 1
 
 BACKGROUND = 0
 
@@ -149,6 +151,7 @@ class GeneratorConfig:
     bg_components: int = 4
 
     def validate(self) -> None:
+        check_sizes(self, ("feature_dim", "points_per_cloud", "n_way", "k_shot", "num_query", "bg_components"))
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.n_way < 1 or self.k_shot < 1 or self.num_query < 1:
@@ -182,6 +185,14 @@ class GeneratorConfig:
                 f"points_per_cloud={self.points_per_cloud} too small for "
                 f"{self.n_way} ways at min_fg_points={self.min_fg_points}"
             )
+
+
+def check_sizes(cfg, names) -> None:
+    """Raise ConfigError for the first field of ``names`` above MAX_SIZE:
+    a size numpy could not allocate, or a count no run would finish."""
+    for name in names:
+        if getattr(cfg, name) > MAX_SIZE:
+            raise ConfigError(f"{name} must be <= {MAX_SIZE}, got {getattr(cfg, name)}")
 
 
 def class_center(cfg: GeneratorConfig, class_id: int) -> np.ndarray:

@@ -98,26 +98,38 @@ def margin_loss(field: DistanceField, truth, margin: float = 0.0) -> float:
 
 def margin_loss_grad(
     query: np.ndarray, protos: Mapping[int, np.ndarray], field: DistanceField, truth, margin: float = 0.0
-) -> dict[int, np.ndarray]:
-    """Gradient of margin_loss with respect to each class's prototypes;
-    ``field`` is ``point_distances(query, protos)``, which checked them."""
+) -> tuple[float, dict[int, np.ndarray]]:
+    """``margin_loss`` and its gradient with respect to each class's
+    prototypes; ``field`` is ``point_distances(query, protos)``, which
+    checked them."""
     pos_rows, neg_rows, d_pos, d_neg = _pos_neg(field, truth)
-    active = (d_pos - d_neg + margin) > 0
+    hinge = d_pos - d_neg + margin
+    active = hinge > 0
     grads = {}
     for i, label in enumerate(field.class_labels):
         p = protos[label]
-        g = grads[label] = np.zeros_like(p)
-        sel = active & (pos_rows == i) & (d_pos > 0)
-        if np.any(sel):
-            idx = field.nearest[i, sel]
-            diff = (p[idx] - query[sel]) / d_pos[sel, None]
-            np.add.at(g, idx, diff)
-        sel = active & (neg_rows == i) & (d_neg > 0)
-        if np.any(sel):
-            idx = field.nearest[i, sel]
-            diff = (p[idx] - query[sel]) / d_neg[sel, None]
-            np.add.at(g, idx, -diff)
-    return grads
+        pos = active & (pos_rows == i) & (d_pos > 0)
+        neg = active & (neg_rows == i) & (d_neg > 0)
+        idx_pos, idx_neg = field.nearest[i, pos], field.nearest[i, neg]
+        pull = (p[idx_pos] - query[pos]) / d_pos[pos, None]
+        push = (p[idx_neg] - query[neg]) / d_neg[neg, None]
+        # the positive rows, then the negative ones: each slot sums them as two unbuffered adds would
+        grads[label] = scatter_rows(np.concatenate([idx_pos, idx_neg]), np.concatenate([pull, -push]), p.shape[0])
+    return float(np.sum(np.maximum(hinge, 0.0))), grads
+
+
+def scatter_rows(idx: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """A (count x D) matrix whose row r sums the ``rows`` with ``idx`` r.
+
+    One ``np.bincount`` over (row, column) slots, which adds each slot's
+    values in row order from 0.0: the doubles of an unbuffered in-place
+    add of the rows into zeros, as ``ufunc.at`` does it.
+    """
+    d = rows.shape[1]
+    slots = (np.asarray(idx, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(slots, weights=rows.ravel(), minlength=count * d)
+    # with no slots at all, bincount returns integer zeros
+    return sums.astype(np.float64, copy=False).reshape(count, d)
 
 
 def _check_sim_inputs(features_by_class: Mapping[int, np.ndarray], mapping: dict[int, np.ndarray]):
@@ -154,14 +166,11 @@ def simplification_loss_and_grad(
         f, p = feats[label], mapping[label]
         n_feat, n_proto = f.shape[0], p.shape[0]
         dm = pairwise_distances(f, p)
-        g = np.zeros_like(p)
         # feature -> nearest prototype
         arg_p = np.argmin(dm, axis=1)
         d1 = dm[np.arange(n_feat), arg_p]
         nz = d1 > 0
-        if np.any(nz):
-            diff = (p[arg_p[nz]] - f[nz]) / d1[nz, None] / n_feat
-            np.add.at(g, arg_p[nz], diff)
+        g = scatter_rows(arg_p[nz], (p[arg_p[nz]] - f[nz]) / d1[nz, None] / n_feat, n_proto)
         # prototype -> nearest feature
         arg_f = np.argmin(dm, axis=0)
         d2 = dm[arg_f, np.arange(n_proto)]

@@ -24,9 +24,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .episodes import Episode, GeneratorConfig, gen_episode
+from .episodes import MAX_SIZE, Episode, GeneratorConfig, check_sizes, gen_episode
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError
-from .losses import margin_loss, margin_loss_grad, point_distances, predict, simplification_loss_and_grad
+from .losses import margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
     MetricsReport,
     attention_diversity,
@@ -41,9 +41,11 @@ from .rng import derive_rng
 from .warm import (
     ForwardResult,
     PARAM_NAMES,
+    ShotSupport,
     WarmParams,
     ablation_forward,
     average_shots,
+    episode_support,
     init_params,
     params_as_dict,
     resolve_variant,
@@ -80,6 +82,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 0 or self.episodes_per_epoch < 1:
             raise ConfigError("epochs must be >= 0 and episodes_per_epoch >= 1")
+        if self.total_steps > MAX_SIZE:
+            raise ConfigError(f"epochs * episodes_per_epoch must be <= {MAX_SIZE}, got {self.total_steps}")
+        check_sizes(self, ("num_tokens",))
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
@@ -151,31 +156,31 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 
 
 def episode_forward(
-    params: WarmParams, episode: Episode, variant: str, eps: float
+    params: WarmParams, support: list[ShotSupport], variant: str
 ) -> tuple[dict[int, np.ndarray], list[ForwardResult]]:
-    """Per-shot forward passes, prototypes averaged across shots."""
-    shots = [
-        ablation_forward(params, episode.support_features_by_class(shot), variant, eps)
-        for shot in range(episode.k_shot)
-    ]
+    """Per-shot forward passes on an episode's ``episode_support``,
+    prototypes averaged across shots."""
+    shots = [ablation_forward(params, shot, variant) for shot in support]
     return average_shots([s.prototypes for s in shots]), shots
 
 
 def episode_loss(
-    protos: dict[int, np.ndarray], episode: Episode, lam: float, margin: float
+    protos: dict[int, np.ndarray], episode: Episode, support: list[ShotSupport], lam: float, margin: float
 ) -> tuple[float, float, float, dict[int, np.ndarray]]:
     """Query margin loss, support-coverage loss and their total
     margin + lam * coverage, with the total's gradient per class
-    prototype matrix."""
+    prototype matrix. Coverage reads the shots' support features
+    (``episode_support``) pooled per class in shot order."""
     grad_by_class = {label: np.zeros_like(p) for label, p in protos.items()}
     margin_total = 0.0
     for cloud in episode.query:
         field = point_distances(cloud.features, protos)
-        margin_total += margin_loss(field, cloud.labels, margin)
-        for label, g in margin_loss_grad(cloud.features, protos, field, cloud.labels, margin).items():
+        loss, grads = margin_loss_grad(cloud.features, protos, field, cloud.labels, margin)
+        margin_total += loss
+        for label, g in grads.items():
             grad_by_class[label] += g
-    support = episode.pooled_support_by_class()
-    sim, sim_grads = simplification_loss_and_grad(support, protos)
+    pooled = {label: np.vstack([shot.features[label] for shot in support]) for label in support[0].features}
+    sim, sim_grads = simplification_loss_and_grad(pooled, protos)
     for label, g in sim_grads.items():
         grad_by_class[label] += lam * g
     return margin_total, sim, margin_total + lam * sim, grad_by_class
@@ -202,16 +207,17 @@ class TrainRun:
         )
         return cls(cfg, variant, params, init_optimizer(params))
 
-    def step(self, episode: Episode, step: int) -> None:
-        """Forward, loss, backward and one update on this step's episode.
+    def step(self, episode: Episode, support: list[ShotSupport], step: int) -> None:
+        """Forward, loss, backward and one update on this step's episode
+        and its ``episode_support``.
 
         A non-finite loss or gradient aborts with the offending episode's
         seed in the message rather than propagating NaNs.
         """
         cfg, params = self.cfg, self.params
         lr = lr_at(cfg, step)
-        protos, shots = episode_forward(params, episode, self.variant, cfg.eps)
-        margin, sim, total, grad_by_class = episode_loss(protos, episode, cfg.lam, cfg.margin)
+        protos, shots = episode_forward(params, support, self.variant)
+        margin, sim, total, grad_by_class = episode_loss(protos, episode, support, cfg.lam, cfg.margin)
         per_shot = {label: g / episode.k_shot for label, g in grad_by_class.items()}
         grads = {name: np.zeros_like(arr) for name, arr in params_as_dict(params).items()}
         for shot_result in shots:
@@ -233,13 +239,15 @@ def train_grid(
     """Train several (config, variant) runs of one seed in lockstep.
 
     The training episode depends only on (seed, step) and the generator,
-    so each step's episode is generated once and every run steps on it.
-    Runs must share the seed and the step count. Each run is
-    bit-identical to a standalone ``train`` of the same run, at any
-    worker count. With more than one worker the episodes come from a
-    forked producer (``_forked``) while the runs step; a
-    run's wall time per step counts the wait for the episode, with one
-    worker its generation.
+    so each step's episode and its ``episode_support`` for every run's
+    variant are computed once and every run steps on them. Runs must
+    share the seed, the step count and eps, which clamps the shared
+    statistics. Each run is bit-identical to a standalone ``train`` of
+    the same run, at any worker count. With more than one worker the
+    episodes and their support come from a forked producer
+    (``_forked``) while the runs step, so a step does only parameter
+    work; a run's wall time per step counts the wait for them, with one
+    worker their computation.
     """
     if not runs:
         raise ArgumentError("grid needs at least one run")
@@ -248,26 +256,28 @@ def train_grid(
     for cfg, _ in runs:
         cfg.validate()
     gen_cfg.validate()
-    for _, variant in runs:
+    variants = [variant for _, variant in runs]
+    for variant in variants:
         resolve_variant(variant)
-    seed, steps = runs[0][0].seed, runs[0][0].total_steps
-    if any(cfg.seed != seed or cfg.total_steps != steps for cfg, _ in runs):
-        raise ArgumentError("grid runs must share the seed and the step count")
+    first = runs[0][0]
+    if any((cfg.seed, cfg.total_steps, cfg.eps) != (first.seed, first.total_steps, first.eps) for cfg, _ in runs):
+        raise ArgumentError("grid runs must share the seed, the step count and eps")
     states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in runs]
 
-    def draw(step: int) -> Episode:
+    def draw(step: int) -> tuple[Episode, list[ShotSupport]]:
         # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
-        return gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
+        episode = gen_episode(gen_cfg, derive_rng(first.seed, _TRAIN_STREAM, step), split="base")
+        return episode, episode_support(episode, variants, first.eps)
 
-    produce = partial(map, draw, range(steps))
+    produce = partial(map, draw, range(first.total_steps))
     with _forked(produce) if workers > 1 else nullcontext(produce()) as episodes:
-        for step in range(steps):
+        for step in range(first.total_steps):
             started = time.perf_counter()
-            episode = next(episodes)
+            episode, support = next(episodes)
             gen_ms = (time.perf_counter() - started) * 1e3
             for run in states:
                 run_started = time.perf_counter()
-                run.step(episode, step)
+                run.step(episode, support, step)
                 run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
     return states
 
@@ -346,9 +356,10 @@ def train(cfg: TrainConfig, gen_cfg: GeneratorConfig, variant: str = "warm", wor
     """Full training run: the single-run case of ``train_grid``.
 
     Episodes come from the base split only; with ``workers`` above 1 a
-    forked child generates them while the run steps. The parameters and
+    forked child generates them, and splits and takes the statistics of
+    their support, while the run steps. The parameters and
     the log do not depend on ``workers``; the per-step wall times count
-    the wait for each episode rather than its generation.
+    the wait for each episode rather than its preparation.
     """
     (run,) = train_grid([(cfg, variant)], gen_cfg, workers)
     return run
@@ -368,7 +379,7 @@ def _score_episode(params: WarmParams, episode: Episode, variant: str, eps: floa
     """One episode's share of an ``evaluate`` report: its (mIoU, per-class
     IoU), foreground attention entropies, diversities and query/key
     distances, and foreground summaries."""
-    protos, shots = episode_forward(params, episode, variant, eps)
+    protos, shots = episode_forward(params, episode_support(episode, [variant], eps), variant)
     preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
     truths = np.concatenate([q.labels for q in episode.query])
     ious = miou(preds, truths, range(episode.n_way + 1))
@@ -431,7 +442,7 @@ def _grid_slice(
 ) -> list[tuple[TrainRun, MetricsReport]]:
     """Train a part of a flattened grid, given as (seed group, run) pairs,
     one seed group at a time in lockstep (``train_grid``), and score each
-    run in this process on the batch with its own eps.
+    run in this process on the batch.
     Training forks no episode producer: grid parts already own the CPUs."""
     done = []
     for _, group in groupby(part, key=itemgetter(0)):

@@ -12,7 +12,8 @@ Foreground ways share one token pool, background has its own; each pool
 only ever attends to its own class's features. Whitening statistics are
 constants with respect to the learnables (the features come from a fixed
 source), so the backward pass never differentiates through the
-eigendecomposition.
+eigendecomposition, and ``episode_support`` computes them once per
+episode for every run that reads it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import BACKGROUND
+from .episodes import BACKGROUND, Episode
 from .errors import ArgumentError, CheckpointError, EmptyClassError, InsufficientPointsError, NumericError
 from .files import atomic_write, json_int
 from .linalg import half_powers, require_finite, softmax_rows
@@ -54,19 +55,21 @@ def resolve_variant(name: str) -> tuple[str, bool]:
 
 @dataclass
 class WhitenStats:
-    """Per-class mean, covariance and its clamped +/- half powers."""
+    """Per-class mean and covariance, and the covariance's clamped +/-
+    half powers where whitening reads them (else None)."""
 
     mean: np.ndarray
     cov: np.ndarray
-    inv_sqrt: np.ndarray
-    sqrt: np.ndarray
+    inv_sqrt: np.ndarray | None = None
+    sqrt: np.ndarray | None = None
 
 
-def compute_stats(features: np.ndarray, eps: float = 1e-4) -> WhitenStats:
+def compute_stats(features: np.ndarray, eps: float = 1e-4, half: bool = True) -> WhitenStats:
     """Alignment/restoration statistics of one class's support features.
 
-    Covariance uses the unbiased divisor (rows - 1); eigenvalues below eps
-    are clamped before taking the half powers.
+    Covariance uses the unbiased divisor (rows - 1). With ``half`` the
+    eigenvalues below eps are clamped and the half powers taken; without,
+    only the moments are computed.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -79,6 +82,9 @@ def compute_stats(features: np.ndarray, eps: float = 1e-4) -> WhitenStats:
     centered = features - mean
     cov = centered.T @ centered / (features.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
+    if not half:
+        require_finite(cov, "matrix")  # as sym_eig checks it on the way to the half powers
+        return WhitenStats(mean=mean, cov=cov)
     inv_sqrt, sqrt = half_powers(cov, eps)
     return WhitenStats(mean=mean, cov=cov, inv_sqrt=inv_sqrt, sqrt=sqrt)
 
@@ -194,13 +200,61 @@ class ForwardResult:
     per_class: dict[int, ClassTrace]
 
 
+@dataclass
+class ShotSupport:
+    """One shot's support features per class, with each class's transform
+    statistics as the variants it was prepared for read them, clamped at
+    ``eps``: none for "naive" alone, the moments for "center" and
+    "normalize", the half powers too for "whiten". Where they are not
+    finite, every class holds that NumericError instead."""
+
+    features: dict[int, np.ndarray]
+    stats: dict[int, WhitenStats | NumericError]
+    eps: float
+
+
+def shot_support(features_by_class: dict[int, np.ndarray], variants, eps: float = 1e-4) -> ShotSupport:
+    """The forward inputs of one shot's support for ``variants``."""
+    modes = {resolve_variant(variant)[0] for variant in variants}
+    if not features_by_class:
+        raise ArgumentError("features_by_class is empty")
+    features = {}
+    for label in sorted(features_by_class):
+        features[label] = np.asarray(features_by_class[label], dtype=np.float64)
+        if features[label].shape[0] == 0:
+            raise EmptyClassError(f"class {label} has no support features")
+    stats = {}
+    if modes != {"naive"}:
+        try:
+            stats = {label: compute_stats(f, eps, half="whiten" in modes) for label, f in features.items()}
+        except NumericError as exc:
+            # raised by the forward of each variant that reads them, so a
+            # grid step still fails at its first failing run in run order
+            stats = dict.fromkeys(features, exc)
+    return ShotSupport(features, stats, eps)
+
+
+def episode_support(episode: Episode, variants, eps: float) -> list[ShotSupport]:
+    """Per shot, the episode's support split by class
+    (``Episode.support_features_by_class``) with the statistics that
+    ``variants`` read: everything the forward pass takes from the episode.
+
+    It depends on the episode alone, never on the parameters, so one
+    result serves every run that steps on or scores the episode.
+    """
+    return [shot_support(episode.support_features_by_class(shot), variants, eps) for shot in range(episode.k_shot)]
+
+
 def _class_transform(
-    features: np.ndarray, mode: str, restore: bool, eps: float
+    features: np.ndarray, stats: WhitenStats | NumericError | None, mode: str, restore: bool, eps: float
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Returns (keys_in, out_map, out_shift) for one class."""
     if mode == "naive":
         return features, None, None
-    stats = compute_stats(features, eps)
+    if isinstance(stats, NumericError):
+        raise stats
+    if stats is None or (mode == "whiten" and stats.inv_sqrt is None):
+        raise ArgumentError(f"the support was not prepared for a {mode!r} variant")
     out_shift = stats.mean if restore else None
     if mode == "center":
         return features - stats.mean, None, out_shift
@@ -211,31 +265,23 @@ def _class_transform(
     return whiten(features, stats), (stats.sqrt if restore else None), out_shift
 
 
-def ablation_forward(
-    params: WarmParams,
-    features_by_class: dict[int, np.ndarray],
-    variant: str,
-    eps: float = 1e-4,
-) -> ForwardResult:
+def ablation_forward(params: WarmParams, support: ShotSupport, variant: str) -> ForwardResult:
     """Forward pass of one ``VARIANTS`` entry: the full operator ("warm")
-    or one of its ablations.
+    or one of its ablations, on a shot's support (``shot_support``).
 
     Per class: transform the features, attend with the class's token pool
     (single head, softmax(Wq(tokens) Wk(keys)^T) Wv(keys), no logit
     scaling), add the residual, then apply the restoration map (if any).
     """
     mode, restore = resolve_variant(variant)
-    if not features_by_class:
-        raise ArgumentError("features_by_class is empty")
     prototypes: dict[int, np.ndarray] = {}
     traces: dict[int, ClassTrace] = {}
-    for label in sorted(features_by_class):
-        features = np.asarray(features_by_class[label], dtype=np.float64)
-        if features.shape[0] == 0:
-            raise EmptyClassError(f"class {label} has no support features")
+    for label, features in support.features.items():
         rows = params.token_rows(label)
         tokens = params.tokens[rows]
-        keys_in, out_map, out_shift = _class_transform(features, mode, restore, eps)
+        keys_in, out_map, out_shift = _class_transform(
+            features, support.stats.get(label), mode, restore, support.eps
+        )
         q = tokens @ params.w_q
         k = keys_in @ params.w_k
         v = keys_in @ params.w_v

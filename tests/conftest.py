@@ -41,39 +41,40 @@ def graded(default_gen, bench_episodes):
     """Memoized (train result, eval result) per (variant, seed) on the
     default benchmark config.
 
-    ``row=True`` trains and scores the missing members of the seed's
-    whole ABLATION_GRID row (plus the variant, if it is not a member) in
-    one grid call; ``row=False`` computes only the requested run.
+    ``graded(pairs)`` returns the results of the (variant, seed) pairs in
+    order. The missing ones, one run per distinct (mode, restore) and
+    seed, are trained and scored in one grid call, so several seeds
+    spread over the workers.
     """
     cache = {}
 
-    def get(variant, seed, row):
-        key = (resolve_variant(variant), seed)
-        if key not in cache:
-            missing = {}  # key -> variant name, one run per distinct (mode, restore)
-            for v in (ABLATION_GRID if row else ()) + (variant,):
-                if (resolve_variant(v), seed) not in cache:
-                    missing.setdefault((resolve_variant(v), seed), v)
-            runs = [(TrainConfig(seed=seed), v) for v in missing.values()]
-            (results,) = run_grid([runs], default_gen, bench_episodes, worker_cap())
-            cache.update(zip(missing, results))
-        return cache[key]
+    def get(pairs):
+        by_seed = {}  # seed -> {key: run}, in request order
+        for variant, seed in pairs:
+            key = (resolve_variant(variant), seed)
+            if key not in cache:
+                by_seed.setdefault(seed, {}).setdefault(key, (TrainConfig(seed=seed), variant))
+        if by_seed:
+            grid = run_grid([list(runs.values()) for runs in by_seed.values()], default_gen, bench_episodes, worker_cap())
+            for runs, results in zip(by_seed.values(), grid):
+                cache.update(zip(runs, results))
+        return [cache[resolve_variant(variant), seed] for variant, seed in pairs]
 
     return get
 
 
 @pytest.fixture(scope="session")
 def trained(graded):
-    """Memoized training on the default benchmark config; one run per
-    request, since some callers want a single variant at many seeds."""
-    return lambda variant, seed: graded(variant, seed, row=False)[0]
+    """Memoized training on the default benchmark config: the requested
+    run alone, not its seed's whole ABLATION_GRID row."""
+    return lambda variant, seed: graded([(variant, seed)])[0][0]
 
 
 @pytest.fixture(scope="session")
 def evaluated(graded):
     """Memoized evaluation on the default benchmark; the first request
     for a seed trains and scores its whole ABLATION_GRID row at once."""
-    return lambda variant, seed: graded(variant, seed, row=True)[1]
+    return lambda variant, seed: graded([(v, seed) for v in ABLATION_GRID + (variant,)])[-1][1]
 
 
 @pytest.fixture(scope="session")

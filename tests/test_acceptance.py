@@ -21,6 +21,7 @@ from warmproto import (
     init_params,
     margin_loss,
     point_distances,
+    shot_support,
     whiten,
 )
 from warmproto.losses import margin_loss_grad, simplification_loss_and_grad
@@ -73,8 +74,8 @@ class TestAcceptance:
                 raw = rng.standard_normal((40, 8))
                 feats[label] = whiten(raw, compute_stats(raw, eps=1e-12))
             params = init_params(8, 5, derive_rng(100 + trial))
-            w = ablation_forward(params, feats, "warm")
-            n = ablation_forward(params, feats, "naive")
+            w = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+            n = ablation_forward(params, shot_support(feats, ["naive"]), "naive")
             for label in (0, 1):
                 diff = np.max(
                     np.abs(w.prototypes[label] - n.prototypes[label])
@@ -106,17 +107,17 @@ class TestAcceptance:
 
         def objective(vec):
             p = unpack(vec)
-            result = ablation_forward(p, feats, "warm")
+            result = ablation_forward(p, shot_support(feats, ["warm"]), "warm")
             protos = result.prototypes
             field = point_distances(query, protos)
             margin = margin_loss(field, truth)
             sim, _ = simplification_loss_and_grad(feats, protos)
             return margin + 0.5 * sim
 
-        result = ablation_forward(params, feats, "warm")
+        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
         protos = result.prototypes
         field = point_distances(query, protos)
-        m_grads = margin_loss_grad(query, protos, field, truth)
+        _, m_grads = margin_loss_grad(query, protos, field, truth)
         _, s_grads = simplification_loss_and_grad(feats, protos)
         grad_by_class = {c: m_grads[c] + 0.5 * s_grads[c] for c in m_grads}
         grads = warm_backward(params, result, grad_by_class)
@@ -150,13 +151,14 @@ class TestAcceptance:
         from warmproto.losses import predict
         from warmproto.metrics import miou
         from warmproto.trainer import episode_forward
+        from warmproto.warm import episode_support
 
         def warm_score(params, _seed):
             # the sweep seed feeds the FPS start; the trained operator has
             # no random input, so every seed must yield the same number
             scores = []
             for ep in bench_episodes:
-                protos, _ = episode_forward(params, ep, "warm", 1e-4)
+                protos, _ = episode_forward(params, episode_support(ep, ["warm"], 1e-4), "warm")
                 preds = np.concatenate(
                     [predict(point_distances(q.features, protos)) for q in ep.query]
                 )

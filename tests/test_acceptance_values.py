@@ -1,0 +1,83 @@
+"""The acceptance fixtures' numbers at full precision, against committed data.
+
+``tests/data/acceptance_values.txt`` holds one ``repr`` value per line
+for the default benchmark: mIoU, ``qk_dist`` and ``attn_entropy`` of the
+35 (variant, seed) grid reports, the FPS sweep's best, worst, mean and
+stdev, and a SHA-256 of the seed-0 ``warm`` parameters. The digest test
+checks bytes on a small config; this one checks them at the paper's
+scale (D=32, L=512, M=100, 1,000 steps), where BLAS picks other code
+paths. The test reads only the session fixtures, and it skips by the
+digest test's rule: where the numpy version or the OpenBLAS core differs
+from the header. A change that moves these values on purpose regenerates
+the file in the same change, from the repository root:
+
+    { printf '# numpy %s\\n# openblas core %s\\n' VERSION CORE; PYTHONPATH=src python -m tests.test_acceptance_values; } > tests/data/acceptance_values.txt
+"""
+
+import hashlib
+from pathlib import Path
+
+# before numpy: the import pins BLAS to one thread only where numpy has not
+# loaded yet, and these values differ at other thread counts
+import warmproto  # isort: skip
+
+import numpy as np
+import pytest
+
+from warmproto.warm import ABLATION_GRID, PARAM_NAMES
+
+from .test_cli_digest import openblas_core
+
+EXPECTED = Path(__file__).resolve().parent / "data" / "acceptance_values.txt"
+SEEDS = range(5)
+
+
+def value_lines(report_of, warm_params, sweep) -> list[str]:
+    """The file's lines: ``report_of(variant, seed)`` gives a grid report."""
+    lines = [
+        f"{variant} {seed} {name} {getattr(report_of(variant, seed), name)!r}"
+        for seed in SEEDS
+        for variant in ABLATION_GRID
+        for name in ("miou", "qk_dist", "attn_entropy")
+    ]
+    lines += [f"fps {name} {getattr(sweep, name)!r}" for name in ("best", "worst", "mean", "stdev")]
+    digest = hashlib.sha256()
+    for name in PARAM_NAMES:
+        digest.update(np.ascontiguousarray(getattr(warm_params, name)).tobytes())
+    lines.append(f"warm 0 params_sha256 {digest.hexdigest()}")
+    return lines
+
+
+def test_values_match_committed_data(evaluated, trained, fps_sweep):
+    lines = EXPECTED.read_text().splitlines()
+    header = [line[2:].rsplit(" ", 1) for line in lines if line.startswith("# ")]
+    recorded = dict(header)
+    here = {"numpy": np.__version__, "openblas core": openblas_core()}
+    if here != recorded:
+        pytest.skip(f"the values were made with {recorded}; this host has {here}")
+    got = value_lines(evaluated, trained("warm", 0).params, fps_sweep)
+    expected = lines[len(header) :]
+    assert len(got) == len(expected)
+    for got_line, expected_line in zip(got, expected):
+        assert got_line == expected_line
+
+
+if __name__ == "__main__":
+    # the session fixtures' recipe, outside pytest: one grid over every seed
+    from warmproto import GeneratorConfig, TrainConfig
+    from warmproto.cli import worker_cap
+    from warmproto.fps import fps_seed_sweep
+    from warmproto.trainer import make_eval_episodes, run_grid
+
+    from .conftest import EVAL_SEED, FPS_BASELINE_TOKENS
+
+    if not warmproto.BLAS_PINNED:
+        raise SystemExit("numpy was loaded before warmproto, so BLAS runs at a thread count these values do not use")
+    gen = GeneratorConfig()
+    episodes = make_eval_episodes(gen, 100, EVAL_SEED)
+    grid = run_grid([[(TrainConfig(seed=s), v) for v in ABLATION_GRID] for s in SEEDS], gen, episodes, worker_cap())
+    results = {(v, s): result for s, row in zip(SEEDS, grid) for v, result in zip(ABLATION_GRID, row)}
+    # "warm" is the same (transform, restore) pair as "whiten+restore"
+    warm = results["whiten+restore", 0][0].params
+    sweep = fps_seed_sweep(episodes, FPS_BASELINE_TOKENS, range(100))
+    print("\n".join(value_lines(lambda v, s: results[v, s][1], warm, sweep)))

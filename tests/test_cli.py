@@ -15,7 +15,7 @@ import pytest
 
 from warmproto import cli, trainer
 from warmproto.cli import ExperimentConfig, load_experiment_config, main, worker_cap
-from warmproto.episodes import load_episode, save_episode
+from warmproto.episodes import MAX_SIZE, load_episode, save_episode
 from warmproto.errors import CheckpointError, ConfigError, NumericError
 from warmproto.rng import derive_rng
 from warmproto.trainer import evaluate, make_eval_episodes, train
@@ -182,6 +182,46 @@ class TestConfigLoading:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"'{field}'" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "verb, data, field",
+        [
+            pytest.param("gen", {"generator": {"feature_dim": 10**30}}, "feature_dim", id="feature_dim"),
+            pytest.param("gen", {"generator": {"points_per_cloud": 10**12}}, "points_per_cloud", id="points"),
+            pytest.param("train", {"train": {"epochs": 10**30}}, "epochs", id="epochs"),
+            pytest.param("train", {"train": {"epochs": 2**16, "episodes_per_epoch": 2**16}}, "epochs", id="steps"),
+            pytest.param("train", {"train": {"num_tokens": 10**30}}, "num_tokens", id="num_tokens"),
+            pytest.param("token-sweep", {"token_counts": [1, 2**32]}, "token_counts", id="token_counts"),
+            pytest.param("eval", {"method": "fps-min-dist", "eval_episodes": 2**32}, "eval_episodes", id="episodes"),
+        ],
+    )
+    def test_oversized_integer_exit_1(self, tmp_path, capsys, verb, data, field):
+        # rejected while the config is read: nothing is allocated or run
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        assert main([verb, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err and str(MAX_SIZE) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_sizes_are_valid(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"generator": {"bg_components": MAX_SIZE}, "train": {"epochs": 1, "episodes_per_epoch": MAX_SIZE}})
+        )
+        cfg = load_experiment_config(path)  # read only: nothing runs
+        assert cfg.generator.bg_components == MAX_SIZE and cfg.train.total_steps == MAX_SIZE
+
+    def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
+        # the error numpy raises for an allocation that cannot be met, without making one
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 140. TiB for an array with shape (1000000000000, 32)")
+
+        monkeypatch.setattr(cli, "gen_episode", too_big)
+        assert main(["gen", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
 
     def test_json_integers_fill_float_fields(self, tmp_path):
         path = tmp_path / "c.json"
@@ -575,8 +615,8 @@ class TestGridWorkers:
         # forked workers inherit the patch; one grid variant's loss turns non-finite
         real = trainer.episode_forward
 
-        def failing(params, episode, variant, eps):
-            protos, shots = real(params, episode, variant, eps)
+        def failing(params, support, variant):
+            protos, shots = real(params, support, variant)
             if variant == "normalize+restore":
                 protos = {c: np.full_like(p, np.nan) for c, p in protos.items()}
             return protos, shots
@@ -692,8 +732,8 @@ class TestTrainWorkers:
         # the parent's third forward pass turns non-finite while the producer runs ahead
         real, calls = trainer.episode_forward, []
 
-        def failing(params, episode, variant, eps):
-            protos, shots = real(params, episode, variant, eps)
+        def failing(params, support, variant):
+            protos, shots = real(params, support, variant)
             calls.append(None)
             if len(calls) == 3:
                 protos = {c: np.full_like(p, np.nan) for c, p in protos.items()}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from warmproto import ablation_forward, derive_rng, init_params, warm_backward
+from warmproto import ablation_forward, derive_rng, init_params, shot_support, warm_backward
 from warmproto.errors import ArgumentError
 from warmproto.losses import (
     margin_loss,
@@ -31,12 +31,12 @@ def unpack(vec, template):
 
 
 def total_objective(params, feats, query, truth, variant, lam=0.5):
-    result = ablation_forward(params, feats, variant, eps=1e-4)
+    result = ablation_forward(params, shot_support(feats, [variant], 1e-4), variant)
     protos = result.prototypes
     field = point_distances(query, protos)
     m = margin_loss(field, truth)
     s, s_grads = simplification_loss_and_grad(feats, protos)
-    m_grads = margin_loss_grad(query, protos, field, truth)
+    _, m_grads = margin_loss_grad(query, protos, field, truth)
     grad_by_class = {c: m_grads[c] + lam * s_grads[c] for c in m_grads}
     grads = warm_backward(params, result, grad_by_class)
     return m + lam * s, np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
@@ -56,7 +56,7 @@ class TestWarmBackward:
 
     def test_zero_loss_gradient_gives_zero_param_gradients(self):
         params, feats, _, _ = self._instance()
-        result = ablation_forward(params, feats, "warm")
+        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
         zeros = {c: np.zeros_like(p) for c, p in result.prototypes.items()}
         grads = warm_backward(params, result, zeros)
         for name in PARAM_NAMES:
@@ -72,7 +72,7 @@ class TestWarmBackward:
         feats = {1: keys, 0: rng.standard_normal((l, d))}
         tokens = rng.standard_normal((2 * m, d))
         params = WarmParams(tokens, np.zeros((d, d)), np.zeros((d, d)), rng.standard_normal((d, d)))
-        result = ablation_forward(params, feats, "naive")
+        result = ablation_forward(params, shot_support(feats, ["naive"]), "naive")
         g = rng.standard_normal((m, d))
         grads = warm_backward(params, result, {1: g})
         expected = np.outer(keys.mean(axis=0), g.sum(axis=0))
@@ -86,7 +86,7 @@ class TestWarmBackward:
         feats = {1: rng.standard_normal((l, d)) * 2, 0: rng.standard_normal((l, d))}
         tokens = rng.standard_normal((2 * m, d))
         params = WarmParams(tokens, np.zeros((d, d)), np.zeros((d, d)), rng.standard_normal((d, d)))
-        result = ablation_forward(params, feats, "warm")
+        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
         grads = warm_backward(params, result, {1: rng.standard_normal((m, d))})
         np.testing.assert_allclose(grads["w_v"], np.zeros((d, d)), atol=1e-9)
 
@@ -117,12 +117,12 @@ class TestWarmBackward:
 
     def test_missing_trace_class(self):
         params, feats, _, _ = self._instance()
-        result = ablation_forward(params, feats, "warm")
+        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
         with pytest.raises(ArgumentError):
             warm_backward(params, result, {5: np.zeros((3, 4))})
 
     def test_gradient_shape_mismatch(self):
         params, feats, _, _ = self._instance()
-        result = ablation_forward(params, feats, "warm")
+        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
         with pytest.raises(ArgumentError):
             warm_backward(params, result, {1: np.zeros((2, 2))})

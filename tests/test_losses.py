@@ -9,10 +9,13 @@ from warmproto import GeneratorConfig, TrainConfig, derive_rng, margin_loss, poi
 from warmproto.errors import ArgumentError, EmptyClassError, NumericError
 from warmproto.losses import (
     DistanceField,
+    _pos_neg,
     margin_loss_grad,
+    scatter_rows,
     simplification_loss_and_grad,
 )
 from warmproto.trainer import episode_loss, make_eval_episodes
+from warmproto.warm import episode_support
 
 DESK = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16)
 
@@ -131,7 +134,7 @@ class TestMarginGrad:
         query = rng.standard_normal((4, 2))
         protos = {0: query + 0.01, 1: query + 100.0}
         field = point_distances(query, protos)
-        grads = margin_loss_grad(query, protos, field, np.zeros(4, dtype=int))
+        _, grads = margin_loss_grad(query, protos, field, np.zeros(4, dtype=int))
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -149,7 +152,7 @@ class TestMarginGrad:
         vec = np.concatenate([p0.ravel(), p1.ravel()])
         protos = {0: p0, 1: p1}
         field = point_distances(query, protos)
-        grads = margin_loss_grad(query, protos, field, truth)
+        _, grads = margin_loss_grad(query, protos, field, truth)
         analytic = np.concatenate([grads[0].ravel(), grads[1].ravel()])
         h = 1e-6
         for i in range(vec.size):
@@ -157,6 +160,106 @@ class TestMarginGrad:
             step[i] = h
             numeric = (loss_of(vec + step) - loss_of(vec - step)) / (2 * h)
             assert analytic[i] == pytest.approx(numeric, abs=1e-4)
+
+
+def add_at_rows(idx, rows, count):
+    out = np.zeros((count, rows.shape[1]))
+    np.add.at(out, idx, rows)
+    return out
+
+
+def add_at_margin_grad(query, protos, field, truth, margin):
+    """The margin gradients as two np.add.at calls per class sum them:
+    every positive query row, then every negative one."""
+    pos_rows, neg_rows, d_pos, d_neg = _pos_neg(field, truth)
+    active = (d_pos - d_neg + margin) > 0
+    grads = {}
+    for i, label in enumerate(field.class_labels):
+        p = protos[label]
+        g = grads[label] = np.zeros_like(p)
+        for rows, dist, sign in ((pos_rows, d_pos, 1.0), (neg_rows, d_neg, -1.0)):
+            sel = active & (rows == i) & (dist > 0)
+            idx = field.nearest[i, sel]
+            np.add.at(g, idx, sign * ((p[idx] - query[sel]) / dist[sel, None]))
+    return grads
+
+
+class TestScatter:
+    """``scatter_rows`` is one np.bincount that must sum every slot in
+    the order of np.add.at into zeros, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 8), st.integers(1, 32))
+    def test_equals_add_at(self, seed, n, count, d):
+        rng = derive_rng(seed)
+        idx = rng.integers(0, count, n)  # repeats whenever n > count, and often below
+        # magnitudes over 24 decades, so that a reordered sum shows in the last bits
+        rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-12, 12, (n, 1))
+        got = scatter_rows(idx, rows, count)
+        assert got.dtype == np.float64 and got.shape == (count, d)
+        assert got.tobytes() == add_at_rows(idx, rows, count).tobytes()
+
+    def test_empty_selection_is_float_zeros(self):
+        got = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.zeros((4, 3)).tobytes()
+
+    def test_slot_sums_in_row_order(self):
+        # (1 + 1e-16) + 1e-16 rounds to 1 twice; 1 + (1e-16 + 1e-16) does not
+        idx, rows = np.zeros(3, dtype=np.int64), np.array([[1.0], [1e-16], [1e-16]])
+        assert scatter_rows(idx, rows, 1)[0, 0] == 1.0
+        assert (scatter_rows(idx[:1], rows[:1], 1) + scatter_rows(idx[1:], rows[1:], 1))[0, 0] > 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_with_positive_and_negative_queries(self, seed):
+        # one prototype row per class and a margin that keeps every hinge
+        # active: class 0's row is the positive of every truth-0 point and
+        # the negative of every truth-1 point
+        rng = derive_rng(seed)
+        query = rng.standard_normal((300, 32))
+        protos = {0: rng.standard_normal((1, 32)), 1: rng.standard_normal((1, 32))}
+        truth = rng.integers(0, 2, 300)
+        field = point_distances(query, protos)
+        pos_rows, neg_rows, _, _ = _pos_neg(field, truth)
+        assert np.any(pos_rows == 0) and np.sum(neg_rows == 0) >= 2
+        loss, grads = margin_loss_grad(query, protos, field, truth, 50.0)
+        ref = add_at_margin_grad(query, protos, field, truth, 50.0)
+        for c in protos:
+            assert grads[c].tobytes() == ref[c].tobytes()
+        # the two groups scattered apart and then added would regroup the sum
+        pos, neg = pos_rows == 0, neg_rows == 0
+        apart = scatter_rows(field.nearest[0, pos], (protos[0] - query[pos]) / field.distances[0, pos, None], 1)
+        apart += scatter_rows(field.nearest[0, neg], -(protos[0] - query[neg]) / field.distances[0, neg, None], 1)
+        assert apart.tobytes() != grads[0].tobytes()
+        assert loss == margin_loss(field, truth, 50.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 8), st.integers(1, 4),
+        st.integers(2, 4), st.sampled_from([0.0, 0.5, 50.0]),
+    )
+    def test_margin_grad_equals_two_add_at_calls(self, seed, n, d, k, classes, margin):
+        rng = derive_rng(seed)
+        query = rng.standard_normal((n, d))
+        protos = {c: rng.standard_normal((k, d)) for c in range(classes)}
+        truth = rng.integers(0, classes, n)
+        field = point_distances(query, protos)
+        loss, grads = margin_loss_grad(query, protos, field, truth, margin)
+        ref = add_at_margin_grad(query, protos, field, truth, margin)
+        assert sorted(grads) == sorted(ref)
+        for c in protos:
+            assert grads[c].tobytes() == ref[c].tobytes()
+        assert loss == margin_loss(field, truth, margin)
+
+    def test_no_active_hinge_gives_float_zeros(self):
+        # every point far closer to its own class: every selection is empty
+        rng = derive_rng(9)
+        query = rng.standard_normal((5, 3))
+        protos = {0: query + 1e-3, 1: query + 100.0}
+        loss, grads = margin_loss_grad(query, protos, point_distances(query, protos), np.zeros(5, dtype=int))
+        assert loss == 0.0
+        for g in grads.values():
+            assert g.dtype == np.float64 and g.tobytes() == np.zeros_like(g).tobytes()
 
 
 class TestSimplificationLoss:
@@ -224,7 +327,8 @@ class TestTotalLoss:
             inter_class_scale=60.0, intra_class_scale=0.5, instance_spread=0.5, bg_components=1,
         )
         (episode,) = make_eval_episodes(gen, 1, 5)
-        margin, sim, total, grads = episode_loss(episode.pooled_support_by_class(), episode, 0.5, 0.0)
+        support = episode_support(episode, ["naive"], 1e-4)
+        margin, sim, total, grads = episode_loss(episode.pooled_support_by_class(), episode, support, 0.5, 0.0)
         assert (margin, sim, total) == (0.0, 0.0, 0.0)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -233,8 +337,9 @@ class TestTotalLoss:
         (episode,) = make_eval_episodes(DESK, 1, 6)
         rng = derive_rng(6)
         protos = {c: rng.standard_normal((3, 8)) for c in episode.pooled_support_by_class()}
-        margin, sim, total, grads = episode_loss(protos, episode, 0.5, 0.0)
-        _, _, _, margin_grads = episode_loss(protos, episode, 0.0, 0.0)
+        shots = episode_support(episode, ["naive"], 1e-4)
+        margin, sim, total, grads = episode_loss(protos, episode, shots, 0.5, 0.0)
+        _, _, _, margin_grads = episode_loss(protos, episode, shots, 0.0, 0.0)
         assert margin > 0 and sim > 0
         assert total == margin + 0.5 * sim
         support = episode.pooled_support_by_class()
@@ -246,12 +351,12 @@ class TestTotalLoss:
         (episode,) = make_eval_episodes(DESK, 1, 7)
         rng = derive_rng(7)
         protos = {c: rng.standard_normal((3, 8)) for c in episode.pooled_support_by_class()}
-        margin, sim, total, grads = episode_loss(protos, episode, 0.0, 0.0)
+        margin, sim, total, grads = episode_loss(protos, episode, episode_support(episode, ["naive"], 1e-4), 0.0, 0.0)
         assert sim > 0 and total == margin
         expected = {c: np.zeros_like(p) for c, p in protos.items()}
         for cloud in episode.query:
             field = point_distances(cloud.features, protos)
-            for c, g in margin_loss_grad(cloud.features, protos, field, cloud.labels).items():
+            for c, g in margin_loss_grad(cloud.features, protos, field, cloud.labels)[1].items():
                 expected[c] += g
         for c in protos:
             np.testing.assert_array_equal(grads[c], expected[c])
@@ -290,7 +395,7 @@ class TestTies:
         np.testing.assert_array_equal(field.distances[0], field.distances[1])
         truth = rng.integers(0, 2, n)
         assert margin_loss(field, truth) == 0.0
-        for g in margin_loss_grad(query, protos, field, truth).values():
+        for g in margin_loss_grad(query, protos, field, truth)[1].values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     @staticmethod
@@ -311,8 +416,8 @@ class TestTies:
         j = data.draw(st.integers(i + 1, k))
         dup = dict(protos)
         dup[c] = self._with_copy(protos[c], i, j)
-        ref = margin_loss_grad(query, protos, point_distances(query, protos), truth, margin)
-        got = margin_loss_grad(query, dup, point_distances(query, dup), truth, margin)
+        _, ref = margin_loss_grad(query, protos, point_distances(query, protos), truth, margin)
+        _, got = margin_loss_grad(query, dup, point_distances(query, dup), truth, margin)
         np.testing.assert_array_equal(got[c][j], np.zeros(d))
         np.testing.assert_array_equal(np.delete(got[c], j, axis=0), ref[c])
         np.testing.assert_array_equal(got[1 - c], ref[1 - c])

@@ -140,12 +140,13 @@ class TestTrain:
         result = train(cfg, DESK)
         assert result.params.tokens.shape == (12, 8)
 
-    def test_loss_decreases_on_desk_config_across_seeds(self, trained):
+    def test_loss_decreases_on_desk_config_across_seeds(self, graded):
         # default desk config, seeds 0..9: training loss must come down
-        # (windowed means: single-episode losses vary with task difficulty)
+        # (windowed means: single-episode losses vary with task difficulty);
+        # the seeds no other test trained train in one grid call, on every worker
         improved = 0
-        for seed in range(10):
-            log = trained("warm", seed).log
+        for run, _ in graded([("warm", seed) for seed in range(10)]):
+            log = run.log
             first = np.mean([row[3] for row in log[:100]])
             last = np.mean([row[3] for row in log[-100:]])
             improved += last < first
@@ -163,7 +164,7 @@ class TestTrainGrid:
             (cfg, "naive"),
             (cfg, "normalize+restore"),
             (cfg, "warm"),
-            (replace(cfg, num_tokens=3, eps=1e-3), "whiten"),
+            (replace(cfg, num_tokens=3, margin=0.1), "whiten"),
         ]
         for (run_cfg, variant), grid in zip(runs, train_grid(runs, DESK)):
             alone = train(run_cfg, DESK, variant=variant)
@@ -179,6 +180,11 @@ class TestTrainGrid:
             train_grid([(FAST, "warm"), (replace(FAST, epochs=2), "warm")], DESK)
         with pytest.raises(ArgumentError):
             train_grid([], DESK)
+
+    def test_runs_must_share_eps(self):
+        # every run reads one set of statistics per episode, clamped at one eps
+        with pytest.raises(ArgumentError, match="eps"):
+            train_grid([(FAST, "warm"), (replace(FAST, eps=1e-3), "whiten")], DESK)
 
 
 class TestEpisodeProducer:
@@ -234,10 +240,10 @@ class TestEpisodeProducer:
     def test_interrupt_joins_the_producer(self, monkeypatch, wait_limit):
         real = TrainRun.step
 
-        def interrupted(run, episode, step):
+        def interrupted(run, episode, support, step):
             if step == 2:
                 raise KeyboardInterrupt
-            real(run, episode, step)
+            real(run, episode, support, step)
 
         monkeypatch.setattr(TrainRun, "step", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -289,8 +295,8 @@ class TestRunGrid:
     def test_worker_error_is_the_first_in_run_order(self, monkeypatch):
         real = trainer.episode_forward
 
-        def failing(params, episode, variant, eps):
-            protos, shots = real(params, episode, variant, eps)
+        def failing(params, support, variant):
+            protos, shots = real(params, support, variant)
             if variant in ("center+restore", "normalize"):
                 protos = {c: np.full_like(p, np.nan) for c, p in protos.items()}
             return protos, shots
