@@ -19,12 +19,12 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, product
 from operator import itemgetter
 
 import numpy as np
 
-from .episodes import MAX_SIZE, Episode, GeneratorConfig, check_sizes, gen_episode
+from .episodes import MAX_SIZE, Episode, GeneratorConfig, PointCloud, check_sizes, gen_episode
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from .losses import margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
@@ -165,15 +165,15 @@ def episode_forward(
 
 
 def episode_loss(
-    protos: dict[int, np.ndarray], episode: Episode, support: list[ShotSupport], lam: float, margin: float
+    protos: dict[int, np.ndarray], query: list[PointCloud], support: list[ShotSupport], lam: float, margin: float
 ) -> tuple[float, float, float, dict[int, np.ndarray]]:
-    """Query margin loss, support-coverage loss and their total
-    margin + lam * coverage, with the total's gradient per class
-    prototype matrix. Coverage reads the shots' support features
-    (``episode_support``) pooled per class in shot order."""
+    """Margin loss over an episode's query clouds, support-coverage loss
+    and their total margin + lam * coverage, with the total's gradient
+    per class prototype matrix. Coverage reads the shots' support
+    features (``episode_support``) pooled per class in shot order."""
     grad_by_class = {label: np.zeros_like(p) for label, p in protos.items()}
     margin_total = 0.0
-    for cloud in episode.query:
+    for cloud in query:
         field = point_distances(cloud.features, protos)
         loss, grads = margin_loss_grad(cloud.features, protos, field, cloud.labels, margin)
         margin_total += loss
@@ -207,9 +207,9 @@ class TrainRun:
         )
         return cls(cfg, variant, params, init_optimizer(params))
 
-    def step(self, episode: Episode, support: list[ShotSupport], step: int) -> None:
-        """Forward, loss, backward and one update on this step's episode
-        and its ``episode_support``.
+    def step(self, query: list[PointCloud], support: list[ShotSupport], step: int) -> None:
+        """Forward, loss, backward and one update on this step's episode:
+        its query clouds and its ``episode_support``.
 
         A non-finite loss or gradient aborts with the offending episode's
         seed in the message rather than propagating NaNs.
@@ -217,8 +217,8 @@ class TrainRun:
         cfg, params = self.cfg, self.params
         lr = lr_at(cfg, step)
         protos, shots = episode_forward(params, support, self.variant)
-        margin, sim, total, grad_by_class = episode_loss(protos, episode, support, cfg.lam, cfg.margin)
-        per_shot = {label: g / episode.k_shot for label, g in grad_by_class.items()}
+        margin, sim, total, grad_by_class = episode_loss(protos, query, support, cfg.lam, cfg.margin)
+        per_shot = {label: g / len(support) for label, g in grad_by_class.items()}
         grads = {name: np.zeros_like(arr) for name, arr in params_as_dict(params).items()}
         for shot_result in shots:
             for name, g in warm_backward(params, shot_result, per_shot).items():
@@ -239,8 +239,8 @@ def train_grid(
     """Train several (config, variant) runs of one seed in lockstep.
 
     The training episode depends only on (seed, step) and the generator,
-    so each step's episode and its ``episode_support`` for every run's
-    variant are computed once and every run steps on them. Runs must
+    so each step's episode and its ``episode_support`` are computed once
+    and every run steps on them, whatever its variant. Runs must
     share the seed, the step count and eps, which clamps the shared
     statistics. Each run is bit-identical to a standalone ``train`` of
     the same run, at any worker count. With more than one worker the
@@ -256,28 +256,27 @@ def train_grid(
     for cfg, _ in runs:
         cfg.validate()
     gen_cfg.validate()
-    variants = [variant for _, variant in runs]
-    for variant in variants:
+    for _, variant in runs:
         resolve_variant(variant)
     first = runs[0][0]
     if any((cfg.seed, cfg.total_steps, cfg.eps) != (first.seed, first.total_steps, first.eps) for cfg, _ in runs):
         raise ArgumentError("grid runs must share the seed, the step count and eps")
     states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in runs]
 
-    def draw(step: int) -> tuple[Episode, list[ShotSupport]]:
+    def draw(step: int) -> tuple[list[PointCloud], list[ShotSupport]]:
         # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
         episode = gen_episode(gen_cfg, derive_rng(first.seed, _TRAIN_STREAM, step), split="base")
-        return episode, episode_support(episode, variants, first.eps)
+        return episode.query, episode_support(episode, first.eps)
 
     produce = partial(map, draw, range(first.total_steps))
     with _forked(produce) if workers > 1 else nullcontext(produce()) as episodes:
         for step in range(first.total_steps):
             started = time.perf_counter()
-            episode, support = next(episodes)
+            query, support = next(episodes)
             gen_ms = (time.perf_counter() - started) * 1e3
             for run in states:
                 run_started = time.perf_counter()
-                run.step(episode, support, step)
+                run.step(query, support, step)
                 run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
     return states
 
@@ -375,82 +374,90 @@ def make_eval_episodes(gen_cfg: GeneratorConfig, count: int, seed: int) -> list[
     ]
 
 
-def _score_episode(params: WarmParams, episode: Episode, variant: str, eps: float) -> tuple:
-    """One episode's share of an ``evaluate`` report: its (mIoU, per-class
-    IoU), foreground attention entropies, diversities and query/key
-    distances, and foreground summaries."""
-    protos, shots = episode_forward(params, episode_support(episode, [variant], eps), variant)
-    preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
+def _score_episode(runs: Sequence[tuple[WarmParams, str]], episode: Episode, eps: float) -> tuple:
+    """One episode's share of an ``evaluate`` call: per run, on one
+    ``episode_support``, its (mIoU, per-class IoU) and foreground attention
+    entropies, diversities and query/key distances; then its foreground summaries."""
+    support = episode_support(episode, eps)
     truths = np.concatenate([q.labels for q in episode.query])
-    ious = miou(preds, truths, range(episode.n_way + 1))
-    entropies, diversities, qk_dists = [], [], []
-    for shot_result in shots:
-        for way in range(episode.n_way):
-            trace = shot_result.per_class[way + 1]
-            entropies.append(attention_entropy(trace.weights))
-            if trace.weights.shape[0] >= 2:
-                diversities.append(attention_diversity(trace.weights))
-            qk_dists.append(float(pairwise_distances(trace.q, trace.k).mean()))
-    return ious, entropies, diversities, qk_dists, fg_summaries(episode)
+    scores = []
+    for params, variant in runs:
+        protos, shots = episode_forward(params, support, variant)
+        preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
+        entropies, diversities, qk_dists = [], [], []
+        for shot_result in shots:
+            for way in range(episode.n_way):
+                trace = shot_result.per_class[way + 1]
+                entropies.append(attention_entropy(trace.weights))
+                if trace.weights.shape[0] >= 2:
+                    diversities.append(attention_diversity(trace.weights))
+                qk_dists.append(float(pairwise_distances(trace.q, trace.k).mean()))
+        scores.append((miou(preds, truths, range(episode.n_way + 1)), entropies, diversities, qk_dists))
+    return scores, fg_summaries(episode)
 
 
 def evaluate(
-    params: WarmParams,
-    episodes: list[Episode],
-    variant: str = "warm",
-    eps: float = 1e-4,
-    workers: int = 1,
-) -> MetricsReport:
-    """Frozen-parameter evaluation over an episode batch.
+    runs: Sequence[tuple[WarmParams, str]], episodes: list[Episode], eps: float = 1e-4, workers: int = 1
+) -> list[MetricsReport]:
+    """Frozen-parameter evaluation of (parameters, variant) runs over an
+    episode batch: one report per run, in run order.
 
     IoU aggregates per episode over the episode-local classes and is then
     averaged (``mean_iou``). Attention diagnostics (entropy, diversity,
     query/key distance) are measured on the foreground ways only,
-    averaged over shots, ways and episodes.
+    averaged over shots, ways and episodes; the dispersion fields are the
+    batch's, the same in every report.
 
-    Episodes are scored independently, the batch cut into at most
-    ``workers`` contiguous slices, each scored in its own forked child
-    (``_fork_map``) that inherits the parameters and the batch; only the
-    per-episode values come back, in episode order, before any mean is
-    taken, so the result does not depend on the worker count.
+    Episodes are scored independently, every run on one ``episode_support``
+    per episode, the batch cut into at most ``workers`` contiguous slices,
+    each scored in its own forked child (``_fork_map``) that inherits the
+    runs and the batch; only the per-episode values come back, in episode
+    order, before any mean is taken, so the result does not depend on the
+    worker count.
     """
     if not episodes:
         raise ArgumentError("evaluation needs at least one episode")
-    for i, episode in enumerate(episodes):
+    for (params, _), (i, episode) in product(runs, enumerate(episodes)):
         if episode.support[0].feature_dim != params.feature_dim:
             raise CheckpointError(
-                f"parameters have D={params.feature_dim} but episode {i} has "
-                f"D={episode.support[0].feature_dim}"
+                f"parameters have D={params.feature_dim} but episode {i} has D={episode.support[0].feature_dim}"
             )
 
     def score(part: Sequence[Episode]) -> list[tuple]:
-        return [_score_episode(params, episode, variant, eps) for episode in part]
+        return [_score_episode(runs, episode, eps) for episode in part]
 
-    ious, *lists = zip(*_fork_map(score, episodes, workers))
-    entropies, diversities, qk_dists, summaries = (list(chain.from_iterable(parts)) for parts in lists)
-    return MetricsReport(
-        *mean_iou(ious),
-        **dispersion_metrics(summaries),
-        attn_entropy=float(np.mean(entropies)),
-        attn_diversity=float(np.mean(diversities)) if diversities else None,
-        qk_dist=float(np.mean(qk_dists)),
-    )
+    per_episode, summaries = zip(*_fork_map(score, episodes, workers))
+    dispersion = dispersion_metrics(list(chain.from_iterable(summaries)))
+    reports = []
+    for scores in zip(*per_episode):
+        ious, *lists = zip(*scores)
+        entropies, diversities, qk_dists = (list(chain.from_iterable(parts)) for parts in lists)
+        reports.append(
+            MetricsReport(
+                *mean_iou(ious),
+                **dispersion,
+                attn_entropy=float(np.mean(entropies)),
+                attn_diversity=float(np.mean(diversities)) if diversities else None,
+                qk_dist=float(np.mean(qk_dists)),
+            )
+        )
+    return reports
 
 
 def _grid_slice(
     part: Sequence[tuple[int, tuple[TrainConfig, str]]], gen_cfg: GeneratorConfig, episodes: list[Episode]
 ) -> list[tuple[TrainRun, MetricsReport]]:
     """Train a part of a flattened grid, given as (seed group, run) pairs,
-    one seed group at a time in lockstep (``train_grid``), and score each
-    run in this process on the batch.
+    one seed group at a time in lockstep (``train_grid``), and score the
+    group's runs in this process on the batch in one ``evaluate`` call.
     Training forks no episode producer: grid parts already own the CPUs."""
     done = []
     for _, group in groupby(part, key=itemgetter(0)):
         runs = [run for _, run in group]
-        for (cfg, variant), run in zip(runs, train_grid(runs, gen_cfg)):
-            report = evaluate(run.params, episodes, variant, cfg.eps)
-            # spent moments are left behind: they would double what a worker sends back
-            done.append((replace(run, state=None), report))
+        trained = train_grid(runs, gen_cfg)
+        reports = evaluate([(run.params, run.variant) for run in trained], episodes, runs[0][0].eps)
+        # spent moments are left behind: they would double what a worker sends back
+        done += [(replace(run, state=None), report) for run, report in zip(trained, reports)]
     return done
 
 

@@ -56,20 +56,19 @@ def resolve_variant(name: str) -> tuple[str, bool]:
 @dataclass
 class WhitenStats:
     """Per-class mean and covariance, and the covariance's clamped +/-
-    half powers where whitening reads them (else None)."""
+    half powers."""
 
     mean: np.ndarray
     cov: np.ndarray
-    inv_sqrt: np.ndarray | None = None
-    sqrt: np.ndarray | None = None
+    inv_sqrt: np.ndarray
+    sqrt: np.ndarray
 
 
-def compute_stats(features: np.ndarray, eps: float = 1e-4, half: bool = True) -> WhitenStats:
+def compute_stats(features: np.ndarray, eps: float = 1e-4) -> WhitenStats:
     """Alignment/restoration statistics of one class's support features.
 
-    Covariance uses the unbiased divisor (rows - 1). With ``half`` the
-    eigenvalues below eps are clamped and the half powers taken; without,
-    only the moments are computed.
+    Covariance uses the unbiased divisor (rows - 1); its eigenvalues
+    below eps are clamped before the half powers are taken.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -82,9 +81,6 @@ def compute_stats(features: np.ndarray, eps: float = 1e-4, half: bool = True) ->
     centered = features - mean
     cov = centered.T @ centered / (features.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
-    if not half:
-        require_finite(cov, "matrix")  # as sym_eig checks it on the way to the half powers
-        return WhitenStats(mean=mean, cov=cov)
     inv_sqrt, sqrt = half_powers(cov, eps)
     return WhitenStats(mean=mean, cov=cov, inv_sqrt=inv_sqrt, sqrt=sqrt)
 
@@ -203,19 +199,17 @@ class ForwardResult:
 @dataclass
 class ShotSupport:
     """One shot's support features per class, with each class's transform
-    statistics as the variants it was prepared for read them, clamped at
-    ``eps``: none for "naive" alone, the moments for "center" and
-    "normalize", the half powers too for "whiten". Where they are not
-    finite, every class holds that NumericError instead."""
+    statistics (``compute_stats``, clamped at ``eps``). Where they cannot
+    be taken (too few points, or not finite), every class holds that
+    error instead, for the forward of a variant that reads them to raise."""
 
     features: dict[int, np.ndarray]
-    stats: dict[int, WhitenStats | NumericError]
+    stats: dict[int, WhitenStats | InsufficientPointsError | NumericError]
     eps: float
 
 
-def shot_support(features_by_class: dict[int, np.ndarray], variants, eps: float = 1e-4) -> ShotSupport:
-    """The forward inputs of one shot's support for ``variants``."""
-    modes = {resolve_variant(variant)[0] for variant in variants}
+def shot_support(features_by_class: dict[int, np.ndarray], eps: float = 1e-4) -> ShotSupport:
+    """The forward inputs of one shot's support, for every variant."""
     if not features_by_class:
         raise ArgumentError("features_by_class is empty")
     features = {}
@@ -223,38 +217,34 @@ def shot_support(features_by_class: dict[int, np.ndarray], variants, eps: float 
         features[label] = np.asarray(features_by_class[label], dtype=np.float64)
         if features[label].shape[0] == 0:
             raise EmptyClassError(f"class {label} has no support features")
-    stats = {}
-    if modes != {"naive"}:
-        try:
-            stats = {label: compute_stats(f, eps, half="whiten" in modes) for label, f in features.items()}
-        except NumericError as exc:
-            # raised by the forward of each variant that reads them, so a
-            # grid step still fails at its first failing run in run order
-            stats = dict.fromkeys(features, exc)
+    try:
+        stats = {label: compute_stats(f, eps) for label, f in features.items()}
+    except (InsufficientPointsError, NumericError) as exc:
+        # "naive" reads no statistics; a grid step still fails at its first failing run in run order
+        stats = dict.fromkeys(features, exc)
     return ShotSupport(features, stats, eps)
 
 
-def episode_support(episode: Episode, variants, eps: float) -> list[ShotSupport]:
+def episode_support(episode: Episode, eps: float) -> list[ShotSupport]:
     """Per shot, the episode's support split by class
-    (``Episode.support_features_by_class``) with the statistics that
-    ``variants`` read: everything the forward pass takes from the episode.
+    (``Episode.support_features_by_class``) with its statistics:
+    everything the forward pass of any variant takes from the episode.
 
-    It depends on the episode alone, never on the parameters, so one
-    result serves every run that steps on or scores the episode.
+    It depends on the episode alone, never on the parameters or the
+    variant, so one result serves every run that steps on or scores the
+    episode.
     """
-    return [shot_support(episode.support_features_by_class(shot), variants, eps) for shot in range(episode.k_shot)]
+    return [shot_support(episode.support_features_by_class(shot), eps) for shot in range(episode.k_shot)]
 
 
 def _class_transform(
-    features: np.ndarray, stats: WhitenStats | NumericError | None, mode: str, restore: bool, eps: float
+    features: np.ndarray, stats: WhitenStats | Exception, mode: str, restore: bool, eps: float
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Returns (keys_in, out_map, out_shift) for one class."""
     if mode == "naive":
         return features, None, None
-    if isinstance(stats, NumericError):
+    if isinstance(stats, Exception):
         raise stats
-    if stats is None or (mode == "whiten" and stats.inv_sqrt is None):
-        raise ArgumentError(f"the support was not prepared for a {mode!r} variant")
     out_shift = stats.mean if restore else None
     if mode == "center":
         return features - stats.mean, None, out_shift
@@ -280,7 +270,7 @@ def ablation_forward(params: WarmParams, support: ShotSupport, variant: str) -> 
         rows = params.token_rows(label)
         tokens = params.tokens[rows]
         keys_in, out_map, out_shift = _class_transform(
-            features, support.stats.get(label), mode, restore, support.eps
+            features, support.stats[label], mode, restore, support.eps
         )
         q = tokens @ params.w_q
         k = keys_in @ params.w_k

@@ -74,8 +74,8 @@ class TestAcceptance:
                 raw = rng.standard_normal((40, 8))
                 feats[label] = whiten(raw, compute_stats(raw, eps=1e-12))
             params = init_params(8, 5, derive_rng(100 + trial))
-            w = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
-            n = ablation_forward(params, shot_support(feats, ["naive"]), "naive")
+            w = ablation_forward(params, shot_support(feats), "warm")
+            n = ablation_forward(params, shot_support(feats), "naive")
             for label in (0, 1):
                 diff = np.max(
                     np.abs(w.prototypes[label] - n.prototypes[label])
@@ -107,14 +107,14 @@ class TestAcceptance:
 
         def objective(vec):
             p = unpack(vec)
-            result = ablation_forward(p, shot_support(feats, ["warm"]), "warm")
+            result = ablation_forward(p, shot_support(feats), "warm")
             protos = result.prototypes
             field = point_distances(query, protos)
             margin = margin_loss(field, truth)
             sim, _ = simplification_loss_and_grad(feats, protos)
             return margin + 0.5 * sim
 
-        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+        result = ablation_forward(params, shot_support(feats), "warm")
         protos = result.prototypes
         field = point_distances(query, protos)
         _, m_grads = margin_loss_grad(query, protos, field, truth)
@@ -148,23 +148,13 @@ class TestAcceptance:
         report(5, not mismatched, detail)
 
     def test_06_seed_instability_analog(self, bench_episodes, fps_sweep, trained):
-        from warmproto.losses import predict
-        from warmproto.metrics import miou
-        from warmproto.trainer import episode_forward
-        from warmproto.warm import episode_support
+        from warmproto.cli import worker_cap
+        from warmproto.trainer import evaluate
 
         def warm_score(params, _seed):
             # the sweep seed feeds the FPS start; the trained operator has
             # no random input, so every seed must yield the same number
-            scores = []
-            for ep in bench_episodes:
-                protos, _ = episode_forward(params, episode_support(ep, ["warm"], 1e-4), "warm")
-                preds = np.concatenate(
-                    [predict(point_distances(q.features, protos)) for q in ep.query]
-                )
-                truth = np.concatenate([q.labels for q in ep.query])
-                scores.append(miou(preds, truth, range(ep.n_way + 1))[0])
-            return float(np.mean(scores))
+            return evaluate([(params, "warm")], bench_episodes, 1e-4, worker_cap())[0].miou
 
         started = time.perf_counter()
         spread = fps_sweep.best - fps_sweep.worst

@@ -7,11 +7,12 @@ stdev, and a SHA-256 of the seed-0 ``warm`` parameters. The digest test
 checks bytes on a small config; this one checks them at the paper's
 scale (D=32, L=512, M=100, 1,000 steps), where BLAS picks other code
 paths. The test reads only the session fixtures, and it skips by the
-digest test's rule: where the numpy version or the OpenBLAS core differs
-from the header. A change that moves these values on purpose regenerates
-the file in the same change, from the repository root:
+digest test's rule: where the numpy version, the OpenBLAS core or numpy's
+SIMD dispatch targets differ from the header (``host_build``). A change
+that moves these values on purpose regenerates the file in the same
+change, from the repository root:
 
-    { printf '# numpy %s\\n# openblas core %s\\n' VERSION CORE; PYTHONPATH=src python -m tests.test_acceptance_values; } > tests/data/acceptance_values.txt
+    { printf '# numpy %s\\n# openblas core %s\\n# numpy simd %s\\n' VERSION CORE SIMD; PYTHONPATH=src python -m tests.test_acceptance_values; } > tests/data/acceptance_values.txt
 """
 
 import hashlib
@@ -26,7 +27,7 @@ import pytest
 
 from warmproto.warm import ABLATION_GRID, PARAM_NAMES
 
-from .test_cli_digest import openblas_core
+from .test_cli_digest import host_build
 
 EXPECTED = Path(__file__).resolve().parent / "data" / "acceptance_values.txt"
 SEEDS = range(5)
@@ -52,7 +53,7 @@ def test_values_match_committed_data(evaluated, trained, fps_sweep):
     lines = EXPECTED.read_text().splitlines()
     header = [line[2:].rsplit(" ", 1) for line in lines if line.startswith("# ")]
     recorded = dict(header)
-    here = {"numpy": np.__version__, "openblas core": openblas_core()}
+    here = host_build()
     if here != recorded:
         pytest.skip(f"the values were made with {recorded}; this host has {here}")
     got = value_lines(evaluated, trained("warm", 0).params, fps_sweep)

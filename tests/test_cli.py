@@ -417,6 +417,30 @@ class TestTrainEval:
         code = main(["eval", "--config", str(path), "--data", str(data), "--out", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("method, code", [("naive", 0), ("center", 1), ("warm", 1)])
+    def test_one_point_support_class_fails_only_where_read(self, config_path, tmp_path, capsys, method, code):
+        # a --data foreground of one point has no covariance; "naive" reads none
+        data = tmp_path / "data"
+        assert main(["gen", "--config", str(config_path), "--out", str(data)]) == 0
+        episode = load_episode(data / "ep_00001.warmep")
+        labels = episode.support[0].labels
+        labels[1:][labels[1:] == 1] = 0
+        labels[0] = 1
+        save_episode(episode, data / "ep_00001.warmep")
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint, init_params(8, 6, derive_rng(0)), seed=0)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, method=method)))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        argv = ["eval", "--config", str(path), "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: need at least 2 points for covariance, got 1\n"
+        else:
+            assert err == "" and len(read_csv(out / "metrics.csv")) == 2
+
     def test_train_missing_out_usage_error(self, config_path):
         assert main(["train", "--config", str(config_path)]) == 1
 
@@ -528,7 +552,7 @@ class TestGridMatchesSeparateRuns:
         for seed in cfg.seeds:
             for variant in ABLATION_GRID:
                 params = train(replace(cfg.train, seed=seed), cfg.generator, variant=variant).params
-                report = evaluate(params, episodes, variant, cfg.train.eps)
+                (report,) = evaluate([(params, variant)], episodes, cfg.train.eps)
                 rows.append([variant, seed, repr(report.qk_dist), repr(report.miou)])
         assert (out / "ablation.csv").read_bytes() == csv_bytes(rows)
 
@@ -541,7 +565,7 @@ class TestGridMatchesSeparateRuns:
             scores = []
             for seed in cfg.seeds:
                 params = train(replace(cfg.train, seed=seed, num_tokens=m), cfg.generator).params
-                scores.append(evaluate(params, episodes).miou)
+                scores.append(evaluate([(params, "warm")], episodes)[0].miou)
             rows.append([m, repr(float(np.mean(scores))), repr(float(np.std(scores)))])
         assert (out / "token_sweep.csv").read_bytes() == csv_bytes(rows)
 
@@ -673,9 +697,9 @@ class TestEvalWorkers:
         # forked workers inherit the patch and leave one file per scored episode
         real = trainer._score_episode
 
-        def recording(params, episode, *options):
+        def recording(runs, episode, *options):
             (tmp_path / "pids" / f"{os.getpid()}-{episode.query[0].features[0, 0]!r}").touch()
-            return real(params, episode, *options)
+            return real(runs, episode, *options)
 
         path, checkpoint, _ = self._setup(tmp_path, 5)
         (tmp_path / "pids").mkdir()
@@ -695,11 +719,11 @@ class TestEvalWorkers:
         real = trainer._score_episode
 
         # episodes 1 and 3 fail: on 2 and 3 workers they fall in different slices
-        def failing(params, episode, *options):
+        def failing(runs, episode, *options):
             i = index[float(episode.query[0].features[0, 0])]
             if i in (1, 3):
                 raise NumericError(f"non-finite score in episode {i}")
-            return real(params, episode, *options)
+            return real(runs, episode, *options)
 
         monkeypatch.setattr(trainer, "_score_episode", failing)
         messages = {}

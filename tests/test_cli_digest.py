@@ -1,14 +1,17 @@
 """Every CLI output byte-identical to the committed digest.
 
 ``tests/data/cli_digest.txt`` holds the output of ``tools/cli_digest.py``
-under a header that records the numpy version and the OpenBLAS core
-(kernel) it was made with. Output bytes depend on that kernel, which
-numpy's bundled OpenBLAS picks per CPU, so on a host whose numpy version
-or core differs from the header, or whose core cannot be read, the test
-skips and its reason gives both values. A change that moves output bytes
-on purpose regenerates the file in the same change:
+under a header that records the numpy version, the OpenBLAS core
+(kernel) and numpy's SIMD dispatch targets it was made with
+(``host_build``). Output bytes depend on that kernel, which numpy's
+bundled OpenBLAS picks per CPU, and on the SIMD targets, which numpy
+picks per CPU unless ``NPY_DISABLE_CPU_FEATURES`` turns some off. So on
+a host where any of the three differs from the header, or cannot be
+read, the test skips and its reason gives both sets of values. A change
+that moves output bytes on purpose regenerates the file in the same
+change, with the three values ``host_build()`` gives:
 
-    { printf '# numpy %s\\n# openblas core %s\\n' VERSION CORE; python tools/cli_digest.py; } > tests/data/cli_digest.txt
+    { printf '# numpy %s\\n# openblas core %s\\n# numpy simd %s\\n' VERSION CORE SIMD; python tools/cli_digest.py; } > tests/data/cli_digest.txt
 """
 
 import ctypes
@@ -40,11 +43,27 @@ def openblas_core() -> str | None:
     return corename().decode()
 
 
+def numpy_simd() -> str | None:
+    """numpy's SIMD dispatch targets enabled on this host, comma-joined
+    (such as ``X86_V3,X86_V4``), or None where numpy does not say."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        return ",".join(target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target))
+    except (ImportError, AttributeError):
+        return None
+
+
+def host_build() -> dict[str, str | None]:
+    """What the committed byte data's header records, as this host has it."""
+    return {"numpy": np.__version__, "openblas core": openblas_core(), "numpy simd": numpy_simd()}
+
+
 def test_outputs_match_committed_digest():
     lines = EXPECTED.read_text().splitlines()
     header = [line[2:].rsplit(" ", 1) for line in lines if line.startswith("# ")]
     recorded = dict(header)
-    here = {"numpy": np.__version__, "openblas core": openblas_core()}
+    here = host_build()
     if here != recorded:
         pytest.skip(f"the digest was made with {recorded}; this host has {here}")
     done = subprocess.run(

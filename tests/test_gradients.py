@@ -31,7 +31,7 @@ def unpack(vec, template):
 
 
 def total_objective(params, feats, query, truth, variant, lam=0.5):
-    result = ablation_forward(params, shot_support(feats, [variant], 1e-4), variant)
+    result = ablation_forward(params, shot_support(feats, 1e-4), variant)
     protos = result.prototypes
     field = point_distances(query, protos)
     m = margin_loss(field, truth)
@@ -56,7 +56,7 @@ class TestWarmBackward:
 
     def test_zero_loss_gradient_gives_zero_param_gradients(self):
         params, feats, _, _ = self._instance()
-        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+        result = ablation_forward(params, shot_support(feats), "warm")
         zeros = {c: np.zeros_like(p) for c, p in result.prototypes.items()}
         grads = warm_backward(params, result, zeros)
         for name in PARAM_NAMES:
@@ -72,7 +72,7 @@ class TestWarmBackward:
         feats = {1: keys, 0: rng.standard_normal((l, d))}
         tokens = rng.standard_normal((2 * m, d))
         params = WarmParams(tokens, np.zeros((d, d)), np.zeros((d, d)), rng.standard_normal((d, d)))
-        result = ablation_forward(params, shot_support(feats, ["naive"]), "naive")
+        result = ablation_forward(params, shot_support(feats), "naive")
         g = rng.standard_normal((m, d))
         grads = warm_backward(params, result, {1: g})
         expected = np.outer(keys.mean(axis=0), g.sum(axis=0))
@@ -86,7 +86,7 @@ class TestWarmBackward:
         feats = {1: rng.standard_normal((l, d)) * 2, 0: rng.standard_normal((l, d))}
         tokens = rng.standard_normal((2 * m, d))
         params = WarmParams(tokens, np.zeros((d, d)), np.zeros((d, d)), rng.standard_normal((d, d)))
-        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+        result = ablation_forward(params, shot_support(feats), "warm")
         grads = warm_backward(params, result, {1: rng.standard_normal((m, d))})
         np.testing.assert_allclose(grads["w_v"], np.zeros((d, d)), atol=1e-9)
 
@@ -117,12 +117,12 @@ class TestWarmBackward:
 
     def test_missing_trace_class(self):
         params, feats, _, _ = self._instance()
-        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+        result = ablation_forward(params, shot_support(feats), "warm")
         with pytest.raises(ArgumentError):
             warm_backward(params, result, {5: np.zeros((3, 4))})
 
     def test_gradient_shape_mismatch(self):
         params, feats, _, _ = self._instance()
-        result = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+        result = ablation_forward(params, shot_support(feats), "warm")
         with pytest.raises(ArgumentError):
             warm_backward(params, result, {1: np.zeros((2, 2))})

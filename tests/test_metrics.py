@@ -307,7 +307,7 @@ class TestQkDistance:
 
     def _qk(self, tokens, keys, params):
         pooled = WarmParams(np.vstack([tokens, tokens]), params.w_q, params.w_k, params.w_v)
-        trace = ablation_forward(pooled, shot_support({1: keys}, ["naive"]), "naive").per_class[1]
+        trace = ablation_forward(pooled, shot_support({1: keys}), "naive").per_class[1]
         return float(pairwise_distances(trace.q, trace.k).mean())
 
     def test_equal_projections_zero(self):

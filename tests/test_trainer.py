@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from warmproto import GeneratorConfig, TrainConfig, apply_update, derive_rng, evaluate, init_params, train
-from warmproto import trainer
+from warmproto import trainer, warm
 from warmproto.cli import main
 from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from warmproto.trainer import TrainRun, init_optimizer, lr_at, make_eval_episodes, run_grid, train_grid
@@ -240,10 +240,10 @@ class TestEpisodeProducer:
     def test_interrupt_joins_the_producer(self, monkeypatch, wait_limit):
         real = TrainRun.step
 
-        def interrupted(run, episode, support, step):
+        def interrupted(run, query, support, step):
             if step == 2:
                 raise KeyboardInterrupt
-            real(run, episode, support, step)
+            real(run, query, support, step)
 
         monkeypatch.setattr(TrainRun, "step", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -265,9 +265,10 @@ class TestRunGrid:
         # forked workers inherit the patch and leave one file per evaluated run
         real = trainer.evaluate
 
-        def recording(params, episodes, variant, eps):
-            (tmp_path / f"{os.getpid()}-{variant}-{params.tokens[0, 0]!r}").touch()
-            return real(params, episodes, variant, eps)
+        def recording(runs, episodes, eps):
+            for params, variant in runs:
+                (tmp_path / f"{os.getpid()}-{variant}-{params.tokens[0, 0]!r}").touch()
+            return real(runs, episodes, eps)
 
         monkeypatch.setattr(trainer, "evaluate", recording)
         episodes = make_eval_episodes(DESK, 3, 77)
@@ -277,7 +278,7 @@ class TestRunGrid:
             for (cfg, variant), (result, scored) in zip(runs, row):
                 alone = train(cfg, DESK, variant=variant)
                 np.testing.assert_array_equal(result.params.tokens, alone.params.tokens)
-                assert scored == real(alone.params, episodes, variant, cfg.eps)
+                assert scored == real([(alone.params, variant)], episodes, cfg.eps)[0]
         for workers in (2, 3):
             for path in tmp_path.iterdir():
                 path.unlink()
@@ -358,6 +359,20 @@ class TestRunGrid:
         assert time.monotonic() - started < 10
         assert multiprocessing.active_children() == []
 
+    def test_one_support_per_episode_serves_every_run(self, monkeypatch):
+        # 1-way 1-shot: two classes per support, so each of the 3 training
+        # episodes and 10 scored ones needs 2 statistics, whatever the runs
+        real, calls = warm.compute_stats, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(warm, "compute_stats", counting)
+        seed_runs = [[(replace(FAST, episodes_per_epoch=3), variant) for variant in ABLATION_GRID]]
+        run_grid(seed_runs, DESK, make_eval_episodes(DESK, 10, 77), workers=1)
+        assert len(calls) == (3 + 10) * 2
+
     def test_rejects_empty_grid_and_bad_worker_count(self):
         episodes = make_eval_episodes(DESK, 1, 77)
         for seed_runs, workers in (([], 1), ([[]], 1), (self.SEED_RUNS, 0)):
@@ -369,7 +384,7 @@ class TestEvaluate:
     def test_deterministic(self):
         episodes = make_eval_episodes(DESK, 4, 123)
         params = init_params(8, 6, derive_rng(5))
-        assert evaluate(params, episodes) == evaluate(params, episodes)
+        assert evaluate([(params, "warm")], episodes) == evaluate([(params, "warm")], episodes)
 
     def test_ground_truth_means_on_separable_data(self):
         # prototypes at the true class means on well-separated data with a
@@ -395,12 +410,12 @@ class TestEvaluate:
         episodes = make_eval_episodes(DESK, 2, 11)
         params = init_params(16, 6, derive_rng(6))
         with pytest.raises(CheckpointError):
-            evaluate(params, episodes)
+            evaluate([(params, "warm")], episodes)
 
     def test_report_fields_populated(self):
         episodes = make_eval_episodes(DESK, 3, 17)
         params = init_params(8, 6, derive_rng(7))
-        report = evaluate(params, episodes)
+        (report,) = evaluate([(params, "warm")], episodes)
         assert 0.0 <= report.miou <= 1.0
         assert report.d_instance > 0
         assert report.attn_entropy is not None and 0 <= report.attn_entropy <= 1
@@ -411,5 +426,5 @@ class TestEvaluate:
     def test_trained_beats_untrained_on_benchmark(self, trained, default_gen, bench_episodes, evaluated):
         run = trained("warm", 0)
         after = evaluated("warm", 0).miou
-        before = evaluate(TrainRun.start(run.cfg, default_gen, "warm").params, bench_episodes, "warm").miou
+        before = evaluate([(TrainRun.start(run.cfg, default_gen, "warm").params, "warm")], bench_episodes)[0].miou
         assert after > before

@@ -53,7 +53,7 @@ def attend(queries, keys, params):
     """The forward pass's attention of ``queries`` (as the foreground
     token pool) over raw ``keys``: the trace of the naive variant."""
     pooled = WarmParams(np.vstack([queries, queries]), params.w_q, params.w_k, params.w_v)
-    return ablation_forward(pooled, shot_support({1: keys}, ["naive"]), "naive").per_class[1]
+    return ablation_forward(pooled, shot_support({1: keys}), "naive").per_class[1]
 
 
 class TestComputeStats:
@@ -207,8 +207,8 @@ class TestForwardVariants:
         rng = derive_rng(12)
         feats = {1: make_white(rng, 24, 4), 0: make_white(rng, 30, 4)}
         params = init_params(4, 3, rng)
-        w = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
-        n = ablation_forward(params, shot_support(feats, ["naive"]), "naive")
+        w = ablation_forward(params, shot_support(feats), "warm")
+        n = ablation_forward(params, shot_support(feats), "naive")
         for label in (0, 1):
             np.testing.assert_allclose(
                 w.prototypes[label], n.prototypes[label], atol=1e-10
@@ -219,7 +219,7 @@ class TestForwardVariants:
         feats = self._feats(rng)
         tokens = rng.standard_normal((6, 4)) * 0.1
         params = WarmParams(tokens, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
-        res = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+        res = ablation_forward(params, shot_support(feats), "warm")
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             pool = tokens[:3] if label == 1 else tokens[3:]
@@ -231,7 +231,7 @@ class TestForwardVariants:
         rng = derive_rng(14)
         feats = {1: full_rank_features(rng, 6, 4), 0: full_rank_features(rng, 6, 4)}
         params = init_params(4, 3, rng)
-        res = ablation_forward(params, shot_support(feats, ["warm"], 1e-4), "warm")
+        res = ablation_forward(params, shot_support(feats, 1e-4), "warm")
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             z = whiten(feats[label], stats)
@@ -244,7 +244,7 @@ class TestForwardVariants:
         rng = derive_rng(15)
         params = init_params(4, 3, rng)
         key = rng.standard_normal((1, 4))
-        support = shot_support({1: key, 0: rng.standard_normal((2, 4))}, ["naive"])
+        support = shot_support({1: key, 0: rng.standard_normal((2, 4))})
         res = ablation_forward(params, support, "naive")
         expected = params.tokens[params.token_rows(1)] + key @ params.w_v
         np.testing.assert_allclose(res.prototypes[1], expected, atol=1e-12)
@@ -253,7 +253,7 @@ class TestForwardVariants:
         rng = derive_rng(16)
         tokens = rng.standard_normal((4, 3))
         params = WarmParams(tokens, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), np.zeros((3, 3)))
-        support = shot_support({1: rng.standard_normal((5, 3)), 0: rng.standard_normal((5, 3))}, ["naive"])
+        support = shot_support({1: rng.standard_normal((5, 3)), 0: rng.standard_normal((5, 3))})
         res = ablation_forward(params, support, "naive")
         np.testing.assert_allclose(res.prototypes[1], tokens[:2], atol=1e-12)
         np.testing.assert_allclose(res.prototypes[0], tokens[2:], atol=1e-12)
@@ -262,8 +262,8 @@ class TestForwardVariants:
         rng = derive_rng(17)
         feats = self._feats(rng)
         params = init_params(4, 3, rng)
-        a = ablation_forward(params, shot_support(feats, ["whiten+restore"]), "whiten+restore")
-        w = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+        a = ablation_forward(params, shot_support(feats), "whiten+restore")
+        w = ablation_forward(params, shot_support(feats), "warm")
         for label in (0, 1):
             np.testing.assert_array_equal(a.prototypes[label], w.prototypes[label])
 
@@ -274,8 +274,8 @@ class TestForwardVariants:
             f = rng.standard_normal((n, 4))
             feats[label] = f - f.mean(axis=0)
         params = init_params(4, 3, rng)
-        a = ablation_forward(params, shot_support(feats, ["center"]), "center")
-        n_ = ablation_forward(params, shot_support(feats, ["naive"]), "naive")
+        a = ablation_forward(params, shot_support(feats), "center")
+        n_ = ablation_forward(params, shot_support(feats), "naive")
         for label in (0, 1):
             np.testing.assert_allclose(
                 a.prototypes[label], n_.prototypes[label], atol=1e-10
@@ -289,7 +289,7 @@ class TestForwardVariants:
             feats[label] = np.array([[a, 0.0], [-a, 0.0], [0.0, b], [0.0, -b]])
         params = init_params(2, 3, rng)
         for suffix in ("", "+restore"):
-            support = shot_support(feats, ["normalize" + suffix, "whiten" + suffix])
+            support = shot_support(feats)
             out_n = ablation_forward(params, support, "normalize" + suffix)
             out_w = ablation_forward(params, support, "whiten" + suffix)
             for label in (0, 1):
@@ -303,7 +303,7 @@ class TestForwardVariants:
         rng = derive_rng(20)
         feats = self._feats(rng)
         params = init_params(4, 3, rng)
-        res = ablation_forward(params, shot_support(feats, ["whiten"]), "whiten")
+        res = ablation_forward(params, shot_support(feats), "whiten")
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             z = whiten(feats[label], stats)
@@ -315,8 +315,8 @@ class TestForwardVariants:
         rng = derive_rng(21)
         feats = self._feats(rng)
         params = init_params(4, 3, derive_rng(5))
-        a = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
-        b = ablation_forward(params, shot_support(feats, ["warm"]), "warm")
+        a = ablation_forward(params, shot_support(feats), "warm")
+        b = ablation_forward(params, shot_support(feats), "warm")
         for label in (0, 1):
             np.testing.assert_array_equal(a.prototypes[label], b.prototypes[label])
 
@@ -324,47 +324,46 @@ class TestForwardVariants:
         rng = derive_rng(22)
         params = init_params(4, 3, rng)
         with pytest.raises(EmptyClassError):
-            support = shot_support({1: np.zeros((0, 4)), 0: rng.standard_normal((5, 4))}, ["warm"])
+            support = shot_support({1: np.zeros((0, 4)), 0: rng.standard_normal((5, 4))})
             ablation_forward(params, support, "warm")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ArgumentError):
             resolve_variant("whitening")
         with pytest.raises(ArgumentError):
-            shot_support({1: np.ones((3, 2))}, ["whitening"])
-        with pytest.raises(ArgumentError):
-            ablation_forward(init_params(2, 1, derive_rng(23)), shot_support({1: np.ones((3, 2))}, ["warm"]), "whitening")
+            ablation_forward(init_params(2, 1, derive_rng(23)), shot_support({1: np.ones((3, 2))}), "whitening")
 
-    @pytest.mark.parametrize("prepared, variant", [(["naive"], "center"), (["normalize+restore"], "whiten")])
-    def test_support_serves_only_its_variants(self, prepared, variant):
-        # statistics come only from shot_support; a forward never computes them itself
-        rng = derive_rng(24)
-        support = shot_support(self._feats(rng), prepared)
-        with pytest.raises(ArgumentError, match="not prepared"):
-            ablation_forward(init_params(4, 3, derive_rng(25)), support, variant)
-
-    @pytest.mark.parametrize("prepared", [["center"], ["warm"]])
+    # the variants that read the statistics of one support
+    @pytest.mark.parametrize("prepared", [["center", "normalize+restore"], ["whiten", "warm"]])
     def test_non_finite_stats_fail_in_the_forward_that_reads_them(self, prepared):
         # rows near 1e200 overflow the covariance; "naive" reads no statistics
         feats = {1: np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]]), 0: np.eye(2)}
         params = init_params(2, 3, derive_rng(27))
         with np.errstate(over="ignore", invalid="ignore"):
-            support = shot_support(feats, ["naive", *prepared])
+            support = shot_support(feats)
         ablation_forward(params, support, "naive")
-        with pytest.raises(NumericError, match="non-finite"):
-            ablation_forward(params, support, prepared[0])
+        for variant in prepared:
+            with pytest.raises(NumericError, match="non-finite"):
+                ablation_forward(params, support, variant)
 
-    def test_stats_only_where_read(self):
+    def test_too_few_points_fail_in_the_forward_that_reads_them(self):
+        # one foreground point has no covariance; "naive" reads no statistics
+        rng = derive_rng(28)
+        support = shot_support({1: rng.standard_normal((1, 4)), 0: rng.standard_normal((6, 4))})
+        params = init_params(4, 3, derive_rng(29))
+        ablation_forward(params, support, "naive")
+        for variant in ("center", "normalize", "warm"):
+            with pytest.raises(InsufficientPointsError, match="need at least 2 points for covariance, got 1"):
+                ablation_forward(params, support, variant)
+
+    def test_support_holds_whole_stats(self):
         feats = self._feats(derive_rng(26))
-        assert shot_support(feats, ["naive"]).stats == {}
-        moments = shot_support(feats, ["center", "normalize+restore"]).stats
-        assert sorted(moments) == [0, 1] and all(s.inv_sqrt is None and s.sqrt is None for s in moments.values())
-        full = shot_support(feats, ["center", "warm"]).stats
-        for label, stats in full.items():
+        support = shot_support(feats)
+        assert sorted(support.stats) == [0, 1]
+        for label, stats in support.stats.items():
             ref = compute_stats(feats[label], 1e-4)
             for name in ("mean", "cov", "inv_sqrt", "sqrt"):
                 np.testing.assert_array_equal(getattr(stats, name), getattr(ref, name))
-            np.testing.assert_array_equal(moments[label].cov, ref.cov)
 
 
 class TestAverageShots:
