@@ -240,7 +240,7 @@ def cmd_eval(args) -> None:
         report = evaluate_fps(episodes, cfg.fps_tokens, cfg.eval_seed)
     else:
         params, _meta = load_checkpoint(args.checkpoint)
-        (report,) = evaluate([(params, cfg.method)], episodes, cfg.train.eps, worker_cap())
+        (report,) = evaluate([(params, cfg.method)], episodes, worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
     diagnostics = ["d_intra", "d_inter", "d_instance", "attn_entropy", "attn_diversity", "qk_dist"]
     values = [report.miou] + [report.per_class_iou.get(c) for c in labels] + [getattr(report, n) for n in diagnostics]

@@ -175,6 +175,9 @@ class GeneratorConfig:
         if base & novel:
             raise ConfigError(f"base and novel classes overlap: {sorted(base & novel)}")
         for split_name, split in (("base_classes", self.base_classes), ("novel_classes", self.novel_classes)):
+            # WARM-EP1 stores class ids as u32; a repeated id would be counted as a distractor it cannot supply
+            if len(set(split)) != len(split) or not all(0 <= c <= MAX_SIZE for c in split):
+                raise ConfigError(f"{split_name} must hold distinct class ids in [0, {MAX_SIZE}], got {list(split)}")
             if len(split) <= self.n_way:
                 raise ConfigError(
                     f"{split_name} needs more than n_way={self.n_way} classes to supply distractors"

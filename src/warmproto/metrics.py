@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import Episode, split_fg_bg
+from .episodes import Episode
 from .errors import ArgumentError, UndefinedMetricError
 
 
@@ -77,13 +77,10 @@ class FgSummary:
 
 
 def fg_summaries(episode: Episode) -> list[FgSummary]:
+    pooled = episode.pooled_support_by_class()
     out = []
     for way in range(episode.n_way):
-        blocks = [
-            split_fg_bg(episode.support_cloud(way, shot), way + 1)[0]
-            for shot in range(episode.k_shot)
-        ]
-        feats = np.vstack(blocks)
+        feats = pooled[way + 1]
         mu = feats.mean(axis=0)
         disp = float(np.mean(np.linalg.norm(feats - mu, axis=1)))
         out.append(FgSummary(episode.class_ids[way], mu, disp))

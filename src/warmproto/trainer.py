@@ -69,7 +69,6 @@ class TrainConfig:
     lr_decay_factor: float = 0.1
     lr_milestones: tuple[float, float] = (0.6, 0.8)
     lam: float = 0.5
-    eps: float = 1e-4
     num_tokens: int = 100
     seed: int = 0
     margin: float = 0.0
@@ -96,8 +95,6 @@ class TrainConfig:
             raise ConfigError(f"lr_milestones must be ascending inside (0, 1), got {ms}")
         if self.lam < 0 or self.margin < 0:
             raise ConfigError("lam and margin must be >= 0")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.seed < 0:
             raise ConfigError(f"train seed must be >= 0, got {self.seed}")
         if self.num_tokens < 1:
@@ -240,14 +237,13 @@ def train_grid(
 
     The training episode depends only on (seed, step) and the generator,
     so each step's episode and its ``episode_support`` are computed once
-    and every run steps on them, whatever its variant. Runs must
-    share the seed, the step count and eps, which clamps the shared
-    statistics. Each run is bit-identical to a standalone ``train`` of
-    the same run, at any worker count. With more than one worker the
-    episodes and their support come from a forked producer
-    (``_forked``) while the runs step, so a step does only parameter
-    work; a run's wall time per step counts the wait for them, with one
-    worker their computation.
+    and every run steps on them, whatever its variant. Runs must share
+    the seed and the step count. Each run is bit-identical to a
+    standalone ``train`` of the same run, at any worker count. With more
+    than one worker the episodes and their support come from a forked
+    producer (``_forked``) while the runs step, so a step does only
+    parameter work; a run's wall time per step counts the wait for them,
+    with one worker their computation.
     """
     if not runs:
         raise ArgumentError("grid needs at least one run")
@@ -259,14 +255,14 @@ def train_grid(
     for _, variant in runs:
         resolve_variant(variant)
     first = runs[0][0]
-    if any((cfg.seed, cfg.total_steps, cfg.eps) != (first.seed, first.total_steps, first.eps) for cfg, _ in runs):
-        raise ArgumentError("grid runs must share the seed, the step count and eps")
+    if any((cfg.seed, cfg.total_steps) != (first.seed, first.total_steps) for cfg, _ in runs):
+        raise ArgumentError("grid runs must share the seed and the step count")
     states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in runs]
 
     def draw(step: int) -> tuple[list[PointCloud], list[ShotSupport]]:
         # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
         episode = gen_episode(gen_cfg, derive_rng(first.seed, _TRAIN_STREAM, step), split="base")
-        return episode.query, episode_support(episode, first.eps)
+        return episode.query, episode_support(episode)
 
     produce = partial(map, draw, range(first.total_steps))
     with _forked(produce) if workers > 1 else nullcontext(produce()) as episodes:
@@ -374,11 +370,11 @@ def make_eval_episodes(gen_cfg: GeneratorConfig, count: int, seed: int) -> list[
     ]
 
 
-def _score_episode(runs: Sequence[tuple[WarmParams, str]], episode: Episode, eps: float) -> tuple:
+def _score_episode(runs: Sequence[tuple[WarmParams, str]], episode: Episode) -> tuple:
     """One episode's share of an ``evaluate`` call: per run, on one
     ``episode_support``, its (mIoU, per-class IoU) and foreground attention
     entropies, diversities and query/key distances; then its foreground summaries."""
-    support = episode_support(episode, eps)
+    support = episode_support(episode)
     truths = np.concatenate([q.labels for q in episode.query])
     scores = []
     for params, variant in runs:
@@ -397,7 +393,7 @@ def _score_episode(runs: Sequence[tuple[WarmParams, str]], episode: Episode, eps
 
 
 def evaluate(
-    runs: Sequence[tuple[WarmParams, str]], episodes: list[Episode], eps: float = 1e-4, workers: int = 1
+    runs: Sequence[tuple[WarmParams, str]], episodes: list[Episode], workers: int = 1
 ) -> list[MetricsReport]:
     """Frozen-parameter evaluation of (parameters, variant) runs over an
     episode batch: one report per run, in run order.
@@ -424,7 +420,7 @@ def evaluate(
             )
 
     def score(part: Sequence[Episode]) -> list[tuple]:
-        return [_score_episode(runs, episode, eps) for episode in part]
+        return [_score_episode(runs, episode) for episode in part]
 
     per_episode, summaries = zip(*_fork_map(score, episodes, workers))
     dispersion = dispersion_metrics(list(chain.from_iterable(summaries)))
@@ -455,7 +451,7 @@ def _grid_slice(
     for _, group in groupby(part, key=itemgetter(0)):
         runs = [run for _, run in group]
         trained = train_grid(runs, gen_cfg)
-        reports = evaluate([(run.params, run.variant) for run in trained], episodes, runs[0][0].eps)
+        reports = evaluate([(run.params, run.variant) for run in trained], episodes)
         # spent moments are left behind: they would double what a worker sends back
         done += [(replace(run, state=None), report) for run, report in zip(trained, reports)]
     return done

@@ -55,20 +55,22 @@ def resolve_variant(name: str) -> tuple[str, bool]:
 
 @dataclass
 class WhitenStats:
-    """Per-class mean and covariance, and the covariance's clamped +/-
-    half powers."""
+    """Per-class mean and covariance, the covariance's clamped +/- half
+    powers and its clamped per-channel standard deviation (``scale``)."""
 
     mean: np.ndarray
     cov: np.ndarray
     inv_sqrt: np.ndarray
     sqrt: np.ndarray
+    scale: np.ndarray
 
 
 def compute_stats(features: np.ndarray, eps: float = 1e-4) -> WhitenStats:
     """Alignment/restoration statistics of one class's support features.
 
     Covariance uses the unbiased divisor (rows - 1); its eigenvalues
-    below eps are clamped before the half powers are taken.
+    below eps are clamped before the half powers are taken, its diagonal
+    before ``scale``. Every forward pass reads statistics at this default.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -82,7 +84,8 @@ def compute_stats(features: np.ndarray, eps: float = 1e-4) -> WhitenStats:
     cov = centered.T @ centered / (features.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
     inv_sqrt, sqrt = half_powers(cov, eps)
-    return WhitenStats(mean=mean, cov=cov, inv_sqrt=inv_sqrt, sqrt=sqrt)
+    scale = np.sqrt(np.maximum(np.diagonal(cov), eps))
+    return WhitenStats(mean=mean, cov=cov, inv_sqrt=inv_sqrt, sqrt=sqrt, scale=scale)
 
 
 def whiten(features: np.ndarray, stats: WhitenStats) -> np.ndarray:
@@ -199,16 +202,15 @@ class ForwardResult:
 @dataclass
 class ShotSupport:
     """One shot's support features per class, with each class's transform
-    statistics (``compute_stats``, clamped at ``eps``). Where they cannot
-    be taken (too few points, or not finite), every class holds that
-    error instead, for the forward of a variant that reads them to raise."""
+    statistics (``compute_stats``). Where they cannot be taken (too few
+    points, or not finite), every class holds that error instead, for the
+    forward of a variant that reads them to raise."""
 
     features: dict[int, np.ndarray]
     stats: dict[int, WhitenStats | InsufficientPointsError | NumericError]
-    eps: float
 
 
-def shot_support(features_by_class: dict[int, np.ndarray], eps: float = 1e-4) -> ShotSupport:
+def shot_support(features_by_class: dict[int, np.ndarray]) -> ShotSupport:
     """The forward inputs of one shot's support, for every variant."""
     if not features_by_class:
         raise ArgumentError("features_by_class is empty")
@@ -218,14 +220,14 @@ def shot_support(features_by_class: dict[int, np.ndarray], eps: float = 1e-4) ->
         if features[label].shape[0] == 0:
             raise EmptyClassError(f"class {label} has no support features")
     try:
-        stats = {label: compute_stats(f, eps) for label, f in features.items()}
+        stats = {label: compute_stats(f) for label, f in features.items()}
     except (InsufficientPointsError, NumericError) as exc:
         # "naive" reads no statistics; a grid step still fails at its first failing run in run order
         stats = dict.fromkeys(features, exc)
-    return ShotSupport(features, stats, eps)
+    return ShotSupport(features, stats)
 
 
-def episode_support(episode: Episode, eps: float) -> list[ShotSupport]:
+def episode_support(episode: Episode) -> list[ShotSupport]:
     """Per shot, the episode's support split by class
     (``Episode.support_features_by_class``) with its statistics:
     everything the forward pass of any variant takes from the episode.
@@ -234,11 +236,11 @@ def episode_support(episode: Episode, eps: float) -> list[ShotSupport]:
     variant, so one result serves every run that steps on or scores the
     episode.
     """
-    return [shot_support(episode.support_features_by_class(shot), eps) for shot in range(episode.k_shot)]
+    return [shot_support(episode.support_features_by_class(shot)) for shot in range(episode.k_shot)]
 
 
 def _class_transform(
-    features: np.ndarray, stats: WhitenStats | Exception, mode: str, restore: bool, eps: float
+    features: np.ndarray, stats: WhitenStats | Exception, mode: str, restore: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Returns (keys_in, out_map, out_shift) for one class."""
     if mode == "naive":
@@ -249,9 +251,8 @@ def _class_transform(
     if mode == "center":
         return features - stats.mean, None, out_shift
     if mode == "normalize":
-        sigma = np.sqrt(np.maximum(np.diagonal(stats.cov), eps))
-        keys = (features - stats.mean) / sigma
-        return keys, (np.diag(sigma) if restore else None), out_shift
+        keys = (features - stats.mean) / stats.scale
+        return keys, (np.diag(stats.scale) if restore else None), out_shift
     return whiten(features, stats), (stats.sqrt if restore else None), out_shift
 
 
@@ -269,9 +270,7 @@ def ablation_forward(params: WarmParams, support: ShotSupport, variant: str) -> 
     for label, features in support.features.items():
         rows = params.token_rows(label)
         tokens = params.tokens[rows]
-        keys_in, out_map, out_shift = _class_transform(
-            features, support.stats[label], mode, restore, support.eps
-        )
+        keys_in, out_map, out_shift = _class_transform(features, support.stats[label], mode, restore)
         q = tokens @ params.w_q
         k = keys_in @ params.w_k
         v = keys_in @ params.w_v

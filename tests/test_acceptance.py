@@ -154,7 +154,7 @@ class TestAcceptance:
         def warm_score(params, _seed):
             # the sweep seed feeds the FPS start; the trained operator has
             # no random input, so every seed must yield the same number
-            return evaluate([(params, "warm")], bench_episodes, 1e-4, worker_cap())[0].miou
+            return evaluate([(params, "warm")], bench_episodes, worker_cap())[0].miou
 
         started = time.perf_counter()
         spread = fps_sweep.best - fps_sweep.worst

@@ -10,9 +10,9 @@ paths. The test reads only the session fixtures, and it skips by the
 digest test's rule: where the numpy version, the OpenBLAS core or numpy's
 SIMD dispatch targets differ from the header (``host_build``). A change
 that moves these values on purpose regenerates the file in the same
-change, from the repository root:
+change, header included, from the repository root:
 
-    { printf '# numpy %s\\n# openblas core %s\\n# numpy simd %s\\n' VERSION CORE SIMD; PYTHONPATH=src python -m tests.test_acceptance_values; } > tests/data/acceptance_values.txt
+    PYTHONPATH=src python -m tests.test_acceptance_values > tests/data/acceptance_values.txt
 """
 
 import hashlib
@@ -27,7 +27,7 @@ import pytest
 
 from warmproto.warm import ABLATION_GRID, PARAM_NAMES
 
-from .test_cli_digest import host_build
+from .test_cli_digest import header_lines, host_build
 
 EXPECTED = Path(__file__).resolve().parent / "data" / "acceptance_values.txt"
 SEEDS = range(5)
@@ -81,4 +81,4 @@ if __name__ == "__main__":
     # "warm" is the same (transform, restore) pair as "whiten+restore"
     warm = results["whiten+restore", 0][0].params
     sweep = fps_seed_sweep(episodes, FPS_BASELINE_TOKENS, range(100))
-    print("\n".join(value_lines(lambda v, s: results[v, s][1], warm, sweep)))
+    print("\n".join(header_lines() + value_lines(lambda v, s: results[v, s][1], warm, sweep)))

@@ -104,7 +104,7 @@ class TestConfigLoading:
 
     def test_unknown_nested_field(self, tmp_path, capsys):
         # a misspelt field, and the training switches that configs no longer have
-        for field, value in [("learning_rate", 0.1), ("scale_logits", False), ("grad_clip", None)]:
+        for field, value in [("learning_rate", 0.1), ("scale_logits", False), ("grad_clip", None), ("eps", 1e-4)]:
             err = self._exits_on_unknown(tmp_path, capsys, {"train": {field: value}}, field)
             assert "'train'" in err
 
@@ -193,6 +193,8 @@ class TestConfigLoading:
             pytest.param("train", {"train": {"num_tokens": 10**30}}, "num_tokens", id="num_tokens"),
             pytest.param("token-sweep", {"token_counts": [1, 2**32]}, "token_counts", id="token_counts"),
             pytest.param("eval", {"method": "fps-min-dist", "eval_episodes": 2**32}, "eval_episodes", id="episodes"),
+            # WARM-EP1 stores class ids as u32
+            pytest.param("gen", {"generator": {"novel_classes": [2**32, 9]}}, "novel_classes", id="class_id"),
         ],
     )
     def test_oversized_integer_exit_1(self, tmp_path, capsys, verb, data, field):
@@ -552,7 +554,7 @@ class TestGridMatchesSeparateRuns:
         for seed in cfg.seeds:
             for variant in ABLATION_GRID:
                 params = train(replace(cfg.train, seed=seed), cfg.generator, variant=variant).params
-                (report,) = evaluate([(params, variant)], episodes, cfg.train.eps)
+                (report,) = evaluate([(params, variant)], episodes)
                 rows.append([variant, seed, repr(report.qk_dist), repr(report.miou)])
         assert (out / "ablation.csv").read_bytes() == csv_bytes(rows)
 
@@ -852,6 +854,8 @@ class TestExitCodes:
             pytest.param("ablate", {"seeds": [0, -1]}, [], "seeds", id="seeds"),
             pytest.param("gen", {"gen_seed": -5}, [], "gen_seed", id="gen_seed"),
             pytest.param("eval", {"eval_seed": -4, "method": "fps-min-dist"}, [], "eval_seed", id="eval_seed"),
+            # a class id seeds its class center
+            pytest.param("train", {"generator": {"base_classes": [-1, 0, 1, 2]}}, [], "base_classes", id="class_id"),
         ],
     )
     def test_negative_seed_exit_1_before_any_output(self, tmp_path, capsys, verb, data, argv, name):

@@ -9,9 +9,9 @@ picks per CPU unless ``NPY_DISABLE_CPU_FEATURES`` turns some off. So on
 a host where any of the three differs from the header, or cannot be
 read, the test skips and its reason gives both sets of values. A change
 that moves output bytes on purpose regenerates the file in the same
-change, with the three values ``host_build()`` gives:
+change, header included, from the repository root:
 
-    { printf '# numpy %s\\n# openblas core %s\\n# numpy simd %s\\n' VERSION CORE SIMD; python tools/cli_digest.py; } > tests/data/cli_digest.txt
+    python -m tests.test_cli_digest > tests/data/cli_digest.txt
 """
 
 import ctypes
@@ -59,6 +59,11 @@ def host_build() -> dict[str, str | None]:
     return {"numpy": np.__version__, "openblas core": openblas_core(), "numpy simd": numpy_simd()}
 
 
+def header_lines() -> list[str]:
+    """The committed byte data's header, one ``# name value`` line per ``host_build`` entry."""
+    return [f"# {name} {value}" for name, value in host_build().items()]
+
+
 def test_outputs_match_committed_digest():
     lines = EXPECTED.read_text().splitlines()
     header = [line[2:].rsplit(" ", 1) for line in lines if line.startswith("# ")]
@@ -71,3 +76,8 @@ def test_outputs_match_committed_digest():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == lines[len(header) :]
+
+
+if __name__ == "__main__":
+    print("\n".join(header_lines()), flush=True)
+    sys.exit(subprocess.run([sys.executable, str(REPO / "tools" / "cli_digest.py")]).returncode)

@@ -45,6 +45,9 @@ class TestGeneratorConfig:
     def test_rejects_too_few_classes_for_distractors(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(n_way=2, base_classes=(0, 1), novel_classes=(2, 3)).validate()
+        # three ids but two distinct ones: no class would be left for the background
+        with pytest.raises(ConfigError, match="novel_classes must hold distinct class ids"):
+            GeneratorConfig(n_way=2, novel_classes=(8, 8, 9)).validate()
 
     def test_rejects_tiny_clouds(self):
         with pytest.raises(ConfigError):

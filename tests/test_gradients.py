@@ -31,7 +31,7 @@ def unpack(vec, template):
 
 
 def total_objective(params, feats, query, truth, variant, lam=0.5):
-    result = ablation_forward(params, shot_support(feats, 1e-4), variant)
+    result = ablation_forward(params, shot_support(feats), variant)
     protos = result.prototypes
     field = point_distances(query, protos)
     m = margin_loss(field, truth)

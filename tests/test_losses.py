@@ -327,7 +327,7 @@ class TestTotalLoss:
             inter_class_scale=60.0, intra_class_scale=0.5, instance_spread=0.5, bg_components=1,
         )
         (episode,) = make_eval_episodes(gen, 1, 5)
-        support = episode_support(episode, 1e-4)
+        support = episode_support(episode)
         margin, sim, total, grads = episode_loss(episode.pooled_support_by_class(), episode.query, support, 0.5, 0.0)
         assert (margin, sim, total) == (0.0, 0.0, 0.0)
         for g in grads.values():
@@ -337,7 +337,7 @@ class TestTotalLoss:
         (episode,) = make_eval_episodes(DESK, 1, 6)
         rng = derive_rng(6)
         protos = {c: rng.standard_normal((3, 8)) for c in episode.pooled_support_by_class()}
-        shots = episode_support(episode, 1e-4)
+        shots = episode_support(episode)
         margin, sim, total, grads = episode_loss(protos, episode.query, shots, 0.5, 0.0)
         _, _, _, margin_grads = episode_loss(protos, episode.query, shots, 0.0, 0.0)
         assert margin > 0 and sim > 0
@@ -351,7 +351,7 @@ class TestTotalLoss:
         (episode,) = make_eval_episodes(DESK, 1, 7)
         rng = derive_rng(7)
         protos = {c: rng.standard_normal((3, 8)) for c in episode.pooled_support_by_class()}
-        margin, sim, total, grads = episode_loss(protos, episode.query, episode_support(episode, 1e-4), 0.0, 0.0)
+        margin, sim, total, grads = episode_loss(protos, episode.query, episode_support(episode), 0.0, 0.0)
         assert sim > 0 and total == margin
         expected = {c: np.zeros_like(p) for c, p in protos.items()}
         for cloud in episode.query:

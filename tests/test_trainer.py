@@ -181,11 +181,6 @@ class TestTrainGrid:
         with pytest.raises(ArgumentError):
             train_grid([], DESK)
 
-    def test_runs_must_share_eps(self):
-        # every run reads one set of statistics per episode, clamped at one eps
-        with pytest.raises(ArgumentError, match="eps"):
-            train_grid([(FAST, "warm"), (replace(FAST, eps=1e-3), "whiten")], DESK)
-
 
 class TestEpisodeProducer:
     """With more than one worker, a forked child generates the training
@@ -265,10 +260,10 @@ class TestRunGrid:
         # forked workers inherit the patch and leave one file per evaluated run
         real = trainer.evaluate
 
-        def recording(runs, episodes, eps):
+        def recording(runs, episodes):
             for params, variant in runs:
                 (tmp_path / f"{os.getpid()}-{variant}-{params.tokens[0, 0]!r}").touch()
-            return real(runs, episodes, eps)
+            return real(runs, episodes)
 
         monkeypatch.setattr(trainer, "evaluate", recording)
         episodes = make_eval_episodes(DESK, 3, 77)
@@ -278,7 +273,7 @@ class TestRunGrid:
             for (cfg, variant), (result, scored) in zip(runs, row):
                 alone = train(cfg, DESK, variant=variant)
                 np.testing.assert_array_equal(result.params.tokens, alone.params.tokens)
-                assert scored == real([(alone.params, variant)], episodes, cfg.eps)[0]
+                assert scored == real([(alone.params, variant)], episodes)[0]
         for workers in (2, 3):
             for path in tmp_path.iterdir():
                 path.unlink()

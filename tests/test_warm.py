@@ -17,6 +17,7 @@ from warmproto import (
     load_checkpoint,
     save_checkpoint,
     shot_support,
+    softmax_rows,
     sym_eig,
     whiten,
 )
@@ -83,6 +84,14 @@ class TestComputeStats:
     def test_rejects_single_row(self):
         with pytest.raises(InsufficientPointsError):
             compute_stats(np.ones((1, 3)))
+
+    def test_scale_clamps_a_constant_channel(self):
+        f = derive_rng(8).standard_normal((6, 3))
+        f[:, 1] = 2.5  # zero variance: the clamp acts on this channel only
+        stats = compute_stats(f)
+        expected = np.sqrt(np.maximum(np.diagonal(stats.cov), 1e-4))
+        assert stats.cov[1, 1] == 0.0 and stats.scale[1] == 0.01
+        np.testing.assert_array_equal(stats.scale, expected)
 
     def test_one_eigendecomposition_for_both_roots(self, monkeypatch):
         calls = []
@@ -231,7 +240,7 @@ class TestForwardVariants:
         rng = derive_rng(14)
         feats = {1: full_rank_features(rng, 6, 4), 0: full_rank_features(rng, 6, 4)}
         params = init_params(4, 3, rng)
-        res = ablation_forward(params, shot_support(feats, 1e-4), "warm")
+        res = ablation_forward(params, shot_support(feats), "warm")
         for label in (0, 1):
             stats = compute_stats(feats[label], 1e-4)
             z = whiten(feats[label], stats)
@@ -298,6 +307,27 @@ class TestForwardVariants:
                     out_w.prototypes[label],
                     atol=1e-10,
                 )
+
+    def test_normalize_reads_the_clamped_scale(self):
+        # reference: normalize's per-channel map taken from the covariance,
+        # on a class whose constant channel is clamped
+        rng = derive_rng(24)
+        feats = self._feats(rng)
+        feats[1][:, 2] = -1.5
+        params = init_params(4, 3, rng)
+        for restore in (False, True):
+            res = ablation_forward(params, shot_support(feats), "normalize+restore" if restore else "normalize")
+            for label in (0, 1):
+                stats = compute_stats(feats[label])
+                sigma = np.sqrt(np.maximum(np.diagonal(stats.cov), 1e-4))
+                keys = (feats[label] - stats.mean) / sigma
+                tokens = params.tokens[params.token_rows(label)]
+                weights = softmax_rows((tokens @ params.w_q) @ (keys @ params.w_k).T)
+                out = tokens + weights @ (keys @ params.w_v)
+                if restore:
+                    out = out @ np.diag(sigma) + stats.mean
+                np.testing.assert_array_equal(res.per_class[label].keys_in, keys)
+                np.testing.assert_array_equal(res.prototypes[label], out)
 
     def test_restore_off_skips_inverse_map(self):
         rng = derive_rng(20)
