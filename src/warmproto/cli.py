@@ -280,11 +280,10 @@ def cmd_ablate(args) -> None:
     cfg = load_experiment_config(args.config)
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
-    seed_runs = [[(replace(cfg.train, seed=seed), variant) for variant in ABLATION_GRID] for seed in cfg.seeds]
+    runs = [(replace(cfg.train, seed=seed), variant) for seed in cfg.seeds for variant in ABLATION_GRID]
     rows = [
-        [variant, seed, repr(float(report.qk_dist)), repr(float(report.miou))]
-        for seed, row in zip(cfg.seeds, run_grid(seed_runs, cfg.generator, episodes, worker_cap()))
-        for variant, (_, report) in zip(ABLATION_GRID, row)
+        [run.variant, run.cfg.seed, repr(float(report.qk_dist)), repr(float(report.miou))]
+        for run, report in run_grid(runs, cfg.generator, episodes, worker_cap())
     ]
     write_csv(out / "ablation.csv", ["variant", "seed", "qk_dist", "miou"], rows)
     write_sidecar(out / "ablation_config.json", "ablate", cfg)
@@ -298,10 +297,10 @@ def cmd_token_sweep(args) -> None:
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
     counts = [int(m) for m in cfg.token_counts]
-    seed_runs = [[(replace(cfg.train, seed=seed, num_tokens=m), cfg.method) for m in counts] for seed in cfg.seeds]
-    grid = run_grid(seed_runs, cfg.generator, episodes, worker_cap())
+    runs = [(replace(cfg.train, seed=seed, num_tokens=m), cfg.method) for seed in cfg.seeds for m in counts]
+    mious = [report.miou for _, report in run_grid(runs, cfg.generator, episodes, worker_cap())]
     # per token count, one mIoU per seed in seed order
-    scores = zip(*[[report.miou for _, report in row] for row in grid])
+    scores = [mious[i :: len(counts)] for i in range(len(counts))]
     rows = [[m, repr(float(np.mean(s))), repr(float(np.std(s)))] for m, s in zip(counts, scores)]
     write_csv(out / "token_sweep.csv", ["M", "miou_mean", "miou_std"], rows)
     write_sidecar(out / "token_sweep_config.json", "token-sweep", cfg)

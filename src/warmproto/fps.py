@@ -95,7 +95,8 @@ def evaluate_fps(episodes: list[Episode], count: int, seed: int) -> MetricsRepor
     """Run the baseline over an episode batch with one sweep seed, plus
     the dispersion metrics of the batch."""
     (report,) = _sweep_reports(episodes, count, [int(seed)])
-    return replace(report, **dispersion_metrics([s for episode in episodes for s in fg_summaries(episode)]))
+    summaries = [s for e in episodes for s in fg_summaries(e.pooled_support_by_class(), e.class_ids)]
+    return replace(report, **dispersion_metrics(summaries))
 
 
 @dataclass

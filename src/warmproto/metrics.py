@@ -11,11 +11,11 @@ the attention head, which ``trainer.evaluate`` reads off the forward trace.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .episodes import Episode
 from .errors import ArgumentError, UndefinedMetricError
 
 
@@ -76,14 +76,16 @@ class FgSummary:
     instance_dispersion: float
 
 
-def fg_summaries(episode: Episode) -> list[FgSummary]:
-    pooled = episode.pooled_support_by_class()
+def fg_summaries(pooled: dict[int, np.ndarray], class_ids: Sequence[int]) -> list[FgSummary]:
+    """One summary per foreground way of an episode, from its support
+    features pooled per class over the shots (``pooled_support_by_class``:
+    way w is class w + 1) and its ``class_ids``."""
     out = []
-    for way in range(episode.n_way):
+    for way, class_id in enumerate(class_ids):
         feats = pooled[way + 1]
         mu = feats.mean(axis=0)
         disp = float(np.mean(np.linalg.norm(feats - mu, axis=1)))
-        out.append(FgSummary(episode.class_ids[way], mu, disp))
+        out.append(FgSummary(class_id, mu, disp))
     return out
 
 

@@ -17,10 +17,9 @@ import signal
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby, islice, product
-from operator import itemgetter
 
 import numpy as np
 
@@ -161,13 +160,20 @@ def episode_forward(
     return average_shots([s.prototypes for s in shots]), shots
 
 
+def pooled_shots(support: list[ShotSupport]) -> dict[int, np.ndarray]:
+    """Each class's support features of an ``episode_support``, pooled
+    over the shots in shot order: ``Episode.pooled_support_by_class``
+    without splitting the episode again."""
+    return {label: np.vstack([shot.features[label] for shot in support]) for label in support[0].features}
+
+
 def episode_loss(
     protos: dict[int, np.ndarray], query: list[PointCloud], support: list[ShotSupport], lam: float, margin: float
 ) -> tuple[float, float, float, dict[int, np.ndarray]]:
     """Margin loss over an episode's query clouds, support-coverage loss
     and their total margin + lam * coverage, with the total's gradient
     per class prototype matrix. Coverage reads the shots' support
-    features (``episode_support``) pooled per class in shot order."""
+    features (``episode_support``) pooled per class (``pooled_shots``)."""
     grad_by_class = {label: np.zeros_like(p) for label, p in protos.items()}
     margin_total = 0.0
     for cloud in query:
@@ -176,8 +182,7 @@ def episode_loss(
         margin_total += loss
         for label, g in grads.items():
             grad_by_class[label] += g
-    pooled = {label: np.vstack([shot.features[label] for shot in support]) for label in support[0].features}
-    sim, sim_grads = simplification_loss_and_grad(pooled, protos)
+    sim, sim_grads = simplification_loss_and_grad(pooled_shots(support), protos)
     for label, g in sim_grads.items():
         grad_by_class[label] += lam * g
     return margin_total, sim, margin_total + lam * sim, grad_by_class
@@ -187,8 +192,9 @@ def episode_loss(
 class TrainRun:
     """One run's evolving state: parameters, optimizer moments, log rows
     (step, margin loss, simplification loss, total loss, gradient norm,
-    learning rate) and wall milliseconds per step. ``run_grid`` returns
-    its runs without the moments (``state`` None)."""
+    learning rate) and wall milliseconds per step. ``train_grid`` returns
+    its runs without the spent moments (``state`` None): nothing reads
+    them after training."""
 
     cfg: TrainConfig
     variant: str
@@ -233,48 +239,58 @@ class TrainRun:
 def train_grid(
     runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig, workers: int = 1
 ) -> list[TrainRun]:
-    """Train several (config, variant) runs of one seed in lockstep.
+    """Train (config, variant) runs, each bit-identical to a standalone
+    ``train`` of it, at any worker count; the runs come back in order,
+    without their spent optimizer moments.
 
     The training episode depends only on (seed, step) and the generator,
-    so each step's episode and its ``episode_support`` are computed once
-    and every run steps on them, whatever its variant. Runs must share
-    the seed and the step count. Each run is bit-identical to a
-    standalone ``train`` of the same run, at any worker count. With more
-    than one worker the episodes and their support come from a forked
-    producer (``_forked``) while the runs step, so a step does only
-    parameter work; a run's wall time per step counts the wait for them,
-    with one worker their computation.
+    so each contiguous group of runs that share the seed and the step
+    count trains in lockstep: each step's episode and its
+    ``episode_support`` are computed once and every run of the group
+    steps on them, whatever its variant. With more than one worker the
+    episodes and their support come from a forked producer (``_forked``)
+    while the runs step, so a step does only parameter work; a run's wall
+    time per step counts the wait for them, with one worker their
+    computation.
     """
-    if not runs:
-        raise ArgumentError("grid needs at least one run")
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
+    _check_runs(runs, gen_cfg)
+    trained = []
+    for (seed, steps), group in groupby(runs, key=lambda run: (run[0].seed, run[0].total_steps)):
+        states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in group]
+        produce = partial(map, partial(_training_episode, gen_cfg, seed), range(steps))
+        with _forked(produce) if workers > 1 else nullcontext(produce()) as episodes:
+            for step in range(steps):
+                started = time.perf_counter()
+                query, support = next(episodes)
+                gen_ms = (time.perf_counter() - started) * 1e3
+                for run in states:
+                    run_started = time.perf_counter()
+                    run.step(query, support, step)
+                    run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
+        for run in states:
+            run.state = None
+        trained += states
+    return trained
+
+
+def _check_runs(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) -> None:
+    """Reject an empty grid, or one with an invalid config or variant, before any run trains."""
+    if not runs:
+        raise ArgumentError("grid needs at least one run")
     for cfg, _ in runs:
         cfg.validate()
     gen_cfg.validate()
     for _, variant in runs:
         resolve_variant(variant)
-    first = runs[0][0]
-    if any((cfg.seed, cfg.total_steps) != (first.seed, first.total_steps) for cfg, _ in runs):
-        raise ArgumentError("grid runs must share the seed and the step count")
-    states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in runs]
 
-    def draw(step: int) -> tuple[list[PointCloud], list[ShotSupport]]:
-        # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
-        episode = gen_episode(gen_cfg, derive_rng(first.seed, _TRAIN_STREAM, step), split="base")
-        return episode.query, episode_support(episode)
 
-    produce = partial(map, draw, range(first.total_steps))
-    with _forked(produce) if workers > 1 else nullcontext(produce()) as episodes:
-        for step in range(first.total_steps):
-            started = time.perf_counter()
-            query, support = next(episodes)
-            gen_ms = (time.perf_counter() - started) * 1e3
-            for run in states:
-                run_started = time.perf_counter()
-                run.step(query, support, step)
-                run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
-    return states
+def _training_episode(gen_cfg: GeneratorConfig, seed: int, step: int) -> tuple[list[PointCloud], list[ShotSupport]]:
+    """The query clouds and ``episode_support`` of training step ``step`` of seed ``seed``."""
+    # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
+    episode = gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
+    return episode.query, episode_support(episode)
 
 
 @contextmanager
@@ -389,7 +405,7 @@ def _score_episode(runs: Sequence[tuple[WarmParams, str]], episode: Episode) -> 
                     diversities.append(attention_diversity(trace.weights))
                 qk_dists.append(float(pairwise_distances(trace.q, trace.k).mean()))
         scores.append((miou(preds, truths, range(episode.n_way + 1)), entropies, diversities, qk_dists))
-    return scores, fg_summaries(episode)
+    return scores, fg_summaries(pooled_shots(support), episode.class_ids)
 
 
 def evaluate(
@@ -408,8 +424,9 @@ def evaluate(
     per episode, the batch cut into at most ``workers`` contiguous slices,
     each scored in its own forked child (``_fork_map``) that inherits the
     runs and the batch; only the per-episode values come back, in episode
-    order, before any mean is taken, so the result does not depend on the
-    worker count.
+    order, before any mean is taken, so neither the result nor the error
+    raised, the first in (episode, run) order, depends on the worker count.
+    ``run_grid`` scores a whole grid in one call.
     """
     if not episodes:
         raise ArgumentError("evaluation needs at least one episode")
@@ -438,23 +455,6 @@ def evaluate(
             )
         )
     return reports
-
-
-def _grid_slice(
-    part: Sequence[tuple[int, tuple[TrainConfig, str]]], gen_cfg: GeneratorConfig, episodes: list[Episode]
-) -> list[tuple[TrainRun, MetricsReport]]:
-    """Train a part of a flattened grid, given as (seed group, run) pairs,
-    one seed group at a time in lockstep (``train_grid``), and score the
-    group's runs in this process on the batch in one ``evaluate`` call.
-    Training forks no episode producer: grid parts already own the CPUs."""
-    done = []
-    for _, group in groupby(part, key=itemgetter(0)):
-        runs = [run for _, run in group]
-        trained = train_grid(runs, gen_cfg)
-        reports = evaluate([(run.params, run.variant) for run in trained], episodes)
-        # spent moments are left behind: they would double what a worker sends back
-        done += [(replace(run, state=None), report) for run, report in zip(trained, reports)]
-    return done
 
 
 def _slices(items: Sequence, count: int) -> list[Sequence]:
@@ -489,28 +489,25 @@ def _fork_map(func: Callable[[Sequence], list], items: Sequence, workers: int) -
 
 
 def run_grid(
-    seed_runs: list[list[tuple[TrainConfig, str]]],
+    runs: list[tuple[TrainConfig, str]],
     gen_cfg: GeneratorConfig,
     episodes: list[Episode],
     workers: int = 1,
-) -> list[list[tuple[TrainRun, MetricsReport]]]:
-    """Train and score a grid given as one list of (config, variant) runs
-    per seed; returns (trained run, metrics report) pairs in the same shape.
+) -> list[tuple[TrainRun, MetricsReport]]:
+    """Train and score a grid of (config, variant) runs; returns one
+    (trained run, metrics report) pair per run, in run order.
 
-    The (seed, run) pairs of all seeds are cut once into at most
-    ``workers`` contiguous parts, and each part runs ``_grid_slice`` in
-    a forked child of ``_fork_map``, which inherits ``episodes`` rather
-    than receives it over a pipe. A seed cut between two parts trains in
-    both. Training and evaluation inside a part stay in its process, so
-    workers never nest. The numbers do not depend on the worker count:
-    every run is bit-identical to a standalone ``train`` plus
-    ``evaluate``, and when parts fail, the error of the first one in
-    (seed, run) order is raised. Workers keep this process's BLAS thread
-    count, which the import pins to one, so ``cli.worker_cap`` gives one
-    worker per CPU this process may use.
+    ``train_grid`` trains the runs in at most ``workers`` contiguous
+    parts, each in a forked child of ``_fork_map`` (a seed cut between
+    two parts trains in both); then one ``evaluate`` call on ``workers``
+    scores every run, so each episode's support is built once for the
+    whole grid. Every run is bit-identical to a standalone ``train`` plus
+    ``evaluate`` at any worker count. The error raised is that of the
+    first failing part in run order, else the first scoring error in
+    (episode, run) order. Workers keep this process's BLAS thread count,
+    which the import pins to one, so ``cli.worker_cap`` gives one worker
+    per CPU this process may use.
     """
-    if not seed_runs or not all(seed_runs):
-        raise ArgumentError("grid needs at least one run per seed")
-    flat = [(group, run) for group, runs in enumerate(seed_runs) for run in runs]
-    done = iter(_fork_map(partial(_grid_slice, gen_cfg=gen_cfg, episodes=episodes), flat, workers))
-    return [[next(done) for _ in runs] for runs in seed_runs]
+    _check_runs(runs, gen_cfg)
+    trained = _fork_map(partial(train_grid, gen_cfg=gen_cfg), runs, workers)
+    return list(zip(trained, evaluate([(run.params, run.variant) for run in trained], episodes, workers)))

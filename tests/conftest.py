@@ -55,9 +55,9 @@ def graded(default_gen, bench_episodes):
             if key not in cache:
                 by_seed.setdefault(seed, {}).setdefault(key, (TrainConfig(seed=seed), variant))
         if by_seed:
-            grid = run_grid([list(runs.values()) for runs in by_seed.values()], default_gen, bench_episodes, worker_cap())
-            for runs, results in zip(by_seed.values(), grid):
-                cache.update(zip(runs, results))
+            # seed-major, so each seed's runs train in lockstep
+            missing = {key: run for runs in by_seed.values() for key, run in runs.items()}
+            cache.update(zip(missing, run_grid(list(missing.values()), default_gen, bench_episodes, worker_cap())))
         return [cache[resolve_variant(variant), seed] for variant, seed in pairs]
 
     return get

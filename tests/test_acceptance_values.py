@@ -76,8 +76,8 @@ if __name__ == "__main__":
         raise SystemExit("numpy was loaded before warmproto, so BLAS runs at a thread count these values do not use")
     gen = GeneratorConfig()
     episodes = make_eval_episodes(gen, 100, EVAL_SEED)
-    grid = run_grid([[(TrainConfig(seed=s), v) for v in ABLATION_GRID] for s in SEEDS], gen, episodes, worker_cap())
-    results = {(v, s): result for s, row in zip(SEEDS, grid) for v, result in zip(ABLATION_GRID, row)}
+    runs = [(TrainConfig(seed=s), v) for s in SEEDS for v in ABLATION_GRID]
+    results = {(v, cfg.seed): result for (cfg, v), result in zip(runs, run_grid(runs, gen, episodes, worker_cap()))}
     # "warm" is the same (transform, restore) pair as "whiten+restore"
     warm = results["whiten+restore", 0][0].params
     sweep = fps_seed_sweep(episodes, FPS_BASELINE_TOKENS, range(100))

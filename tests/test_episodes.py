@@ -158,7 +158,8 @@ class TestGenEpisode:
         )
         summaries = []
         for i in range(100):
-            summaries.extend(fg_summaries(gen_episode(cfg, derive_rng(i))))
+            ep = gen_episode(cfg, derive_rng(i))
+            summaries.extend(fg_summaries(ep.pooled_support_by_class(), ep.class_ids))
         rep = dispersion_metrics(summaries)
         assert rep["d_inter"] is not None and rep["d_intra"] is not None
         assert rep["d_inter"] > rep["d_intra"] > 0
@@ -169,7 +170,8 @@ class TestGenEpisode:
         cfg = GeneratorConfig()
         summaries = []
         for i in range(100):
-            summaries.extend(fg_summaries(gen_episode(cfg, derive_rng(i))))
+            ep = gen_episode(cfg, derive_rng(i))
+            summaries.extend(fg_summaries(ep.pooled_support_by_class(), ep.class_ids))
         rep = dispersion_metrics(summaries)
         assert rep["d_inter"] > rep["d_intra"] > 0
         token_dispersion = 0.02 * np.sqrt(2 * cfg.feature_dim)

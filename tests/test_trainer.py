@@ -13,6 +13,7 @@ import pytest
 from warmproto import GeneratorConfig, TrainConfig, apply_update, derive_rng, evaluate, init_params, train
 from warmproto import trainer, warm
 from warmproto.cli import main
+from warmproto.episodes import Episode
 from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from warmproto.trainer import TrainRun, init_optimizer, lr_at, make_eval_episodes, run_grid, train_grid
 from warmproto.warm import ABLATION_GRID, PARAM_NAMES, load_checkpoint, params_as_dict
@@ -173,11 +174,25 @@ class TestTrainGrid:
             assert grid.log == alone.log
             assert len(grid.wall) == 6
 
-    def test_runs_must_share_seed_and_steps(self):
-        with pytest.raises(ArgumentError):
-            train_grid([(FAST, "warm"), (replace(FAST, seed=1), "warm")], DESK)
-        with pytest.raises(ArgumentError):
-            train_grid([(FAST, "warm"), (replace(FAST, epochs=2), "warm")], DESK)
+    def test_mixed_seeds_and_lengths_equal_standalone_train(self):
+        # four lockstep groups: seed 1 at two lengths, then seed 0 again after seed 1
+        runs = [
+            (FAST, "warm"),
+            (FAST, "naive"),
+            (replace(FAST, seed=1), "whiten"),
+            (replace(FAST, seed=1, epochs=2), "center+restore"),
+            (FAST, "normalize"),
+        ]
+        for workers in (1, 2):
+            for (run_cfg, variant), grid in zip(runs, train_grid(runs, DESK, workers), strict=True):
+                alone = train(run_cfg, DESK, variant=variant)
+                for name in PARAM_NAMES:
+                    np.testing.assert_array_equal(getattr(grid.params, name), getattr(alone.params, name))
+                assert grid.log == alone.log and len(grid.wall) == run_cfg.total_steps
+                assert grid.state is None
+            assert multiprocessing.active_children() == []
+
+    def test_rejects_empty_grid(self):
         with pytest.raises(ArgumentError):
             train_grid([], DESK)
 
@@ -251,42 +266,39 @@ class TestEpisodeProducer:
 
 
 class TestRunGrid:
-    SEED_RUNS = [
-        [(replace(FAST, seed=seed), v) for v in ("naive", "whiten", "center+restore", "warm", "normalize")]
-        for seed in (2, 9)
+    RUNS = [
+        (replace(FAST, seed=seed), v) for seed in (2, 9) for v in ("naive", "whiten", "center+restore", "warm", "normalize")
     ]
 
     def test_same_results_at_every_worker_count(self, tmp_path, monkeypatch):
-        # forked workers inherit the patch and leave one file per evaluated run
-        real = trainer.evaluate
+        # forked workers inherit the patch and leave one file per scored run and episode
+        real = trainer._score_episode
 
-        def recording(runs, episodes):
+        def recording(runs, episode):
             for params, variant in runs:
                 (tmp_path / f"{os.getpid()}-{variant}-{params.tokens[0, 0]!r}").touch()
-            return real(runs, episodes)
+            return real(runs, episode)
 
-        monkeypatch.setattr(trainer, "evaluate", recording)
+        monkeypatch.setattr(trainer, "_score_episode", recording)
         episodes = make_eval_episodes(DESK, 3, 77)
-        reference = run_grid(self.SEED_RUNS, DESK, episodes, workers=1)
+        reference = run_grid(self.RUNS, DESK, episodes, workers=1)
         assert {p.name.split("-")[0] for p in tmp_path.iterdir()} == {str(os.getpid())}
-        for runs, row in zip(self.SEED_RUNS, reference):
-            for (cfg, variant), (result, scored) in zip(runs, row):
-                alone = train(cfg, DESK, variant=variant)
-                np.testing.assert_array_equal(result.params.tokens, alone.params.tokens)
-                assert scored == real([(alone.params, variant)], episodes)[0]
+        for (cfg, variant), (result, scored) in zip(self.RUNS, reference, strict=True):
+            alone = train(cfg, DESK, variant=variant)
+            np.testing.assert_array_equal(result.params.tokens, alone.params.tokens)
+            assert scored == evaluate([(alone.params, variant)], episodes)[0]
         for workers in (2, 3):
             for path in tmp_path.iterdir():
                 path.unlink()
-            grid = run_grid(self.SEED_RUNS, DESK, episodes, workers=workers)
+            grid = run_grid(self.RUNS, DESK, episodes, workers=workers)
             pids = {p.name.split("-")[0] for p in tmp_path.iterdir()}
             assert 0 < len(pids) <= workers and str(os.getpid()) not in pids
-            assert multiprocessing.active_children() == []  # the pool was joined
-            for row, ref_row in zip(grid, reference):
-                for (result, scored), (ref_result, ref_scored) in zip(row, ref_row):
-                    for name in PARAM_NAMES:
-                        np.testing.assert_array_equal(getattr(result.params, name), getattr(ref_result.params, name))
-                    assert result.log == ref_result.log
-                    assert scored == ref_scored
+            assert multiprocessing.active_children() == []  # the workers were joined
+            for (result, scored), (ref_result, ref_scored) in zip(grid, reference, strict=True):
+                for name in PARAM_NAMES:
+                    np.testing.assert_array_equal(getattr(result.params, name), getattr(ref_result.params, name))
+                assert result.log == ref_result.log
+                assert scored == ref_scored
 
     def test_worker_error_is_the_first_in_run_order(self, monkeypatch):
         real = trainer.episode_forward
@@ -302,16 +314,16 @@ class TestRunGrid:
         messages = []
         for workers in (1, 2, 3):
             with pytest.raises(NumericError) as err:
-                run_grid(self.SEED_RUNS, DESK, episodes, workers=workers)
+                run_grid(self.RUNS, DESK, episodes, workers=workers)
             messages.append(str(err.value))
         assert "'center+restore'" in messages[0] and "seed=2" in messages[0]
         assert messages == [messages[0]] * 3
 
     def test_pairs_of_all_seeds_are_cut_once(self, tmp_path, monkeypatch):
         # 21 pairs on 2 workers are cut 11+10, so seed 1 trains in both and 4 episode streams are drawn
-        seed_runs = [[(replace(FAST, episodes_per_epoch=3, seed=seed), v) for v in ABLATION_GRID] for seed in range(3)]
+        runs = [(replace(FAST, episodes_per_epoch=3, seed=seed), v) for seed in range(3) for v in ABLATION_GRID]
         episodes = make_eval_episodes(DESK, 2, 77)
-        reference = run_grid(seed_runs, DESK, episodes, workers=1)
+        reference = run_grid(runs, DESK, episodes, workers=1)
         real = trainer.gen_episode
 
         # forked workers inherit the patch and mark each training episode in a file per process
@@ -321,17 +333,16 @@ class TestRunGrid:
             return real(cfg, rng, split=split)
 
         monkeypatch.setattr(trainer, "gen_episode", recording)
-        grid = run_grid(seed_runs, DESK, episodes, workers=2)
+        grid = run_grid(runs, DESK, episodes, workers=2)
         generated = {p.name: len(p.read_text()) for p in tmp_path.iterdir()}
         assert len(generated) <= 2 and str(os.getpid()) not in generated
         assert sum(generated.values()) == 4 * 3
         assert multiprocessing.active_children() == []
-        for row, ref_row in zip(grid, reference, strict=True):
-            for (result, scored), (ref_result, ref_scored) in zip(row, ref_row, strict=True):
-                for name in PARAM_NAMES:
-                    np.testing.assert_array_equal(getattr(result.params, name), getattr(ref_result.params, name))
-                assert result.log == ref_result.log
-                assert scored == ref_scored
+        for (result, scored), (ref_result, ref_scored) in zip(grid, reference, strict=True):
+            for name in PARAM_NAMES:
+                np.testing.assert_array_equal(getattr(result.params, name), getattr(ref_result.params, name))
+            assert result.log == ref_result.log
+            assert scored == ref_scored
 
     def test_interrupt_stops_the_workers(self, monkeypatch, wait_limit):
         parent, real = os.getpid(), trainer.train_grid
@@ -350,13 +361,13 @@ class TestRunGrid:
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            run_grid(self.SEED_RUNS, DESK, episodes, workers=2)
+            run_grid(self.RUNS, DESK, episodes, workers=2)
         assert time.monotonic() - started < 10
         assert multiprocessing.active_children() == []
 
-    def test_one_support_per_episode_serves_every_run(self, monkeypatch):
-        # 1-way 1-shot: two classes per support, so each of the 3 training
-        # episodes and 10 scored ones needs 2 statistics, whatever the runs
+    def stats_calls(self, monkeypatch, seeds):
+        """``compute_stats`` calls of a 3-step ``ABLATION_GRID`` over ``seeds``
+        seeds, scored on 10 episodes in this process."""
         real, calls = warm.compute_stats, []
 
         def counting(*args, **kwargs):
@@ -364,15 +375,24 @@ class TestRunGrid:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(warm, "compute_stats", counting)
-        seed_runs = [[(replace(FAST, episodes_per_epoch=3), variant) for variant in ABLATION_GRID]]
-        run_grid(seed_runs, DESK, make_eval_episodes(DESK, 10, 77), workers=1)
-        assert len(calls) == (3 + 10) * 2
+        runs = [(replace(FAST, episodes_per_epoch=3, seed=seed), v) for seed in range(seeds) for v in ABLATION_GRID]
+        run_grid(runs, DESK, make_eval_episodes(DESK, 10, 77), workers=1)
+        return len(calls)
+
+    def test_one_support_per_episode_serves_every_run(self, monkeypatch):
+        # 1-way 1-shot: two classes per support, so each of the 3 training
+        # episodes and 10 scored ones needs 2 statistics, whatever the runs
+        assert self.stats_calls(monkeypatch, 1) == (3 + 10) * 2
+
+    def test_one_support_per_episode_serves_every_seed(self, monkeypatch):
+        # each seed draws its own 3 training episodes; the 10 scored ones serve both seeds
+        assert self.stats_calls(monkeypatch, 2) == (2 * 3 + 10) * 2
 
     def test_rejects_empty_grid_and_bad_worker_count(self):
         episodes = make_eval_episodes(DESK, 1, 77)
-        for seed_runs, workers in (([], 1), ([[]], 1), (self.SEED_RUNS, 0)):
+        for runs, workers in (([], 1), (self.RUNS, 0)):
             with pytest.raises(ArgumentError):
-                run_grid(seed_runs, DESK, episodes, workers=workers)
+                run_grid(runs, DESK, episodes, workers=workers)
 
 
 class TestEvaluate:
@@ -400,6 +420,27 @@ class TestEvaluate:
             truth = np.concatenate([q.labels for q in ep.query])
             scores.append(miou(preds, truth, {0, 1})[0])
         assert np.mean(scores) > 0.99
+
+    def test_each_support_is_split_once(self, monkeypatch):
+        # 3-way 2-shot: one split per shot, shared by the forward passes of every run and the dispersion summaries
+        gen = GeneratorConfig(feature_dim=8, points_per_cloud=256, min_fg_points=16, n_way=3, k_shot=2)
+        episodes = make_eval_episodes(gen, 10, 19)
+        real, calls = Episode.support_features_by_class, []
+
+        def counting(episode, shot):
+            calls.append(None)
+            return real(episode, shot)
+
+        monkeypatch.setattr(Episode, "support_features_by_class", counting)
+        params = init_params(8, 6, derive_rng(8))
+        evaluate([(params, "warm"), (params, "naive")], episodes)
+        assert len(calls) == 10 * 2
+        monkeypatch.undo()
+        # the shared split pools to the same arrays as a fresh one
+        for ep in episodes:
+            pooled = ep.pooled_support_by_class()
+            for label, feats in trainer.pooled_shots(warm.episode_support(ep)).items():
+                np.testing.assert_array_equal(feats, pooled[label])
 
     def test_checkpoint_dim_mismatch(self):
         episodes = make_eval_episodes(DESK, 2, 11)
