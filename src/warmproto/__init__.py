@@ -46,6 +46,7 @@ if BLAS_PINNED:
 
 from .episodes import (  # noqa: E402
     Episode,
+    EpisodeBatch,
     GeneratorConfig,
     PointCloud,
     gen_episode,

@@ -24,12 +24,20 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_PINNED
-from .episodes import MAX_SIZE, GeneratorConfig, check_sizes, gen_episode, load_episode, save_episode
+from .episodes import (
+    MAX_SIZE,
+    EpisodeBatch,
+    GeneratorConfig,
+    check_sizes,
+    gen_episode,
+    load_episode,
+    read_header,
+    save_episode,
+)
 from .errors import ArgumentError, ConfigError, FormatError, NumericError
 from .files import atomic_write, json_int, write_csv
 from .fps import evaluate_fps, fps_seed_sweep
-from .rng import derive_rng
-from .trainer import EVAL_STREAM, TrainConfig, evaluate, make_eval_episodes, run_grid, train
+from .trainer import TrainConfig, eval_episode, evaluate, make_eval_episodes, run_grid, train
 from .warm import ABLATION_GRID, VARIANTS, load_checkpoint, save_checkpoint
 
 
@@ -170,25 +178,26 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _eval_batch(cfg: ExperimentConfig, data_dir):
+def _eval_batch(cfg: ExperimentConfig, data_dir, ways: bool = False) -> EpisodeBatch:
+    """The config's in-memory batch, or ``data_dir``'s episode files in
+    name order, each episode read or generated when it is scored. Only the
+    files' headers are read here: a bad header, or a D other than the
+    config's (the grids train at it), fails before any work, and with
+    ``ways`` an n_way other than the config's (it sets the IoU columns)."""
     if data_dir is None:
         return make_eval_episodes(cfg.generator, cfg.eval_episodes, cfg.eval_seed)
     paths = sorted(Path(data_dir).glob("*.warmep"))
     if not paths:
         raise ArgumentError(f"no .warmep episode files under {data_dir}")
-    episodes = [load_episode(p) for p in paths]
-    # the grids train at the config's D before they score the batch
-    _check_batch(episodes, "D", cfg.generator.feature_dim, lambda e: e.support[0].feature_dim)
-    return episodes
-
-
-def _check_batch(episodes, name: str, expected: int, value) -> None:
-    """Raise ConfigError at the first episode whose ``value(episode)``
-    differs from the config's ``expected``. ``eval`` and ``sweep-fps``
-    check the ways too: their per-class columns follow the config."""
-    for i, episode in enumerate(episodes):
-        if value(episode) != expected:
-            raise ConfigError(f"config has {name}={expected} but episode {i} has {name}={value(episode)}")
+    headers = [read_header(p) for p in paths]
+    checks = {"D": (cfg.generator.feature_dim, [h.feature_dim for h in headers])}
+    if ways:
+        checks["n_way"] = (cfg.generator.n_way, [h.n_way for h in headers])
+    for name, (expected, values) in checks.items():
+        for i, value in enumerate(values):
+            if value != expected:
+                raise ConfigError(f"config has {name}={expected} but episode {i} has {name}={value}")
+    return EpisodeBatch(load_episode, paths)
 
 
 def cmd_gen(args) -> None:
@@ -200,8 +209,7 @@ def cmd_gen(args) -> None:
         raise ArgumentError(f"{args.out} holds {stale[0]}, which a batch of {cfg.num_episodes} does not write")
     out = _out_dir(args)
     for i in range(cfg.num_episodes):
-        episode = gen_episode(cfg.generator, derive_rng(cfg.gen_seed, EVAL_STREAM, i), split="novel")
-        save_episode(episode, out / f"ep_{i:05d}.warmep")
+        save_episode(eval_episode(gen_episode, cfg.generator, cfg.gen_seed, i), out / f"ep_{i:05d}.warmep")
     write_sidecar(out / "generator_config.json", "gen", cfg)
     print(f"gen: wrote {cfg.num_episodes} episodes to {out}")
 
@@ -234,8 +242,7 @@ def cmd_eval(args) -> None:
     elif args.checkpoint is None:
         raise ConfigError(f"method {cfg.method!r} needs --checkpoint")
     out = _out_dir(args)
-    episodes = _eval_batch(cfg, args.data)
-    _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
+    episodes = _eval_batch(cfg, args.data, ways=True)
     if cfg.method == "fps-min-dist":
         report = evaluate_fps(episodes, cfg.fps_tokens, cfg.eval_seed)
     else:
@@ -257,8 +264,7 @@ def cmd_eval(args) -> None:
 def cmd_sweep_fps(args) -> None:
     cfg = load_experiment_config(args.config)
     out = _out_dir(args)
-    episodes = _eval_batch(cfg, args.data)
-    _check_batch(episodes, "n_way", cfg.generator.n_way, lambda e: e.n_way)
+    episodes = _eval_batch(cfg, args.data, ways=True)
     result = fps_seed_sweep(episodes, cfg.fps_tokens, range(cfg.fps_seeds))
     labels = list(range(cfg.generator.n_way + 1))
     rows = [

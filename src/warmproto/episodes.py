@@ -16,9 +16,12 @@ Labels are episode-local: 0 is background, way w is labeled w+1, and
 from __future__ import annotations
 
 import functools
+import os
 import struct
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +126,29 @@ class Episode:
             for label, feats in self.support_features_by_class(shot).items():
                 parts[label].append(feats)
         return {label: np.vstack(blocks) for label, blocks in parts.items()}
+
+
+class EpisodeBatch(Sequence):
+    """Episodes built only when read: item i is ``make(keys[i])``, such
+    as an episode file's path for ``load_episode``.
+
+    Nothing is kept: every read makes its episode again, so a reader
+    holds one episode at a time and a forked worker builds only those of
+    its own slice. A caller that reads the batch more than once and would
+    rather not rebuild it holds ``list(batch)``.
+    """
+
+    def __init__(self, make: Callable[..., Episode], keys: Sequence):
+        self.make, self.keys = make, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index: int) -> Episode:
+        return self.make(self.keys[index])
+
+    def __iter__(self) -> Iterator[Episode]:
+        return map(self.make, self.keys)
 
 
 @dataclass(frozen=True)
@@ -324,6 +350,49 @@ def save_episode(episode: Episode, path) -> None:
     atomic_write(path, b"".join(parts))
 
 
+class EpisodeHeader(NamedTuple):
+    """The sizes a WARM-EP1 header declares."""
+
+    n_way: int
+    k_shot: int
+    num_query: int
+    points: int
+    feature_dim: int
+
+
+def _check_header(data: bytes, size: int) -> EpisodeHeader:
+    """The header at the start of ``data``, the first bytes of a WARM-EP1
+    file of ``size`` bytes, after the checks that need nothing else: the
+    magic and version, no zero size, and a file size the sizes imply."""
+    if len(data) < _HEADER.size:
+        raise FormatError(f"truncated header: file has {size} bytes, header needs {_HEADER.size}", offset=size)
+    magic, version, n, k, u, l, d = _HEADER.unpack_from(data, 0)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported version {version}, expected {FORMAT_VERSION}", offset=8)
+    for name, value, off in (("N", n, 10), ("K", k, 14), ("U", u, 18), ("L", l, 22), ("D", d, 26)):
+        if value < 1:
+            raise FormatError(f"header field {name} must be >= 1, got {value}", offset=off)
+    expected = _HEADER.size + 4 * n + (n * k + u) * (8 * l * d + 4 * l)
+    if size != expected:
+        raise FormatError(
+            f"size mismatch: header (N={n}, K={k}, U={u}, L={l}, D={d}) implies "
+            f"{expected} bytes, file has {size}",
+            offset=min(expected, size),
+        )
+    return EpisodeHeader(n, k, u, l, d)
+
+
+def read_header(path) -> EpisodeHeader:
+    """A WARM-EP1 file's header, checked as ``load_episode`` checks it,
+    from its header bytes and its size alone: the body is not read."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+    return _check_header(head, size)
+
+
 def load_episode(path) -> Episode:
     """Read a WARM-EP1 container back into an Episode.
 
@@ -333,27 +402,7 @@ def load_episode(path) -> Episode:
     never yields a partial episode.
     """
     data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise FormatError(
-            f"truncated header: file has {len(data)} bytes, header needs {_HEADER.size}",
-            offset=len(data),
-        )
-    magic, version, n, k, u, l, d = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version}, expected {FORMAT_VERSION}", offset=8)
-    for name, value, off in (("N", n, 10), ("K", k, 14), ("U", u, 18), ("L", l, 22), ("D", d, 26)):
-        if value < 1:
-            raise FormatError(f"header field {name} must be >= 1, got {value}", offset=off)
-    cloud_bytes = 8 * l * d + 4 * l
-    expected = _HEADER.size + 4 * n + (n * k + u) * cloud_bytes
-    if len(data) != expected:
-        raise FormatError(
-            f"size mismatch: header (N={n}, K={k}, U={u}, L={l}, D={d}) implies "
-            f"{expected} bytes, file has {len(data)}",
-            offset=min(expected, len(data)),
-        )
+    n, k, u, l, d = _check_header(data, len(data))
     offset = _HEADER.size
     class_ids = [int(c) for c in np.frombuffer(data, dtype="<u4", count=n, offset=offset)]
     if len(set(class_ids)) != n:

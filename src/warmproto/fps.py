@@ -8,6 +8,7 @@ sweep varies.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .episodes import Episode
 from .errors import ArgumentError
 from .losses import point_distances, predict
-from .metrics import MetricsReport, dispersion_metrics, fg_summaries, mean_iou, miou
+from .metrics import FgSummary, MetricsReport, dispersion_metrics, fg_summaries, mean_iou, miou
 from .rng import derive_rng
 
 _FPS_STREAM = 300
@@ -69,18 +70,24 @@ def fps_prototypes(support: dict[int, np.ndarray], count: int, rng) -> dict[int,
     }
 
 
-def _sweep_reports(episodes: list[Episode], count: int, seeds: list[int]) -> list[MetricsReport]:
+def _sweep_reports(
+    episodes: Sequence[Episode], count: int, seeds: list[int], summaries: list[FgSummary] | None = None
+) -> list[MetricsReport]:
     """Per-seed scores over an episode batch, one report (mIoU and
-    per-class IoU only) per entry of ``seeds``.
+    per-class IoU only) per entry of ``seeds``; with ``summaries``, each
+    episode's foreground summaries (``fg_summaries``) are appended to it.
 
-    Episode-major: each episode's support is split once and shared by all
-    seeds. Episode i of seed s uses the independent stream (s, i), so the
-    batch is identical across seeds while the FPS starts vary, and the
-    loop order does not change a bit.
+    Episode-major, one pass: each episode is read once and its support
+    split once, shared by all seeds and the summaries. Episode i of seed s
+    uses the independent stream (s, i), so the batch is identical across
+    seeds while the FPS starts vary, and the loop order does not change a
+    bit.
     """
     ious = [[] for _ in seeds]
     for i, episode in enumerate(episodes):
         support = episode.pooled_support_by_class()
+        if summaries is not None:
+            summaries += fg_summaries(support, episode.class_ids)
         # free the split before scoring: peak memory then holds the split or a distance field, not both
         protos_by_seed = [fps_prototypes(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
         del support
@@ -91,11 +98,11 @@ def _sweep_reports(episodes: list[Episode], count: int, seeds: list[int]) -> lis
     return [MetricsReport(*mean_iou(seed_ious)) for seed_ious in ious]
 
 
-def evaluate_fps(episodes: list[Episode], count: int, seed: int) -> MetricsReport:
+def evaluate_fps(episodes: Sequence[Episode], count: int, seed: int) -> MetricsReport:
     """Run the baseline over an episode batch with one sweep seed, plus
-    the dispersion metrics of the batch."""
-    (report,) = _sweep_reports(episodes, count, [int(seed)])
-    summaries = [s for e in episodes for s in fg_summaries(e.pooled_support_by_class(), e.class_ids)]
+    the dispersion metrics of the batch, in one pass over it."""
+    summaries = []
+    (report,) = _sweep_reports(episodes, count, [int(seed)], summaries)
     return replace(report, **dispersion_metrics(summaries))
 
 
@@ -109,7 +116,7 @@ class SweepResult:
     stdev: float
 
 
-def fps_seed_sweep(episodes: list[Episode], count: int, seeds) -> SweepResult:
+def fps_seed_sweep(episodes: Sequence[Episode], count: int, seeds) -> SweepResult:
     """Evaluate the baseline once per seed on identical episodes.
 
     Only the FPS starts change between seeds; the summary reports the

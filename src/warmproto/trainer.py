@@ -19,11 +19,11 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, groupby, islice, product
+from itertools import chain, groupby, islice
 
 import numpy as np
 
-from .episodes import MAX_SIZE, Episode, GeneratorConfig, PointCloud, check_sizes, gen_episode
+from .episodes import MAX_SIZE, Episode, EpisodeBatch, GeneratorConfig, PointCloud, check_sizes, gen_episode
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from .losses import margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
@@ -53,7 +53,7 @@ from .warm import (
 
 _INIT_STREAM = 201
 _TRAIN_STREAM = 202
-EVAL_STREAM = 203  # also the stream `gen` writes, so gen+load reproduces in-memory batches
+_EVAL_STREAM = 203
 
 # moment decay rates and the denominator's stabilizer of the optimizer update
 _BETA1, _BETA2, _STAB_EPS = 0.9, 0.999, 1e-8
@@ -252,6 +252,10 @@ def train_grid(
     while the runs step, so a step does only parameter work; a run's wall
     time per step counts the wait for them, with one worker their
     computation.
+
+    The error raised is that of the first failing run in run order: the
+    runs of a group before a failed one keep stepping, the runs after it
+    stop. So a grid cut into parts anywhere raises the same error.
     """
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
@@ -261,14 +265,24 @@ def train_grid(
         states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in group]
         produce = partial(map, partial(_training_episode, gen_cfg, seed), range(steps))
         with _forked(produce) if workers > 1 else nullcontext(produce()) as episodes:
+            live, error = states, None
             for step in range(steps):
+                if not live:
+                    break
                 started = time.perf_counter()
                 query, support = next(episodes)
                 gen_ms = (time.perf_counter() - started) * 1e3
-                for run in states:
+                for i, run in enumerate(live):
                     run_started = time.perf_counter()
-                    run.step(query, support, step)
+                    try:
+                        run.step(query, support, step)
+                    except Exception as exc:
+                        # the runs after it need not train: their errors come later in run order
+                        live, error = live[:i], exc
+                        break
                     run.wall.append(gen_ms + (time.perf_counter() - run_started) * 1e3)
+            if error is not None:
+                raise error
         for run in states:
             run.state = None
         trained += states
@@ -376,14 +390,21 @@ def train(cfg: TrainConfig, gen_cfg: GeneratorConfig, variant: str = "warm", wor
     return run
 
 
-def make_eval_episodes(gen_cfg: GeneratorConfig, count: int, seed: int) -> list[Episode]:
-    """Deterministic evaluation batch of novel-class episodes: episode i
-    uses stream (seed, i)."""
+def eval_episode(generate: Callable[..., Episode], gen_cfg: GeneratorConfig, seed: int, index: int) -> Episode:
+    """Episode ``index`` of the evaluation batch of ``seed``: the novel-class
+    episode ``generate`` (a ``gen_episode``) draws from stream (seed, index).
+    ``gen`` writes these episodes and ``make_eval_episodes`` scores them,
+    so gen + load reproduces an in-memory batch."""
+    return generate(gen_cfg, derive_rng(seed, _EVAL_STREAM, index), split="novel")
+
+
+def make_eval_episodes(gen_cfg: GeneratorConfig, count: int, seed: int) -> EpisodeBatch:
+    """Deterministic evaluation batch of ``count`` novel-class episodes
+    (``eval_episode``), each generated when it is read, through the
+    ``gen_episode`` this module holds when the batch is made."""
     if count < 1:
         raise ArgumentError(f"count must be >= 1, got {count}")
-    return [
-        gen_episode(gen_cfg, derive_rng(seed, EVAL_STREAM, i), split="novel") for i in range(count)
-    ]
+    return EpisodeBatch(partial(eval_episode, gen_episode, gen_cfg, seed), range(count))
 
 
 def _score_episode(runs: Sequence[tuple[WarmParams, str]], episode: Episode) -> tuple:
@@ -409,7 +430,7 @@ def _score_episode(runs: Sequence[tuple[WarmParams, str]], episode: Episode) -> 
 
 
 def evaluate(
-    runs: Sequence[tuple[WarmParams, str]], episodes: list[Episode], workers: int = 1
+    runs: Sequence[tuple[WarmParams, str]], episodes: Sequence[Episode], workers: int = 1
 ) -> list[MetricsReport]:
     """Frozen-parameter evaluation of (parameters, variant) runs over an
     episode batch: one report per run, in run order.
@@ -423,23 +444,30 @@ def evaluate(
     Episodes are scored independently, every run on one ``episode_support``
     per episode, the batch cut into at most ``workers`` contiguous slices,
     each scored in its own forked child (``_fork_map``) that inherits the
-    runs and the batch; only the per-episode values come back, in episode
-    order, before any mean is taken, so neither the result nor the error
-    raised, the first in (episode, run) order, depends on the worker count.
-    ``run_grid`` scores a whole grid in one call.
+    runs and the batch. A worker reads its episodes one at a time and
+    drops each once scored, so an ``EpisodeBatch`` is loaded or generated
+    only in the worker that scores it. Only the per-episode values come
+    back, in episode order, before any mean is taken, so neither the
+    result nor the error raised, the first in (episode, run) order (a run
+    whose D differs from the episode's among them), depends on the worker
+    count. ``run_grid`` scores a whole grid in one call.
     """
     if not episodes:
         raise ArgumentError("evaluation needs at least one episode")
-    for (params, _), (i, episode) in product(runs, enumerate(episodes)):
-        if episode.support[0].feature_dim != params.feature_dim:
-            raise CheckpointError(
-                f"parameters have D={params.feature_dim} but episode {i} has D={episode.support[0].feature_dim}"
-            )
 
-    def score(part: Sequence[Episode]) -> list[tuple]:
-        return [_score_episode(runs, episode) for episode in part]
+    def score(part: range) -> list[tuple]:
+        scored = []
+        for i in part:
+            episode = episodes[i]
+            for params, _ in runs:
+                if episode.support[0].feature_dim != params.feature_dim:
+                    raise CheckpointError(
+                        f"parameters have D={params.feature_dim} but episode {i} has D={episode.support[0].feature_dim}"
+                    )
+            scored.append(_score_episode(runs, episode))
+        return scored
 
-    per_episode, summaries = zip(*_fork_map(score, episodes, workers))
+    per_episode, summaries = zip(*_fork_map(score, range(len(episodes)), workers))
     dispersion = dispersion_metrics(list(chain.from_iterable(summaries)))
     reports = []
     for scores in zip(*per_episode):
@@ -491,7 +519,7 @@ def _fork_map(func: Callable[[Sequence], list], items: Sequence, workers: int) -
 def run_grid(
     runs: list[tuple[TrainConfig, str]],
     gen_cfg: GeneratorConfig,
-    episodes: list[Episode],
+    episodes: Sequence[Episode],
     workers: int = 1,
 ) -> list[tuple[TrainRun, MetricsReport]]:
     """Train and score a grid of (config, variant) runs; returns one
@@ -503,7 +531,7 @@ def run_grid(
     scores every run, so each episode's support is built once for the
     whole grid. Every run is bit-identical to a standalone ``train`` plus
     ``evaluate`` at any worker count. The error raised is that of the
-    first failing part in run order, else the first scoring error in
+    first failing run in run order, else the first scoring error in
     (episode, run) order. Workers keep this process's BLAS thread count,
     which the import pins to one, so ``cli.worker_cap`` gives one worker
     per CPU this process may use.

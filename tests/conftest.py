@@ -32,8 +32,9 @@ def default_gen():
 
 @pytest.fixture(scope="session")
 def bench_episodes(default_gen):
-    """The default evaluation benchmark: 100 novel-class episodes."""
-    return make_eval_episodes(default_gen, 100, EVAL_SEED)
+    """The default evaluation benchmark: 100 novel-class episodes, held
+    in a list, since the fixtures score it many times."""
+    return list(make_eval_episodes(default_gen, 100, EVAL_SEED))
 
 
 @pytest.fixture(scope="session")

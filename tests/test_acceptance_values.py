@@ -75,7 +75,7 @@ if __name__ == "__main__":
     if not warmproto.BLAS_PINNED:
         raise SystemExit("numpy was loaded before warmproto, so BLAS runs at a thread count these values do not use")
     gen = GeneratorConfig()
-    episodes = make_eval_episodes(gen, 100, EVAL_SEED)
+    episodes = list(make_eval_episodes(gen, 100, EVAL_SEED))  # scored by the grid and the sweep
     runs = [(TrainConfig(seed=s), v) for s in SEEDS for v in ABLATION_GRID]
     results = {(v, cfg.seed): result for (cfg, v), result in zip(runs, run_grid(runs, gen, episodes, worker_cap()))}
     # "warm" is the same (transform, restore) pair as "whiten+restore"

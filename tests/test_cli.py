@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -736,6 +737,78 @@ class TestEvalWorkers:
             assert multiprocessing.active_children() == []
         assert messages[1] == "numeric failure: non-finite score in episode 1\n"
         assert messages[2] == messages[1] and messages[3] == messages[1]
+
+
+class TestStreamedBatch:
+    """Of ``--data``'s files only the headers are read before any work;
+    each episode's body is read where it is scored, once."""
+
+    def _batch(self, tmp_path, monkeypatch):
+        """A 4-file batch scored on 2 workers: the config, the data and ``eval``'s argv."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, eval_episodes=4, num_episodes=4)))
+        data = tmp_path / "data"
+        assert main(["gen", "--config", str(path), "--out", str(data)]) == 0
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint, init_params(8, 6, derive_rng(0)), seed=0)
+        use_workers(monkeypatch, 2)
+        argv = ["eval", "--config", str(path), "--checkpoint", str(checkpoint), "--data", str(data)]
+        return path, data, argv + ["--out", str(tmp_path / "o")]
+
+    def test_workers_load_their_own_episodes_once(self, tmp_path, monkeypatch):
+        _, data, argv = self._batch(tmp_path, monkeypatch)
+        loads, real = tmp_path / "loads", cli.load_episode
+        loads.mkdir()
+
+        # forked workers inherit the patch and log each load in a file per process
+        def recording(path):
+            with (loads / str(os.getpid())).open("a") as fh:
+                fh.write(Path(path).name + "\n")
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_episode", recording)
+        assert main(argv) == 0
+        assert multiprocessing.active_children() == []
+        by_pid = {p.name: p.read_text().split() for p in loads.iterdir()}
+        assert len(by_pid) == 2 and str(os.getpid()) not in by_pid
+        assert sorted(sum(by_pid.values(), [])) == sorted(p.name for p in data.glob("*.warmep"))
+
+    def test_body_error_in_a_worker_exit_3_one_line(self, tmp_path, monkeypatch, capfd, wait_limit):
+        _, data, argv = self._batch(tmp_path, monkeypatch)
+        third = data / "ep_00002.warmep"
+        raw = bytearray(third.read_bytes())
+        raw[34:42] = struct.pack("<d", float("nan"))  # the first feature, after the header and one class id
+        third.write_bytes(bytes(raw))
+        capfd.readouterr()
+        assert main(argv) == 3
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr().err == "io/format failure: non-finite feature value in cloud 0 (byte offset 34)\n"
+
+    @pytest.mark.parametrize("defect, code", [("truncated", 3), ("D=16", 1)])
+    def test_ablate_rejects_a_bad_header_before_training(self, tmp_path, monkeypatch, capfd, defect, code):
+        path, data, _ = self._batch(tmp_path, monkeypatch)
+        last = data / "ep_00003.warmep"
+        if defect == "truncated":
+            last.write_bytes(last.read_bytes()[:-1])
+        else:
+            other = tmp_path / "d16.json"
+            generator = dict(SMALL_CONFIG["generator"], feature_dim=16)
+            other.write_text(json.dumps(dict(SMALL_CONFIG, generator=generator, num_episodes=4)))
+            assert main(["gen", "--config", str(other), "--out", str(tmp_path / "d16")]) == 0
+            last.write_bytes((tmp_path / "d16" / last.name).read_bytes())
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a run trained before the batch was checked")
+
+        monkeypatch.setattr(trainer, "train_grid", no_training)
+        capfd.readouterr()
+        assert main(["ablate", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "a")]) == code
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if defect == "truncated":
+            assert err.startswith("io/format failure: size mismatch: header (N=1, K=1, U=1, L=128, D=8) implies ")
+        else:
+            assert err == "error: config has D=8 but episode 3 has D=16\n"
 
 
 class TestTrainWorkers:

@@ -17,7 +17,7 @@ from warmproto import (
     save_episode,
     split_fg_bg,
 )
-from warmproto.episodes import PointCloud, class_center
+from warmproto.episodes import EpisodeBatch, EpisodeHeader, PointCloud, class_center, read_header
 from warmproto.errors import ArgumentError, ConfigError, EmptyClassError, FormatError
 from warmproto.metrics import dispersion_metrics, fg_summaries
 
@@ -296,6 +296,16 @@ class TestEpisodeFile:
         l, d = TWO_WAY.points_per_cloud, TWO_WAY.feature_dim
         assert err.value.offset == 30 + 4 * 2 + 3 * (8 * l * d + 4 * l) + 8 * l * d
 
+    def test_header_is_read_without_the_body(self, tmp_path):
+        ep = gen_episode(TWO_WAY, derive_rng(30))
+        ep.query[0].features[5, 2] = np.inf  # bypasses PointCloud's own check
+        path = tmp_path / "ep.warmep"
+        save_episode(ep, path)
+        assert read_header(path) == EpisodeHeader(n_way=2, k_shot=2, num_query=1, points=128, feature_dim=8)
+        with pytest.raises(FormatError) as err:
+            load_episode(path)
+        assert "non-finite feature value in cloud 4" in str(err.value)
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ep.warmep"
         save_episode(gen_episode(SMALL, derive_rng(28)), path)
@@ -345,3 +355,41 @@ def test_mutated_container_is_format_error_or_valid_episode(fuzz_file, data):
     # Episode validates itself on construction; check the shapes it holds too
     assert len(episode.support) == episode.n_way * episode.k_shot
     assert all(c.feature_dim == episode.support[0].feature_dim for c in episode.support + episode.query)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_header_checks_are_load_episodes(fuzz_file, data):
+    # read_header fails with load_episode's error, or passes a file whose body load_episode parses
+    path, valid = fuzz_file
+    path.write_bytes(data.draw(mutated(valid)))
+    try:
+        header = read_header(path)
+    except FormatError as err:
+        with pytest.raises(FormatError) as loaded:
+            load_episode(path)
+        assert str(loaded.value) == str(err) and loaded.value.offset == err.offset
+        return
+    try:
+        episode = load_episode(path)
+    except FormatError as err:
+        assert err.offset >= 30  # a body defect
+        return
+    assert header == (episode.n_way, episode.k_shot, len(episode.query), *episode.support[0].features.shape)
+
+
+class TestEpisodeBatch:
+    def test_items_are_made_when_read(self):
+        made = []
+
+        def make(key):
+            made.append(key)
+            return gen_episode(SMALL, derive_rng(key))
+
+        batch = EpisodeBatch(make, range(3, 7))
+        assert len(batch) == 4 and made == []
+        assert batch[1].class_ids == gen_episode(SMALL, derive_rng(4)).class_ids
+        assert [e.class_ids for e in batch] == [gen_episode(SMALL, derive_rng(k)).class_ids for k in range(3, 7)]
+        assert made == [4, 3, 4, 5, 6]  # nothing is kept
+        with pytest.raises(IndexError):
+            batch[4]

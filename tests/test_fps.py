@@ -14,6 +14,7 @@ from warmproto import (
     point_distances,
     predict,
 )
+from warmproto.episodes import Episode
 from warmproto.errors import ArgumentError, EmptyClassError
 from warmproto.fps import evaluate_fps, fps_prototypes, fps_seed_sweep
 from warmproto.trainer import make_eval_episodes
@@ -244,3 +245,18 @@ class TestFpsSeedSweep:
                 scores.append(miou(preds, truth, range(cfg.n_way + 1))[0])
             assert row.miou == float(np.mean(scores))
         assert res.reports[0] == res.reports[2]
+
+    def test_evaluate_fps_splits_each_episode_once(self, monkeypatch):
+        # the seed's scores and the dispersion summaries share one split per episode
+        cfg = GeneratorConfig(feature_dim=8, points_per_cloud=256, min_fg_points=16, n_way=3, k_shot=2)
+        episodes = list(make_eval_episodes(cfg, 10, 31))
+        expected = evaluate_fps(episodes, 5, 4)
+        real, calls = Episode.pooled_support_by_class, []
+
+        def counting(episode):
+            calls.append(episode)
+            return real(episode)
+
+        monkeypatch.setattr(Episode, "pooled_support_by_class", counting)
+        assert evaluate_fps(episodes, 5, 4) == expected
+        assert [id(e) for e in calls] == [id(e) for e in episodes]

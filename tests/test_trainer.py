@@ -319,6 +319,26 @@ class TestRunGrid:
         assert "'center+restore'" in messages[0] and "seed=2" in messages[0]
         assert messages == [messages[0]] * 3
 
+    def test_error_is_the_first_failing_runs_at_any_worker_count(self, monkeypatch, wait_limit):
+        # one worker steps both runs in lockstep; two train each in its own part
+        real = TrainRun.step
+
+        def failing(run, query, support, step):
+            if (run.variant, step) in (("naive", 3), ("warm", 0)):
+                raise NumericError(f"{run.variant} fails at step {step}")
+            real(run, query, support, step)
+
+        monkeypatch.setattr(TrainRun, "step", failing)
+        runs = [(FAST, "naive"), (FAST, "warm")]
+        episodes = make_eval_episodes(DESK, 1, 77)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(NumericError) as err:
+                run_grid(runs, DESK, episodes, workers=workers)
+            messages.append(str(err.value))
+            assert multiprocessing.active_children() == []
+        assert messages == ["naive fails at step 3"] * 2
+
     def test_pairs_of_all_seeds_are_cut_once(self, tmp_path, monkeypatch):
         # 21 pairs on 2 workers are cut 11+10, so seed 1 trains in both and 4 episode streams are drawn
         runs = [(replace(FAST, episodes_per_epoch=3, seed=seed), v) for seed in range(3) for v in ABLATION_GRID]

@@ -55,8 +55,11 @@ VERBS = [
     (["eval", "--config", "warm.json", "--checkpoint", "train/checkpoint.json", "--data", "gen"], "eval-warm-data"),
     (["eval", "--config", "fps.json"], "eval-fps"),
     (["sweep-fps", "--config", "warm.json"], "sweep-fps"),
+    (["sweep-fps", "--config", "warm.json", "--data", "gen"], "sweep-fps-data"),
     (["ablate", "--config", "warm.json"], "ablate"),
+    (["ablate", "--config", "warm.json", "--data", "gen"], "ablate-data"),
     (["token-sweep", "--config", "warm.json"], "token-sweep"),
+    (["token-sweep", "--config", "warm.json", "--data", "gen"], "token-sweep-data"),
 ]
 
 
