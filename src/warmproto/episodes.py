@@ -20,7 +20,6 @@ import os
 import struct
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -360,13 +359,16 @@ class EpisodeHeader(NamedTuple):
     feature_dim: int
 
 
-def _check_header(data: bytes, size: int) -> EpisodeHeader:
-    """The header at the start of ``data``, the first bytes of a WARM-EP1
-    file of ``size`` bytes, after the checks that need nothing else: the
-    magic and version, no zero size, and a file size the sizes imply."""
+def _read_header(fh) -> EpisodeHeader:
+    """The header of the WARM-EP1 file open as ``fh``, read from its
+    start, after the checks that need nothing else: the magic and
+    version, no zero size, and a file size the sizes imply. ``fh`` is
+    left at the end of the header."""
+    size = os.fstat(fh.fileno()).st_size
+    data = fh.read(_HEADER.size)
     if len(data) < _HEADER.size:
         raise FormatError(f"truncated header: file has {size} bytes, header needs {_HEADER.size}", offset=size)
-    magic, version, n, k, u, l, d = _HEADER.unpack_from(data, 0)
+    magic, version, n, k, u, l, d = _HEADER.unpack(data)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != FORMAT_VERSION:
@@ -388,9 +390,7 @@ def read_header(path) -> EpisodeHeader:
     """A WARM-EP1 file's header, checked as ``load_episode`` checks it,
     from its header bytes and its size alone: the body is not read."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        size = os.fstat(fh.fileno()).st_size
-    return _check_header(head, size)
+        return _read_header(fh)
 
 
 def load_episode(path) -> Episode:
@@ -401,28 +401,28 @@ def load_episode(path) -> Episode:
     FormatError carrying the byte offset of the problem; a truncated file
     never yields a partial episode.
     """
-    data = Path(path).read_bytes()
-    n, k, u, l, d = _check_header(data, len(data))
-    offset = _HEADER.size
-    class_ids = [int(c) for c in np.frombuffer(data, dtype="<u4", count=n, offset=offset)]
-    if len(set(class_ids)) != n:
-        raise FormatError(f"class ids {class_ids} are not {n} distinct ids", offset=offset)
-    offset += 4 * n
-    clouds = []
-    for i in range(n * k + u):
-        features = np.frombuffer(data, dtype="<f8", count=l * d, offset=offset).reshape(l, d).copy()
-        if not np.all(np.isfinite(features)):
-            raise FormatError(f"non-finite feature value in cloud {i}", offset=offset)
-        offset += 8 * l * d
-        labels = np.frombuffer(data, dtype="<u4", count=l, offset=offset).astype(np.int64)
-        if labels.max(initial=0) > n:
-            raise FormatError(
-                f"cloud {i} has label {int(labels.max())} exceeding n_way={n}", offset=offset
-            )
-        if i < n * k and not np.any(labels == i // k + 1):
-            raise FormatError(
-                f"support cloud {i} (way={i // k}, shot={i % k}) has no foreground", offset=offset
-            )
-        offset += 4 * l
-        clouds.append(PointCloud(features, labels))
+    with open(path, "rb") as fh:
+        n, k, u, l, d = _read_header(fh)
+        offset = _HEADER.size
+        class_ids = [int(c) for c in np.fromfile(fh, dtype="<u4", count=n)]
+        if len(set(class_ids)) != n:
+            raise FormatError(f"class ids {class_ids} are not {n} distinct ids", offset=offset)
+        offset += 4 * n
+        clouds = []
+        for i in range(n * k + u):
+            features = np.fromfile(fh, dtype="<f8", count=l * d).reshape(l, d)
+            if not np.all(np.isfinite(features)):
+                raise FormatError(f"non-finite feature value in cloud {i}", offset=offset)
+            offset += 8 * l * d
+            labels = np.fromfile(fh, dtype="<u4", count=l).astype(np.int64)
+            if labels.max(initial=0) > n:
+                raise FormatError(
+                    f"cloud {i} has label {int(labels.max())} exceeding n_way={n}", offset=offset
+                )
+            if i < n * k and not np.any(labels == i // k + 1):
+                raise FormatError(
+                    f"support cloud {i} (way={i // k}, shot={i % k}) has no foreground", offset=offset
+                )
+            offset += 4 * l
+            clouds.append(PointCloud(features, labels))
     return Episode(n, k, clouds[: n * k], clouds[n * k :], class_ids)

@@ -57,12 +57,17 @@ def half_powers(m, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
+    """Row-wise softmax with per-row max subtraction for overflow safety.
+
+    One buffer the size of ``m`` serves every step; each in-place step
+    computes the same doubles as ``exp(m - max) / sum(exp(m - max))``.
+    """
     m = np.asarray(m, dtype=np.float64)
     require_finite(m, "logits")
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def pairwise_distances(a, b) -> np.ndarray:

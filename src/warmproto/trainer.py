@@ -1,11 +1,12 @@
 """Episodic meta-training and evaluation.
 
 Training samples one episode per optimizer step from the base classes,
-runs the chosen forward variant per shot, averages prototypes across
-shots, scores the query set with the margin objective plus the weighted
-simplification term, backpropagates into the tokens and projections, and
-applies a decoupled-weight-decay moment update. The learning rate drops
-by the decay factor at 60% and 80% of the total step budget.
+runs the chosen forward variant once per class on the support pooled
+over the shots, scores the query set with the margin objective plus the
+weighted simplification term, backpropagates into the tokens and
+projections, and applies a decoupled-weight-decay moment update. The
+learning rate drops by the decay factor at 60% and 80% of the total
+step budget.
 
 Everything is deterministic given the configs: episode streams, the
 parameter init and evaluation all derive from explicit seeds.
@@ -152,28 +153,22 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 
 
 def episode_forward(
-    params: WarmParams, support: list[ShotSupport], variant: str
-) -> tuple[dict[int, np.ndarray], list[ForwardResult]]:
-    """Per-shot forward passes on an episode's ``episode_support``,
-    prototypes averaged across shots."""
-    shots = [ablation_forward(params, shot, variant) for shot in support]
-    return average_shots([s.prototypes for s in shots]), shots
-
-
-def pooled_shots(support: list[ShotSupport]) -> dict[int, np.ndarray]:
-    """Each class's support features of an ``episode_support``, pooled
-    over the shots in shot order: ``Episode.pooled_support_by_class``
-    without splitting the episode again."""
-    return {label: np.vstack([shot.features[label] for shot in support]) for label in support[0].features}
+    params: WarmParams, support: ShotSupport, variant: str
+) -> tuple[dict[int, np.ndarray], ForwardResult]:
+    """The prototypes and the forward trace of one variant on an
+    episode's ``episode_support``."""
+    result = ablation_forward(params, support, variant)
+    # a mean of one set, bit-identical to it: the benchmark's tracer times average_shots as a layer
+    return average_shots([result.prototypes]), result
 
 
 def episode_loss(
-    protos: dict[int, np.ndarray], query: list[PointCloud], support: list[ShotSupport], lam: float, margin: float
+    protos: dict[int, np.ndarray], query: list[PointCloud], support: ShotSupport, lam: float, margin: float
 ) -> tuple[float, float, float, dict[int, np.ndarray]]:
     """Margin loss over an episode's query clouds, support-coverage loss
     and their total margin + lam * coverage, with the total's gradient
-    per class prototype matrix. Coverage reads the shots' support
-    features (``episode_support``) pooled per class (``pooled_shots``)."""
+    per class prototype matrix. Coverage reads the support features the
+    prototypes are built from (``episode_support``)."""
     grad_by_class = {label: np.zeros_like(p) for label, p in protos.items()}
     margin_total = 0.0
     for cloud in query:
@@ -182,7 +177,7 @@ def episode_loss(
         margin_total += loss
         for label, g in grads.items():
             grad_by_class[label] += g
-    sim, sim_grads = simplification_loss_and_grad(pooled_shots(support), protos)
+    sim, sim_grads = simplification_loss_and_grad(support.features, protos)
     for label, g in sim_grads.items():
         grad_by_class[label] += lam * g
     return margin_total, sim, margin_total + lam * sim, grad_by_class
@@ -210,7 +205,7 @@ class TrainRun:
         )
         return cls(cfg, variant, params, init_optimizer(params))
 
-    def step(self, query: list[PointCloud], support: list[ShotSupport], step: int) -> None:
+    def step(self, query: list[PointCloud], support: ShotSupport, step: int) -> None:
         """Forward, loss, backward and one update on this step's episode:
         its query clouds and its ``episode_support``.
 
@@ -219,13 +214,9 @@ class TrainRun:
         """
         cfg, params = self.cfg, self.params
         lr = lr_at(cfg, step)
-        protos, shots = episode_forward(params, support, self.variant)
+        protos, result = episode_forward(params, support, self.variant)
         margin, sim, total, grad_by_class = episode_loss(protos, query, support, cfg.lam, cfg.margin)
-        per_shot = {label: g / len(support) for label, g in grad_by_class.items()}
-        grads = {name: np.zeros_like(arr) for name, arr in params_as_dict(params).items()}
-        for shot_result in shots:
-            for name, g in warm_backward(params, shot_result, per_shot).items():
-                grads[name] += g
+        grads = warm_backward(params, result, grad_by_class)
         grad_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         if not np.isfinite(total) or not np.isfinite(grad_norm):
             raise NumericError(
@@ -300,7 +291,7 @@ def _check_runs(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) -
         resolve_variant(variant)
 
 
-def _training_episode(gen_cfg: GeneratorConfig, seed: int, step: int) -> tuple[list[PointCloud], list[ShotSupport]]:
+def _training_episode(gen_cfg: GeneratorConfig, seed: int, step: int) -> tuple[list[PointCloud], ShotSupport]:
     """The query clouds and ``episode_support`` of training step ``step`` of seed ``seed``."""
     # the module binding, so a patch of ``trainer.gen_episode`` reaches the child
     episode = gen_episode(gen_cfg, derive_rng(seed, _TRAIN_STREAM, step), split="base")
@@ -415,18 +406,17 @@ def _score_episode(runs: Sequence[tuple[WarmParams, str]], episode: Episode) -> 
     truths = np.concatenate([q.labels for q in episode.query])
     scores = []
     for params, variant in runs:
-        protos, shots = episode_forward(params, support, variant)
+        protos, result = episode_forward(params, support, variant)
         preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
         entropies, diversities, qk_dists = [], [], []
-        for shot_result in shots:
-            for way in range(episode.n_way):
-                trace = shot_result.per_class[way + 1]
-                entropies.append(attention_entropy(trace.weights))
-                if trace.weights.shape[0] >= 2:
-                    diversities.append(attention_diversity(trace.weights))
-                qk_dists.append(float(pairwise_distances(trace.q, trace.k).mean()))
+        for way in range(episode.n_way):
+            trace = result.per_class[way + 1]
+            entropies.append(attention_entropy(trace.weights))
+            if trace.weights.shape[0] >= 2:
+                diversities.append(attention_diversity(trace.weights))
+            qk_dists.append(float(pairwise_distances(trace.q, trace.k).mean()))
         scores.append((miou(preds, truths, range(episode.n_way + 1)), entropies, diversities, qk_dists))
-    return scores, fg_summaries(pooled_shots(support), episode.class_ids)
+    return scores, fg_summaries(support.features, episode.class_ids)
 
 
 def evaluate(
@@ -438,7 +428,7 @@ def evaluate(
     IoU aggregates per episode over the episode-local classes and is then
     averaged (``mean_iou``). Attention diagnostics (entropy, diversity,
     query/key distance) are measured on the foreground ways only,
-    averaged over shots, ways and episodes; the dispersion fields are the
+    averaged over ways and episodes; the dispersion fields are the
     batch's, the same in every report.
 
     Episodes are scored independently, every run on one ``episode_support``

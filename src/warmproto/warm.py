@@ -13,7 +13,8 @@ only ever attends to its own class's features. Whitening statistics are
 constants with respect to the learnables (the features come from a fixed
 source), so the backward pass never differentiates through the
 eigendecomposition, and ``episode_support`` computes them once per
-episode for every run that reads it.
+episode for every run that reads it. With K shots a class's statistics
+and its attention keys are those of all K shots' rows together.
 """
 
 from __future__ import annotations
@@ -201,17 +202,17 @@ class ForwardResult:
 
 @dataclass
 class ShotSupport:
-    """One shot's support features per class, with each class's transform
-    statistics (``compute_stats``). Where they cannot be taken (too few
-    points, or not finite), every class holds that error instead, for the
-    forward of a variant that reads them to raise."""
+    """Support features per class, with each class's transform statistics
+    (``compute_stats``). Where they cannot be taken (too few points, or
+    not finite), every class holds that error instead, for the forward of
+    a variant that reads them to raise."""
 
     features: dict[int, np.ndarray]
     stats: dict[int, WhitenStats | InsufficientPointsError | NumericError]
 
 
 def shot_support(features_by_class: dict[int, np.ndarray]) -> ShotSupport:
-    """The forward inputs of one shot's support, for every variant."""
+    """The forward inputs of a support split by class, for every variant."""
     if not features_by_class:
         raise ArgumentError("features_by_class is empty")
     features = {}
@@ -227,16 +228,17 @@ def shot_support(features_by_class: dict[int, np.ndarray]) -> ShotSupport:
     return ShotSupport(features, stats)
 
 
-def episode_support(episode: Episode) -> list[ShotSupport]:
-    """Per shot, the episode's support split by class
-    (``Episode.support_features_by_class``) with its statistics:
-    everything the forward pass of any variant takes from the episode.
+def episode_support(episode: Episode) -> ShotSupport:
+    """The episode's support split by class and pooled over its shots
+    (``Episode.pooled_support_by_class``), with one set of statistics per
+    class: everything the forward pass of any variant takes from the
+    episode. With K shots each class's operator reads all K shots' rows.
 
     It depends on the episode alone, never on the parameters or the
     variant, so one result serves every run that steps on or scores the
     episode.
     """
-    return [shot_support(episode.support_features_by_class(shot)) for shot in range(episode.k_shot)]
+    return shot_support(episode.pooled_support_by_class())
 
 
 def _class_transform(
@@ -258,7 +260,7 @@ def _class_transform(
 
 def ablation_forward(params: WarmParams, support: ShotSupport, variant: str) -> ForwardResult:
     """Forward pass of one ``VARIANTS`` entry: the full operator ("warm")
-    or one of its ablations, on a shot's support (``shot_support``).
+    or one of its ablations, on a support split by class (``shot_support``).
 
     Per class: transform the features, attend with the class's token pool
     (single head, softmax(Wq(tokens) Wk(keys)^T) Wv(keys), no logit
@@ -321,7 +323,7 @@ def warm_backward(
 
 
 def average_shots(sets: list[dict[int, np.ndarray]]) -> dict[int, np.ndarray]:
-    """Element-wise mean of per-shot prototype sets."""
+    """Element-wise mean of prototype sets that cover the same classes."""
     if not sets:
         raise ArgumentError("no prototype sets to average")
     first = sets[0]

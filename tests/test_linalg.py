@@ -1,5 +1,7 @@
 """Numeric core: eigendecomposition, matrix roots, softmax, grad checker, rng."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,33 @@ class TestSoftmaxRows:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError):
             softmax_rows([[np.inf, 0.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+        st.integers(1, 60),
+        st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e6]),
+        st.sampled_from([-1e8, -700.0, 0.0, 700.0, 1e8]),
+    )
+    def test_bit_identical_to_allocating_expression(self, seed, rows, cols, spread, offset):
+        m = offset + spread * derive_rng(seed).standard_normal((rows, cols))
+        shifted = m - m.max(axis=-1, keepdims=True)
+        expected = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        out = softmax_rows(m)
+        assert out.dtype == np.float64 and out.shape == m.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_one_buffer(self):
+        # the logits of a pooled 5-shot class: one L x M result, no temporaries of that size
+        m = derive_rng(8).standard_normal((100, 2000))
+        tracemalloc.start()
+        try:
+            softmax_rows(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m.nbytes
 
 
 class TestGradCheck:

@@ -459,8 +459,37 @@ class TestEvaluate:
         # the shared split pools to the same arrays as a fresh one
         for ep in episodes:
             pooled = ep.pooled_support_by_class()
-            for label, feats in trainer.pooled_shots(warm.episode_support(ep)).items():
+            for label, feats in warm.episode_support(ep).features.items():
                 np.testing.assert_array_equal(feats, pooled[label])
+
+    def test_multi_shot_statistics_are_taken_once_per_class(self, monkeypatch):
+        # 3-way 2-shot: one covariance per class of the pooled shots, not one per shot
+        gen = GeneratorConfig(feature_dim=8, points_per_cloud=256, min_fg_points=16, n_way=3, k_shot=2)
+        episodes = make_eval_episodes(gen, 5, 23)
+        real, calls = warm.compute_stats, []
+
+        def counting(features, *args, **kwargs):
+            calls.append(features.shape[0])
+            return real(features, *args, **kwargs)
+
+        monkeypatch.setattr(warm, "compute_stats", counting)
+        params = init_params(8, 6, derive_rng(9))
+        evaluate([(params, "warm"), (params, "center+restore")], episodes)
+        assert len(calls) == 5 * 4
+        pooled_rows = [f.shape[0] for ep in episodes for f in ep.pooled_support_by_class().values()]
+        assert calls == pooled_rows
+
+    def test_multi_shot_attention_reads_the_pooled_rows(self):
+        gen = GeneratorConfig(feature_dim=8, points_per_cloud=256, min_fg_points=16, n_way=3, k_shot=2)
+        (episode,) = make_eval_episodes(gen, 1, 29)
+        params = init_params(8, 6, derive_rng(10))
+        pooled = episode.pooled_support_by_class()
+        for variant in ("warm", "naive"):
+            _, result = trainer.episode_forward(params, warm.episode_support(episode), variant)
+            assert sorted(result.per_class) == sorted(pooled)
+            for label, trace in result.per_class.items():
+                assert trace.keys_in.shape == pooled[label].shape
+                assert trace.weights.shape == (6, pooled[label].shape[0])
 
     def test_checkpoint_dim_mismatch(self):
         episodes = make_eval_episodes(DESK, 2, 11)
