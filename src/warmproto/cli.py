@@ -157,16 +157,16 @@ def write_sidecar(path, command: str, cfg: ExperimentConfig) -> None:
 
 
 def worker_cap() -> int:
-    """Worker processes for ``eval`` with an attention method, for the
-    ``ablate`` and ``token-sweep`` grids, and for ``train``, where above 1
-    it turns on the forked episode producer.
+    """Worker processes for ``eval``, ``sweep-fps``, the ``ablate`` and
+    ``token-sweep`` grids, and ``train``, where above 1 it turns on the
+    forked episode producer.
 
     The CPUs this process may use when the import pinned BLAS to one
     thread (``BLAS_PINNED``), else 1, as BLAS may then thread over every
     CPU; to run on fewer, limit the CPU set (``taskset -c 0``). Each
     worker is one forked child (``trainer._forked``), never more than
     there are episodes or runs, and outputs do not depend on the count.
-    ``gen`` and the FPS verbs run in one process.
+    ``gen`` runs in one process.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cpus if BLAS_PINNED else 1
@@ -244,7 +244,7 @@ def cmd_eval(args) -> None:
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data, ways=True)
     if cfg.method == "fps-min-dist":
-        report = evaluate_fps(episodes, cfg.fps_tokens, cfg.eval_seed)
+        report = evaluate_fps(episodes, cfg.fps_tokens, cfg.eval_seed, worker_cap())
     else:
         params, _meta = load_checkpoint(args.checkpoint)
         (report,) = evaluate([(params, cfg.method)], episodes, worker_cap())
@@ -265,7 +265,7 @@ def cmd_sweep_fps(args) -> None:
     cfg = load_experiment_config(args.config)
     out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data, ways=True)
-    result = fps_seed_sweep(episodes, cfg.fps_tokens, range(cfg.fps_seeds))
+    result = fps_seed_sweep(episodes, cfg.fps_tokens, range(cfg.fps_seeds), worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
     rows = [
         [seed, repr(float(report.miou))]

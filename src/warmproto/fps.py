@@ -3,13 +3,15 @@
 The baseline builds per-class prototype sets by FPS over pooled support
 features and labels query points by nearest prototype. Its only source
 of randomness is the FPS start point, which is exactly what the seed
-sweep varies.
+sweep varies. Both scoring calls cut their batch over forked workers
+(``trainer.fork_map``), as ``trainer.evaluate`` does.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .errors import ArgumentError
 from .losses import point_distances, predict
 from .metrics import FgSummary, MetricsReport, dispersion_metrics, fg_summaries, mean_iou, miou
 from .rng import derive_rng
+from .trainer import fork_map
 
 _FPS_STREAM = 300
 
@@ -71,38 +74,51 @@ def fps_prototypes(support: dict[int, np.ndarray], count: int, rng) -> dict[int,
 
 
 def _sweep_reports(
-    episodes: Sequence[Episode], count: int, seeds: list[int], summaries: list[FgSummary] | None = None
-) -> list[MetricsReport]:
+    episodes: Sequence[Episode], count: int, seeds: list[int], summaries: bool = False, workers: int = 1
+) -> tuple[list[MetricsReport], list[FgSummary]]:
     """Per-seed scores over an episode batch, one report (mIoU and
-    per-class IoU only) per entry of ``seeds``; with ``summaries``, each
-    episode's foreground summaries (``fg_summaries``) are appended to it.
+    per-class IoU only) per entry of ``seeds``, and with ``summaries``
+    every episode's foreground summaries (``fg_summaries``), else none.
 
-    Episode-major, one pass: each episode is read once and its support
-    split once, shared by all seeds and the summaries. Episode i of seed s
-    uses the independent stream (s, i), so the batch is identical across
-    seeds while the FPS starts vary, and the loop order does not change a
-    bit.
+    Each episode's support is split once, shared by all seeds and the
+    summaries. Episode i of seed s uses the independent stream (s, i), so
+    the batch is identical across seeds while the FPS starts vary. The
+    batch is cut into at most ``workers`` contiguous slices, each read
+    one episode at a time in its own forked child (``trainer.fork_map``).
+    Only the per-episode results come back, in episode order, before any
+    mean is taken, so neither the reports nor the error raised, the first
+    in episode order, depends on the worker count.
     """
-    ious = [[] for _ in seeds]
-    for i, episode in enumerate(episodes):
-        support = episode.pooled_support_by_class()
-        if summaries is not None:
-            summaries += fg_summaries(support, episode.class_ids)
-        # free the split before scoring: peak memory then holds the split or a distance field, not both
-        protos_by_seed = [fps_prototypes(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
-        del support
-        truths = np.concatenate([q.labels for q in episode.query])
-        for seed_ious, protos in zip(ious, protos_by_seed):
-            preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
-            seed_ious.append(miou(preds, truths, range(episode.n_way + 1)))
-    return [MetricsReport(*mean_iou(seed_ious)) for seed_ious in ious]
+    if not episodes:
+        raise ArgumentError("the baseline needs at least one episode")
+
+    def score(part: range) -> list[tuple]:
+        scored = []
+        for i in part:
+            episode = episodes[i]
+            support = episode.pooled_support_by_class()
+            fg = fg_summaries(support, episode.class_ids) if summaries else []
+            # free the split before scoring: peak memory then holds the split or a distance field, not both
+            protos_by_seed = [fps_prototypes(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
+            del support
+            truths = np.concatenate([q.labels for q in episode.query])
+            ious = []
+            for protos in protos_by_seed:
+                preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
+                ious.append(miou(preds, truths, range(episode.n_way + 1)))
+            scored.append((ious, fg))
+        return scored
+
+    per_episode, fg_lists = zip(*fork_map(score, range(len(episodes)), workers))
+    reports = [MetricsReport(*mean_iou(seed_ious)) for seed_ious in zip(*per_episode)]
+    return reports, list(chain.from_iterable(fg_lists))
 
 
-def evaluate_fps(episodes: Sequence[Episode], count: int, seed: int) -> MetricsReport:
+def evaluate_fps(episodes: Sequence[Episode], count: int, seed: int, workers: int = 1) -> MetricsReport:
     """Run the baseline over an episode batch with one sweep seed, plus
-    the dispersion metrics of the batch, in one pass over it."""
-    summaries = []
-    (report,) = _sweep_reports(episodes, count, [int(seed)], summaries)
+    the dispersion metrics of the batch, in one pass over it on at most
+    ``workers`` forked workers (``_sweep_reports``)."""
+    (report,), summaries = _sweep_reports(episodes, count, [int(seed)], summaries=True, workers=workers)
     return replace(report, **dispersion_metrics(summaries))
 
 
@@ -116,8 +132,9 @@ class SweepResult:
     stdev: float
 
 
-def fps_seed_sweep(episodes: Sequence[Episode], count: int, seeds) -> SweepResult:
-    """Evaluate the baseline once per seed on identical episodes.
+def fps_seed_sweep(episodes: Sequence[Episode], count: int, seeds, workers: int = 1) -> SweepResult:
+    """Evaluate the baseline once per seed on identical episodes, in one
+    pass on at most ``workers`` forked workers (``_sweep_reports``).
 
     Only the FPS starts change between seeds; the summary reports the
     order statistics of the per-seed mean IoU (population stdev).
@@ -126,7 +143,7 @@ def fps_seed_sweep(episodes: Sequence[Episode], count: int, seeds) -> SweepResul
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("seed sweep needs at least one seed")
-    reports = _sweep_reports(episodes, count, seeds)
+    reports, _ = _sweep_reports(episodes, count, seeds, workers=workers)
     scores = np.array([r.miou for r in reports])
     return SweepResult(
         seeds=seeds,

@@ -433,7 +433,7 @@ def evaluate(
 
     Episodes are scored independently, every run on one ``episode_support``
     per episode, the batch cut into at most ``workers`` contiguous slices,
-    each scored in its own forked child (``_fork_map``) that inherits the
+    each scored in its own forked child (``fork_map``) that inherits the
     runs and the batch. A worker reads its episodes one at a time and
     drops each once scored, so an ``EpisodeBatch`` is loaded or generated
     only in the worker that scores it. Only the per-episode values come
@@ -457,7 +457,7 @@ def evaluate(
             scored.append(_score_episode(runs, episode))
         return scored
 
-    per_episode, summaries = zip(*_fork_map(score, range(len(episodes)), workers))
+    per_episode, summaries = zip(*fork_map(score, range(len(episodes)), workers))
     dispersion = dispersion_metrics(list(chain.from_iterable(summaries)))
     reports = []
     for scores in zip(*per_episode):
@@ -483,7 +483,7 @@ def _slices(items: Sequence, count: int) -> list[Sequence]:
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _fork_map(func: Callable[[Sequence], list], items: Sequence, workers: int) -> list:
+def fork_map(func: Callable[[Sequence], list], items: Sequence, workers: int) -> list:
     """The results of ``func(part)``, one per item, over ``items`` cut into
     at most ``workers`` contiguous parts (``_slices``), joined in order.
 
@@ -516,7 +516,7 @@ def run_grid(
     (trained run, metrics report) pair per run, in run order.
 
     ``train_grid`` trains the runs in at most ``workers`` contiguous
-    parts, each in a forked child of ``_fork_map`` (a seed cut between
+    parts, each in a forked child of ``fork_map`` (a seed cut between
     two parts trains in both); then one ``evaluate`` call on ``workers``
     scores every run, so each episode's support is built once for the
     whole grid. Every run is bit-identical to a standalone ``train`` plus
@@ -527,5 +527,5 @@ def run_grid(
     per CPU this process may use.
     """
     _check_runs(runs, gen_cfg)
-    trained = _fork_map(partial(train_grid, gen_cfg=gen_cfg), runs, workers)
+    trained = fork_map(partial(train_grid, gen_cfg=gen_cfg), runs, workers)
     return list(zip(trained, evaluate([(run.params, run.variant) for run in trained], episodes, workers)))

@@ -7,7 +7,8 @@ through the same grid runner as ``ablate``: the requested runs are cut
 into contiguous parts, one forked process each, at most ``worker_cap()``
 of them (one per CPU, since importing the package here, before numpy,
 pins BLAS to one thread), and a part's runs of one seed train in
-lockstep on shared episodes.
+lockstep on shared episodes. The FPS seed sweep cuts its episodes over
+the same workers.
 """
 
 import multiprocessing
@@ -80,8 +81,8 @@ def evaluated(graded):
 
 @pytest.fixture(scope="session")
 def fps_sweep(bench_episodes):
-    """100-seed baseline sweep on the default benchmark."""
-    return fps_seed_sweep(bench_episodes, FPS_BASELINE_TOKENS, range(100))
+    """100-seed baseline sweep on the default benchmark, on ``worker_cap()`` workers."""
+    return fps_seed_sweep(bench_episodes, FPS_BASELINE_TOKENS, range(100), worker_cap())
 
 
 @pytest.fixture()

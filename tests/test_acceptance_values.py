@@ -80,5 +80,5 @@ if __name__ == "__main__":
     results = {(v, cfg.seed): result for (cfg, v), result in zip(runs, run_grid(runs, gen, episodes, worker_cap()))}
     # "warm" is the same (transform, restore) pair as "whiten+restore"
     warm = results["whiten+restore", 0][0].params
-    sweep = fps_seed_sweep(episodes, FPS_BASELINE_TOKENS, range(100))
+    sweep = fps_seed_sweep(episodes, FPS_BASELINE_TOKENS, range(100), worker_cap())
     print("\n".join(header_lines() + value_lines(lambda v, s: results[v, s][1], warm, sweep)))

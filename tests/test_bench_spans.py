@@ -23,9 +23,11 @@ def test_every_span_binding_resolves():
     assert [t for t in targets if tracer._resolve(t) is None] == []
 
 
-def test_traced_sweep_fps_records_its_layers(tmp_path):
+def test_traced_sweep_fps_records_its_layers(tmp_path, monkeypatch):
+    # in one process: the tracer sees no span inside a forked worker
     from warmproto import cli
 
+    monkeypatch.setattr(cli, "worker_cap", lambda: 1)
     episodes, seeds, n_way = 3, 2, 2
     config = {
         "generator": {"feature_dim": 8, "points_per_cloud": 128, "min_fg_points": 16, "n_way": n_way},

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warmproto import cli, trainer
+from warmproto import cli, fps, trainer
 from warmproto.cli import ExperimentConfig, load_experiment_config, main, worker_cap
 from warmproto.episodes import MAX_SIZE, load_episode, save_episode
-from warmproto.errors import CheckpointError, ConfigError, NumericError
+from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
+from warmproto.fps import evaluate_fps, fps_seed_sweep
 from warmproto.rng import derive_rng
 from warmproto.trainer import evaluate, make_eval_episodes, train
 from warmproto.warm import ABLATION_GRID, VARIANTS, init_params, load_checkpoint, save_checkpoint
@@ -737,6 +738,112 @@ class TestEvalWorkers:
             assert multiprocessing.active_children() == []
         assert messages[1] == "numeric failure: non-finite score in episode 1\n"
         assert messages[2] == messages[1] and messages[3] == messages[1]
+
+
+class TestFpsWorkers:
+    """sweep-fps and eval with fps-min-dist score contiguous slices of
+    their batch on ``worker_cap`` forked workers, as eval does with an
+    attention method; the files and the failures must not depend on the
+    count."""
+
+    OUTPUTS = {
+        "sweep-fps": ["sweep.csv", "sweep_config.json", "sweep_summary.csv"],
+        "eval": ["eval_config.json", "metrics.csv"],
+    }
+
+    def _setup(self, tmp_path, episodes):
+        # gen_seed == eval_seed, so --data and in-memory runs score the same batch
+        path = tmp_path / f"config-{episodes}.json"
+        data = dict(SMALL_CONFIG, eval_episodes=episodes, num_episodes=episodes, method="fps-min-dist")
+        path.write_text(json.dumps(data))
+        batch = tmp_path / f"data-{episodes}"
+        assert main(["gen", "--config", str(path), "--out", str(batch)]) == 0
+        return path, batch
+
+    def _run(self, verb, path, out, data=None):
+        argv = [verb, "--config", str(path), "--out", str(out)]
+        return main(argv + (["--data", str(data)] if data else []))
+
+    @pytest.mark.parametrize("verb", ["sweep-fps", "eval"])
+    def test_same_bytes_at_every_worker_count(self, tmp_path, monkeypatch, verb):
+        # 2 episodes are fewer than 3 workers; 5 are cut 3+2 on 2 workers and 2+2+1 on 3
+        for episodes in (2, 5):
+            path, batch = self._setup(tmp_path, episodes)
+            files = {}
+            for workers in (None, 1, 2, 3):
+                use_workers(monkeypatch, workers)
+                for data in (None, batch):
+                    out = tmp_path / f"out-{episodes}-{workers}-{data is None}"
+                    assert self._run(verb, path, out, data) == 0
+                    files[workers, data] = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert all(f == files[1, None] for f in files.values())
+            assert sorted(files[1, None]) == self.OUTPUTS[verb]
+            # the library calls too, at up to more workers than episodes
+            cfg = load_experiment_config(path)
+            memory = make_eval_episodes(cfg.generator, episodes, cfg.eval_seed)
+            if verb == "sweep-fps":
+                results = [fps_seed_sweep(memory, 3, [2, 0, 2], workers) for workers in (1, 2, 3, 7)]
+            else:
+                results = [evaluate_fps(memory, 3, 4, workers) for workers in (1, 2, 3, 7)]
+            assert all(r == results[0] for r in results)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("verb", ["sweep-fps", "eval"])
+    def test_workers_score_the_batch_and_are_joined(self, tmp_path, monkeypatch, verb):
+        # forked workers inherit the patch and leave one file per (process, scored episode)
+        real = fps.fps_prototypes
+
+        def recording(support, count, rng):
+            (tmp_path / "pids" / f"{os.getpid()}-{support[0][0, 0]!r}").touch()
+            return real(support, count, rng)
+
+        path, batch = self._setup(tmp_path, 5)
+        (tmp_path / "pids").mkdir()
+        monkeypatch.setattr(fps, "fps_prototypes", recording)
+        use_workers(monkeypatch, 2)
+        assert self._run(verb, path, tmp_path / "out", batch) == 0
+        assert multiprocessing.active_children() == []
+        names = [p.name.split("-", 1) for p in (tmp_path / "pids").iterdir()]
+        assert len(names) == 5 and len({key for _, key in names}) == 5
+        assert len({pid for pid, _ in names}) == 2 and str(os.getpid()) not in {pid for pid, _ in names}
+
+    def test_rejects_bad_worker_count_and_empty_batch(self):
+        cfg = load_experiment_config(None)
+        episodes = make_eval_episodes(cfg.generator, 2, 0)
+        with pytest.raises(ArgumentError, match="workers must be >= 1"):
+            fps_seed_sweep(episodes, 3, range(2), workers=0)
+        with pytest.raises(ArgumentError, match="at least one episode"):
+            fps_seed_sweep([], 3, range(2))
+
+    @pytest.mark.parametrize("verb", ["sweep-fps", "eval"])
+    def test_body_error_in_a_worker_exit_3_one_line(self, tmp_path, monkeypatch, capfd, wait_limit, verb):
+        path, batch = self._setup(tmp_path, 4)
+        third = batch / "ep_00002.warmep"
+        raw = bytearray(third.read_bytes())
+        raw[34:42] = struct.pack("<d", float("nan"))  # the first feature, after the header and one class id
+        third.write_bytes(bytes(raw))
+        loads, real = tmp_path / "loads", cli.load_episode
+        loads.mkdir()
+
+        # forked workers inherit the patch; the file of each loading process names what it read
+        def recording(path):
+            with (loads / str(os.getpid())).open("a") as fh:
+                fh.write(Path(path).name + "\n")
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_episode", recording)
+        errors = {}
+        for workers in (1, 2):
+            use_workers(monkeypatch, workers)
+            capfd.readouterr()
+            assert self._run(verb, path, tmp_path / str(workers), batch) == 3
+            assert multiprocessing.active_children() == []
+            errors[workers] = capfd.readouterr().err
+        assert errors[1] == "io/format failure: non-finite feature value in cloud 0 (byte offset 34)\n"
+        assert errors[2] == errors[1]
+        # at 2 workers the corrupt file was read in a worker, not by the caller
+        by_pid = {p.name: p.read_text().split() for p in loads.iterdir()}
+        assert [pid for pid, names in by_pid.items() if third.name in names and pid != str(os.getpid())]
 
 
 class TestStreamedBatch:
