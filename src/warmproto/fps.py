@@ -3,14 +3,15 @@
 The baseline builds per-class prototype sets by FPS over pooled support
 features and labels query points by nearest prototype. Its only source
 of randomness is the FPS start point, which is exactly what the seed
-sweep varies. Both scoring calls cut their batch over forked workers
-(``trainer.fork_map``), as ``trainer.evaluate`` does.
+sweep varies. Both scoring calls read their batch through
+``trainer.score_batch``, as ``trainer.evaluate`` does.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import ArgumentError
 from .losses import point_distances, predict
 from .metrics import FgSummary, MetricsReport, dispersion_metrics, fg_summaries, mean_iou, miou
 from .rng import derive_rng
-from .trainer import fork_map
+from .trainer import score_batch
 
 _FPS_STREAM = 300
 
@@ -73,53 +74,33 @@ def fps_prototypes(support: dict[int, np.ndarray], count: int, rng) -> dict[int,
     }
 
 
-def _sweep_reports(
-    episodes: Sequence[Episode], count: int, seeds: list[int], summaries: bool = False, workers: int = 1
-) -> tuple[list[MetricsReport], list[FgSummary]]:
-    """Per-seed scores over an episode batch, one report (mIoU and
-    per-class IoU only) per entry of ``seeds``, and with ``summaries``
-    every episode's foreground summaries (``fg_summaries``), else none.
+def _episode_scores(count: int, seeds: list[int], i: int, episode: Episode) -> tuple[list, list[FgSummary]]:
+    """Episode i's ``miou`` result per entry of ``seeds``, and its
+    foreground summaries (``fg_summaries``).
 
-    Each episode's support is split once, shared by all seeds and the
-    summaries. Episode i of seed s uses the independent stream (s, i), so
-    the batch is identical across seeds while the FPS starts vary. The
-    batch is cut into at most ``workers`` contiguous slices, each read
-    one episode at a time in its own forked child (``trainer.fork_map``).
-    Only the per-episode results come back, in episode order, before any
-    mean is taken, so neither the reports nor the error raised, the first
-    in episode order, depends on the worker count.
+    The support is split once, shared by all seeds and the summaries.
+    Seed s uses the independent stream (s, i), so the episode is the same
+    for every seed while the FPS starts vary.
     """
-    if not episodes:
-        raise ArgumentError("the baseline needs at least one episode")
-
-    def score(part: range) -> list[tuple]:
-        scored = []
-        for i in part:
-            episode = episodes[i]
-            support = episode.pooled_support_by_class()
-            fg = fg_summaries(support, episode.class_ids) if summaries else []
-            # free the split before scoring: peak memory then holds the split or a distance field, not both
-            protos_by_seed = [fps_prototypes(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
-            del support
-            truths = np.concatenate([q.labels for q in episode.query])
-            ious = []
-            for protos in protos_by_seed:
-                preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
-                ious.append(miou(preds, truths, range(episode.n_way + 1)))
-            scored.append((ious, fg))
-        return scored
-
-    per_episode, fg_lists = zip(*fork_map(score, range(len(episodes)), workers))
-    reports = [MetricsReport(*mean_iou(seed_ious)) for seed_ious in zip(*per_episode)]
-    return reports, list(chain.from_iterable(fg_lists))
+    support = episode.pooled_support_by_class()
+    fg = fg_summaries(support, episode.class_ids)
+    # free the split before scoring: peak memory then holds the split or a distance field, not both
+    protos_by_seed = [fps_prototypes(support, count, derive_rng(seed, _FPS_STREAM, i)) for seed in seeds]
+    del support
+    truths = np.concatenate([q.labels for q in episode.query])
+    ious = []
+    for protos in protos_by_seed:
+        preds = np.concatenate([predict(point_distances(q.features, protos)) for q in episode.query])
+        ious.append(miou(preds, truths, range(episode.n_way + 1)))
+    return ious, fg
 
 
 def evaluate_fps(episodes: Sequence[Episode], count: int, seed: int, workers: int = 1) -> MetricsReport:
     """Run the baseline over an episode batch with one sweep seed, plus
     the dispersion metrics of the batch, in one pass over it on at most
-    ``workers`` forked workers (``_sweep_reports``)."""
-    (report,), summaries = _sweep_reports(episodes, count, [int(seed)], summaries=True, workers=workers)
-    return replace(report, **dispersion_metrics(summaries))
+    ``workers`` forked workers (``trainer.score_batch``)."""
+    ious, summaries = zip(*score_batch(episodes, partial(_episode_scores, count, [int(seed)]), workers))
+    return MetricsReport(*mean_iou(iou for (iou,) in ious), **dispersion_metrics(list(chain.from_iterable(summaries))))
 
 
 @dataclass
@@ -134,7 +115,7 @@ class SweepResult:
 
 def fps_seed_sweep(episodes: Sequence[Episode], count: int, seeds, workers: int = 1) -> SweepResult:
     """Evaluate the baseline once per seed on identical episodes, in one
-    pass on at most ``workers`` forked workers (``_sweep_reports``).
+    pass on at most ``workers`` forked workers (``trainer.score_batch``).
 
     Only the FPS starts change between seeds; the summary reports the
     order statistics of the per-seed mean IoU (population stdev).
@@ -143,7 +124,8 @@ def fps_seed_sweep(episodes: Sequence[Episode], count: int, seeds, workers: int 
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("seed sweep needs at least one seed")
-    reports, _ = _sweep_reports(episodes, count, seeds, workers=workers)
+    per_episode = score_batch(episodes, lambda i, episode: _episode_scores(count, seeds, i, episode)[0], workers)
+    reports = [MetricsReport(*mean_iou(seed_ious)) for seed_ious in zip(*per_episode)]
     scores = np.array([r.miou for r in reports])
     return SweepResult(
         seeds=seeds,

@@ -423,41 +423,28 @@ def evaluate(
     runs: Sequence[tuple[WarmParams, str]], episodes: Sequence[Episode], workers: int = 1
 ) -> list[MetricsReport]:
     """Frozen-parameter evaluation of (parameters, variant) runs over an
-    episode batch: one report per run, in run order.
+    episode batch on at most ``workers`` forked workers (``score_batch``):
+    one report per run, in run order.
 
     IoU aggregates per episode over the episode-local classes and is then
     averaged (``mean_iou``). Attention diagnostics (entropy, diversity,
     query/key distance) are measured on the foreground ways only,
     averaged over ways and episodes; the dispersion fields are the
-    batch's, the same in every report.
-
-    Episodes are scored independently, every run on one ``episode_support``
-    per episode, the batch cut into at most ``workers`` contiguous slices,
-    each scored in its own forked child (``fork_map``) that inherits the
-    runs and the batch. A worker reads its episodes one at a time and
-    drops each once scored, so an ``EpisodeBatch`` is loaded or generated
-    only in the worker that scores it. Only the per-episode values come
-    back, in episode order, before any mean is taken, so neither the
-    result nor the error raised, the first in (episode, run) order (a run
-    whose D differs from the episode's among them), depends on the worker
-    count. ``run_grid`` scores a whole grid in one call.
+    batch's, the same in every report. Every run is scored on one
+    ``episode_support`` per episode; the error raised is the first in
+    (episode, run) order, a run whose D differs from the episode's among
+    them. ``run_grid`` scores a whole grid in one call.
     """
-    if not episodes:
-        raise ArgumentError("evaluation needs at least one episode")
 
-    def score(part: range) -> list[tuple]:
-        scored = []
-        for i in part:
-            episode = episodes[i]
-            for params, _ in runs:
-                if episode.support[0].feature_dim != params.feature_dim:
-                    raise CheckpointError(
-                        f"parameters have D={params.feature_dim} but episode {i} has D={episode.support[0].feature_dim}"
-                    )
-            scored.append(_score_episode(runs, episode))
-        return scored
+    def score(i: int, episode: Episode) -> tuple:
+        for params, _ in runs:
+            if episode.support[0].feature_dim != params.feature_dim:
+                raise CheckpointError(
+                    f"parameters have D={params.feature_dim} but episode {i} has D={episode.support[0].feature_dim}"
+                )
+        return _score_episode(runs, episode)
 
-    per_episode, summaries = zip(*fork_map(score, range(len(episodes)), workers))
+    per_episode, summaries = zip(*score_batch(episodes, score, workers))
     dispersion = dispersion_metrics(list(chain.from_iterable(summaries)))
     reports = []
     for scores in zip(*per_episode):
@@ -504,6 +491,24 @@ def fork_map(func: Callable[[Sequence], list], items: Sequence, workers: int) ->
     with ExitStack() as stack:
         streams = [stack.enter_context(_forked(partial(func, part))) for part in parts]
         return [item for part, stream in zip(parts, streams) for item in islice(stream, len(part))]
+
+
+def score_batch(episodes: Sequence[Episode], score: Callable[[int, Episode], object], workers: int = 1) -> list:
+    """``score(i, episodes[i])`` for every episode of a non-empty batch,
+    in episode order: the one batch loop of ``evaluate`` and the FPS verbs.
+
+    The batch is cut into at most ``workers`` contiguous slices, each
+    scored in its own forked child (``fork_map``) that inherits ``score``
+    and the batch. A worker reads its episodes one at a time and drops
+    each once scored, so an ``EpisodeBatch`` is loaded or generated only
+    in the worker that scores it. Only the per-episode results come back,
+    in episode order, before the caller takes any mean, so neither the
+    result nor the error raised, the first in episode order, depends on
+    the worker count.
+    """
+    if not episodes:
+        raise ArgumentError("scoring needs at least one episode")
+    return fork_map(lambda part: [score(i, episodes[i]) for i in part], range(len(episodes)), workers)
 
 
 def run_grid(

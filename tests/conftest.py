@@ -1,14 +1,12 @@
 """Session-scoped fixtures for the expensive benchmark runs.
 
-Training runs and evaluations on the default benchmark are cached per
-(variant, seed) so the trainer examples, the acceptance criteria and the
-ablation grid never repeat a run within one pytest session. Runs go
-through the same grid runner as ``ablate``: the requested runs are cut
-into contiguous parts, one forked process each, at most ``worker_cap()``
-of them (one per CPU, since importing the package here, before numpy,
-pins BLAS to one thread), and a part's runs of one seed train in
-lockstep on shared episodes. The FPS seed sweep cuts its episodes over
-the same workers.
+The acceptance grid, the default recipe's 5 seeds x ``ABLATION_GRID``,
+is trained and scored once per pytest session by ``acceptance_grid``:
+one ``run_grid`` call, as ``ablate`` makes, on ``worker_cap()`` workers
+(one per CPU, since importing the package here, before numpy, pins BLAS
+to one thread). ``trained`` and ``evaluated`` look runs up in it, and
+``tests/test_acceptance_values.py`` regenerates its data from the same
+two functions, ``acceptance_grid`` and ``acceptance_sweep``.
 """
 
 import multiprocessing
@@ -24,6 +22,22 @@ from warmproto.warm import ABLATION_GRID, resolve_variant
 
 FPS_BASELINE_TOKENS = 3  # desk-scale default, matches configs/default.json
 EVAL_SEED = 7700
+GRID_SEEDS = range(5)
+
+
+def acceptance_grid(gen: GeneratorConfig, episodes) -> dict:
+    """(trained run, report) of every seed of ``GRID_SEEDS`` and variant of
+    ``ABLATION_GRID`` on the default recipe, scored on ``episodes``,
+    keyed by (``resolve_variant(variant)``, seed); one ``run_grid`` call,
+    seed-major, so each seed's runs train in lockstep."""
+    runs = [(TrainConfig(seed=seed), variant) for seed in GRID_SEEDS for variant in ABLATION_GRID]
+    results = run_grid(runs, gen, episodes, worker_cap())
+    return {(resolve_variant(variant), cfg.seed): result for (cfg, variant), result in zip(runs, results)}
+
+
+def acceptance_sweep(episodes):
+    """The 100-seed baseline sweep on ``episodes``, on ``worker_cap()`` workers."""
+    return fps_seed_sweep(episodes, FPS_BASELINE_TOKENS, range(100), worker_cap())
 
 
 @pytest.fixture(scope="session")
@@ -39,50 +53,24 @@ def bench_episodes(default_gen):
 
 
 @pytest.fixture(scope="session")
-def graded(default_gen, bench_episodes):
-    """Memoized (train result, eval result) per (variant, seed) on the
-    default benchmark config.
-
-    ``graded(pairs)`` returns the results of the (variant, seed) pairs in
-    order. The missing ones, one run per distinct (mode, restore) and
-    seed, are trained and scored in one grid call, so several seeds
-    spread over the workers.
-    """
-    cache = {}
-
-    def get(pairs):
-        by_seed = {}  # seed -> {key: run}, in request order
-        for variant, seed in pairs:
-            key = (resolve_variant(variant), seed)
-            if key not in cache:
-                by_seed.setdefault(seed, {}).setdefault(key, (TrainConfig(seed=seed), variant))
-        if by_seed:
-            # seed-major, so each seed's runs train in lockstep
-            missing = {key: run for runs in by_seed.values() for key, run in runs.items()}
-            cache.update(zip(missing, run_grid(list(missing.values()), default_gen, bench_episodes, worker_cap())))
-        return [cache[resolve_variant(variant), seed] for variant, seed in pairs]
-
-    return get
+def grid(default_gen, bench_episodes):
+    """``acceptance_grid`` on the default benchmark."""
+    return acceptance_grid(default_gen, bench_episodes)
 
 
 @pytest.fixture(scope="session")
-def trained(graded):
-    """Memoized training on the default benchmark config: the requested
-    run alone, not its seed's whole ABLATION_GRID row."""
-    return lambda variant, seed: graded([(variant, seed)])[0][0]
+def trained(grid):
+    return lambda variant, seed: grid[resolve_variant(variant), seed][0]
 
 
 @pytest.fixture(scope="session")
-def evaluated(graded):
-    """Memoized evaluation on the default benchmark; the first request
-    for a seed trains and scores its whole ABLATION_GRID row at once."""
-    return lambda variant, seed: graded([(v, seed) for v in ABLATION_GRID + (variant,)])[-1][1]
+def evaluated(grid):
+    return lambda variant, seed: grid[resolve_variant(variant), seed][1]
 
 
 @pytest.fixture(scope="session")
 def fps_sweep(bench_episodes):
-    """100-seed baseline sweep on the default benchmark, on ``worker_cap()`` workers."""
-    return fps_seed_sweep(bench_episodes, FPS_BASELINE_TOKENS, range(100), worker_cap())
+    return acceptance_sweep(bench_episodes)
 
 
 @pytest.fixture()

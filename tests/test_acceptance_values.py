@@ -6,11 +6,13 @@ for the default benchmark: mIoU, ``qk_dist`` and ``attn_entropy`` of the
 stdev, and a SHA-256 of the seed-0 ``warm`` parameters. The digest test
 checks bytes on a small config; this one checks them at the paper's
 scale (D=32, L=512, M=100, 1,000 steps), where BLAS picks other code
-paths. The test reads only the session fixtures, and it skips by the
-digest test's rule: where the numpy version, the OpenBLAS core or numpy's
-SIMD dispatch targets differ from the header (``host_build``). A change
-that moves these values on purpose regenerates the file in the same
-change, header included, from the repository root:
+paths. The test reads only the session fixtures, and the file is made
+from their functions (``conftest.acceptance_grid`` and
+``acceptance_sweep``). The test skips by the digest test's rule: where
+the numpy version, the OpenBLAS core or numpy's SIMD dispatch targets
+differ from the header (``host_build``). A change that moves these
+values on purpose regenerates the file in the same change, header
+included, from the repository root:
 
     PYTHONPATH=src python -m tests.test_acceptance_values > tests/data/acceptance_values.txt
 """
@@ -27,17 +29,17 @@ import pytest
 
 from warmproto.warm import ABLATION_GRID, PARAM_NAMES
 
+from .conftest import GRID_SEEDS
 from .test_cli_digest import header_lines, host_build
 
 EXPECTED = Path(__file__).resolve().parent / "data" / "acceptance_values.txt"
-SEEDS = range(5)
 
 
 def value_lines(report_of, warm_params, sweep) -> list[str]:
     """The file's lines: ``report_of(variant, seed)`` gives a grid report."""
     lines = [
         f"{variant} {seed} {name} {getattr(report_of(variant, seed), name)!r}"
-        for seed in SEEDS
+        for seed in GRID_SEEDS
         for variant in ABLATION_GRID
         for name in ("miou", "qk_dist", "attn_entropy")
     ]
@@ -64,21 +66,21 @@ def test_values_match_committed_data(evaluated, trained, fps_sweep):
 
 
 if __name__ == "__main__":
-    # the session fixtures' recipe, outside pytest: one grid over every seed
-    from warmproto import GeneratorConfig, TrainConfig
-    from warmproto.cli import worker_cap
-    from warmproto.fps import fps_seed_sweep
-    from warmproto.trainer import make_eval_episodes, run_grid
+    # the session fixtures' recipe, outside pytest
+    from warmproto import GeneratorConfig
+    from warmproto.trainer import make_eval_episodes
+    from warmproto.warm import resolve_variant
 
-    from .conftest import EVAL_SEED, FPS_BASELINE_TOKENS
+    from .conftest import EVAL_SEED, acceptance_grid, acceptance_sweep
 
     if not warmproto.BLAS_PINNED:
         raise SystemExit("numpy was loaded before warmproto, so BLAS runs at a thread count these values do not use")
     gen = GeneratorConfig()
     episodes = list(make_eval_episodes(gen, 100, EVAL_SEED))  # scored by the grid and the sweep
-    runs = [(TrainConfig(seed=s), v) for s in SEEDS for v in ABLATION_GRID]
-    results = {(v, cfg.seed): result for (cfg, v), result in zip(runs, run_grid(runs, gen, episodes, worker_cap()))}
-    # "warm" is the same (transform, restore) pair as "whiten+restore"
-    warm = results["whiten+restore", 0][0].params
-    sweep = fps_seed_sweep(episodes, FPS_BASELINE_TOKENS, range(100), worker_cap())
-    print("\n".join(header_lines() + value_lines(lambda v, s: results[v, s][1], warm, sweep)))
+    grid = acceptance_grid(gen, episodes)
+    lines = value_lines(
+        lambda variant, seed: grid[resolve_variant(variant), seed][1],
+        grid[resolve_variant("warm"), 0][0].params,
+        acceptance_sweep(episodes),
+    )
+    print("\n".join(header_lines() + lines))

@@ -807,13 +807,22 @@ class TestFpsWorkers:
         assert len(names) == 5 and len({key for _, key in names}) == 5
         assert len({pid for pid, _ in names}) == 2 and str(os.getpid()) not in {pid for pid, _ in names}
 
-    def test_rejects_bad_worker_count_and_empty_batch(self):
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda episodes, workers=1: evaluate([(init_params(32, 6, derive_rng(0)), "warm")], episodes, workers),
+            lambda episodes, workers=1: evaluate_fps(episodes, 3, 0, workers),
+            lambda episodes, workers=1: fps_seed_sweep(episodes, 3, range(2), workers),
+        ],
+        ids=["evaluate", "evaluate_fps", "fps_seed_sweep"],
+    )
+    def test_rejects_bad_worker_count_and_empty_batch(self, score):
         cfg = load_experiment_config(None)
         episodes = make_eval_episodes(cfg.generator, 2, 0)
         with pytest.raises(ArgumentError, match="workers must be >= 1"):
-            fps_seed_sweep(episodes, 3, range(2), workers=0)
+            score(episodes, workers=0)
         with pytest.raises(ArgumentError, match="at least one episode"):
-            fps_seed_sweep([], 3, range(2))
+            score([])
 
     @pytest.mark.parametrize("verb", ["sweep-fps", "eval"])
     def test_body_error_in_a_worker_exit_3_one_line(self, tmp_path, monkeypatch, capfd, wait_limit, verb):
@@ -862,8 +871,17 @@ class TestStreamedBatch:
         argv = ["eval", "--config", str(path), "--checkpoint", str(checkpoint), "--data", str(data)]
         return path, data, argv + ["--out", str(tmp_path / "o")]
 
-    def test_workers_load_their_own_episodes_once(self, tmp_path, monkeypatch):
-        _, data, argv = self._batch(tmp_path, monkeypatch)
+    @pytest.mark.parametrize(
+        "verb, method",
+        [("eval", None), ("sweep-fps", "fps-min-dist"), ("eval", "fps-min-dist")],
+        ids=["eval", "sweep-fps", "eval-fps-min-dist"],
+    )
+    def test_workers_load_their_own_episodes_once(self, tmp_path, monkeypatch, verb, method):
+        path, data, argv = self._batch(tmp_path, monkeypatch)
+        if method:
+            # the FPS verbs read no checkpoint
+            path.write_text(json.dumps(dict(json.loads(path.read_text()), method=method)))
+            argv = [verb, "--config", str(path), "--data", str(data), "--out", str(tmp_path / "o")]
         loads, real = tmp_path / "loads", cli.load_episode
         loads.mkdir()
 

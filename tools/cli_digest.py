@@ -3,21 +3,16 @@
 
 Runs a fixed set of verbs on a small 2-way 2-shot config, each in its own
 ``python -m warmproto.cli`` subprocess, with the package imported from
-``--src`` (default: the ``src`` beside this script). BLAS runs at 1 thread
-(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``): the
-package pins these at import, but the script sets them too, so that a tree
-from before that pin runs at the same thread count and still diffs clean.
-The whole set runs twice, each time in a fresh temporary directory that is
-the verbs' working directory: first with every verb pinned to one CPU
-(``os.sched_setaffinity``), so at one worker, then on all the CPUs this
-script may use, one worker each. ``WARM_THREADS``, which older trees read
-for the worker count, is taken out of the verbs' environment, so such a
-tree runs at the same counts. For each verb it prints the command under a
-fixed label (``cpus=1`` or ``cpus=all``, so hosts with other CPU counts
-print the same lines), its stdout, and one ``sha256  path`` line per file
-under its ``--out``; ``timing.csv`` is left out, since it holds wall
-times. It exits 1 at the first verb that exits non-zero, after printing
-that verb's stderr.
+``--src`` (default: the ``src`` beside this script); the package's import
+pins BLAS to 1 thread. The whole set runs twice, each time in a fresh
+temporary directory that is the verbs' working directory: first with
+every verb pinned to one CPU (``os.sched_setaffinity``), so at one worker,
+then on all the CPUs this script may use, one worker each. For each verb
+it prints the command under a fixed label (``cpus=1`` or ``cpus=all``, so
+hosts with other CPU counts print the same lines), its stdout, and one
+``sha256  path`` line per file under its ``--out``; ``timing.csv`` is left
+out, since it holds wall times. It exits 1 at the first verb that exits
+non-zero, after printing that verb's stderr.
 
 Two trees write the same bytes when their digests diff clean:
 
@@ -66,8 +61,6 @@ VERBS = [
 def run_verbs(src: Path, cpus: str) -> bool:
     """Run every verb on one CPU (``cpus`` "1") or on all usable ones ("all")."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("WARM_THREADS", None)
-    env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     one_cpu = {min(os.sched_getaffinity(0))}
     pin = (lambda: os.sched_setaffinity(0, one_cpu)) if cpus == "1" else None
     with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
