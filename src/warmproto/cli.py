@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .episodes import (
     MAX_SIZE,
     EpisodeBatch,
     GeneratorConfig,
-    check_sizes,
+    check_counts,
     gen_episode,
     load_episode,
     read_header,
@@ -55,14 +55,10 @@ class ExperimentConfig:
     num_episodes: int = 100
     gen_seed: int = 7700
 
-    def validate(self) -> None:
-        self.generator.validate()
-        self.train.validate()
+    def __post_init__(self) -> None:
         if self.method != "fps-min-dist" and self.method not in VARIANTS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {['fps-min-dist', *VARIANTS]}")
-        for name in ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_counts(self, ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes"))
         for name in ("eval_seed", "gen_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -70,24 +66,24 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be a nonempty list of seeds >= 0, got {list(self.seeds)}")
         if not self.token_counts or any(not 1 <= m <= MAX_SIZE for m in self.token_counts):
             raise ConfigError(f"token_counts must be a nonempty list of counts in [1, {MAX_SIZE}]")
-        check_sizes(self, ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes"))
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value has a config field's annotated type. JSON
     integers are valid floats, non-finite floats are not; booleans are
-    neither integers nor floats."""
+    neither integers nor floats; a nested config is a JSON object."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:  # the length is left to validate()
+    if typing.get_origin(hint) is tuple:  # the length is left to the config's own check
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
     if hint is float:  # NaN, Infinity and integers past a double's range do not fit
         return (_fits(value, int) or isinstance(value, float)) and abs(value) <= sys.float_info.max
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, hint)
+    return isinstance(value, dict if is_dataclass(hint) else hint)
 
 
 def _build_dataclass(cls, data: dict, section: str):
+    """``cls`` from a JSON object, each nested config from its own (its section)."""
     names = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - names)
     if unknown:
@@ -98,7 +94,11 @@ def _build_dataclass(cls, data: dict, section: str):
             raise ConfigError(
                 f"field '{f.name}' in section '{section}' must be {f.type}, got {json.dumps(data[f.name])}"
             )
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+    kwargs = {}
+    for name, value in data.items():
+        if is_dataclass(hints[name]):
+            value = _build_dataclass(hints[name], value, name)
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -118,9 +118,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_experiment_config(path) -> ExperimentConfig:
     if path is None:
-        cfg = ExperimentConfig()
-        cfg.validate()
-        return cfg
+        return ExperimentConfig()
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -131,19 +129,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object at the top level")
-    top = dict(data)
-    gen_data = top.pop("generator", {})
-    train_data = top.pop("train", {})
-    if not isinstance(gen_data, dict) or not isinstance(train_data, dict):
-        raise ConfigError("sections 'generator' and 'train' must be JSON objects")
-    cfg = _build_dataclass(ExperimentConfig, top, "top level")
-    cfg = replace(
-        cfg,
-        generator=_build_dataclass(GeneratorConfig, gen_data, "generator"),
-        train=_build_dataclass(TrainConfig, train_data, "train"),
-    )
-    cfg.validate()
-    return cfg
+    return _build_dataclass(ExperimentConfig, data, "top level")
 
 
 def config_sha256(cfg: ExperimentConfig) -> str:

@@ -175,16 +175,10 @@ class GeneratorConfig:
     min_fg_points: int = 32
     bg_components: int = 4
 
-    def validate(self) -> None:
-        check_sizes(self, ("feature_dim", "points_per_cloud", "n_way", "k_shot", "num_query", "bg_components"))
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.n_way < 1 or self.k_shot < 1 or self.num_query < 1:
-            raise ConfigError("n_way, k_shot and num_query must all be >= 1")
+    def __post_init__(self) -> None:
+        check_counts(self, ("feature_dim", "points_per_cloud", "n_way", "k_shot", "num_query", "bg_components"))
         if self.min_fg_points < 2:
             raise ConfigError(f"min_fg_points must be >= 2, got {self.min_fg_points}")
-        if self.bg_components < 1:
-            raise ConfigError(f"bg_components must be >= 1, got {self.bg_components}")
         if self.seed < 0:
             raise ConfigError(f"generator seed must be >= 0, got {self.seed}")
         for name in ("inter_class_scale", "intra_class_scale", "instance_spread"):
@@ -215,12 +209,16 @@ class GeneratorConfig:
             )
 
 
-def check_sizes(cfg, names) -> None:
-    """Raise ConfigError for the first field of ``names`` above MAX_SIZE:
-    a size numpy could not allocate, or a count no run would finish."""
+def check_counts(cfg, names) -> None:
+    """Raise ConfigError for the first field of ``names`` outside [1,
+    MAX_SIZE], naming the bound it broke: above it, a size numpy could
+    not allocate, or a count no run would finish."""
     for name in names:
-        if getattr(cfg, name) > MAX_SIZE:
-            raise ConfigError(f"{name} must be <= {MAX_SIZE}, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+        if value > MAX_SIZE:
+            raise ConfigError(f"{name} must be <= {MAX_SIZE}, got {value}")
 
 
 def class_center(cfg: GeneratorConfig, class_id: int) -> np.ndarray:
@@ -303,7 +301,6 @@ def gen_episode(cfg: GeneratorConfig, rng: np.random.Generator, split: str = "ba
     order. Background distractor classes are drawn once per episode and
     shared by all of its clouds.
     """
-    cfg.validate()
     if split == "base":
         pool = cfg.base_classes
     elif split == "novel":

@@ -24,7 +24,7 @@ from itertools import chain, groupby, islice
 
 import numpy as np
 
-from .episodes import MAX_SIZE, Episode, EpisodeBatch, GeneratorConfig, PointCloud, check_sizes, gen_episode
+from .episodes import MAX_SIZE, Episode, EpisodeBatch, GeneratorConfig, PointCloud, check_counts, gen_episode
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from .losses import margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
@@ -78,12 +78,12 @@ class TrainConfig:
     def total_steps(self) -> int:
         return self.epochs * self.episodes_per_epoch
 
-    def validate(self) -> None:
-        if self.epochs < 0 or self.episodes_per_epoch < 1:
-            raise ConfigError("epochs must be >= 0 and episodes_per_epoch >= 1")
+    def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        check_counts(self, ("episodes_per_epoch", "num_tokens"))
         if self.total_steps > MAX_SIZE:
             raise ConfigError(f"epochs * episodes_per_epoch must be <= {MAX_SIZE}, got {self.total_steps}")
-        check_sizes(self, ("num_tokens",))
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
@@ -97,8 +97,6 @@ class TrainConfig:
             raise ConfigError("lam and margin must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"train seed must be >= 0, got {self.seed}")
-        if self.num_tokens < 1:
-            raise ConfigError(f"num_tokens must be >= 1, got {self.num_tokens}")
         if not self.token_std >= 0:
             raise ConfigError(f"token_std must be >= 0, got {self.token_std}")
 
@@ -250,7 +248,7 @@ def train_grid(
     """
     if workers < 1:
         raise ArgumentError(f"workers must be >= 1, got {workers}")
-    _check_runs(runs, gen_cfg)
+    _check_runs(runs)
     trained = []
     for (seed, steps), group in groupby(runs, key=lambda run: (run[0].seed, run[0].total_steps)):
         states = [TrainRun.start(cfg, gen_cfg, variant) for cfg, variant in group]
@@ -280,13 +278,10 @@ def train_grid(
     return trained
 
 
-def _check_runs(runs: list[tuple[TrainConfig, str]], gen_cfg: GeneratorConfig) -> None:
-    """Reject an empty grid, or one with an invalid config or variant, before any run trains."""
+def _check_runs(runs: list[tuple[TrainConfig, str]]) -> None:
+    """Reject an empty grid, or an unknown variant, before any run trains; configs check themselves."""
     if not runs:
         raise ArgumentError("grid needs at least one run")
-    for cfg, _ in runs:
-        cfg.validate()
-    gen_cfg.validate()
     for _, variant in runs:
         resolve_variant(variant)
 
@@ -463,8 +458,8 @@ def evaluate(
 
 
 def _slices(items: Sequence, count: int) -> list[Sequence]:
-    """``items`` cut into min(count, len(items)) contiguous slices, longer ones first."""
-    count = min(count, len(items))
+    """``items`` cut into max(1, min(count, len(items))) contiguous slices, longer ones first."""
+    count = max(1, min(count, len(items)))
     size, extra = divmod(len(items), count)
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -531,6 +526,6 @@ def run_grid(
     which the import pins to one, so ``cli.worker_cap`` gives one worker
     per CPU this process may use.
     """
-    _check_runs(runs, gen_cfg)
+    _check_runs(runs)
     trained = fork_map(partial(train_grid, gen_cfg=gen_cfg), runs, workers)
     return list(zip(trained, evaluate([(run.params, run.variant) for run in trained], episodes, workers)))

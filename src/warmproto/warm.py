@@ -109,6 +109,9 @@ def color(tokens: np.ndarray, stats: WhitenStats) -> np.ndarray:
     return tokens @ stats.sqrt + stats.mean
 
 
+PARAM_NAMES = ("tokens", "w_q", "w_k", "w_v")
+
+
 @dataclass
 class WarmParams:
     """Learnable state: 2M prototypical tokens and the three projections.
@@ -123,14 +126,12 @@ class WarmParams:
     w_v: np.ndarray
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.float64)
-        self.w_q = np.asarray(self.w_q, dtype=np.float64)
-        self.w_k = np.asarray(self.w_k, dtype=np.float64)
-        self.w_v = np.asarray(self.w_v, dtype=np.float64)
+        for name in PARAM_NAMES:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.tokens.ndim != 2 or self.tokens.shape[0] % 2 != 0:
             raise ArgumentError(f"tokens must be (2M x D), got shape {self.tokens.shape}")
         d = self.tokens.shape[1]
-        for name in ("w_q", "w_k", "w_v"):
+        for name in PARAM_NAMES[1:]:  # the projections
             w = getattr(self, name)
             if w.shape != (d, d):
                 raise ArgumentError(f"{name} must be ({d} x {d}), got {w.shape}")
@@ -149,9 +150,6 @@ class WarmParams:
         """Rows of ``tokens`` holding the class's pool."""
         m = self.num_tokens
         return slice(m, 2 * m) if class_label == BACKGROUND else slice(0, m)
-
-
-PARAM_NAMES = ("tokens", "w_q", "w_k", "w_v")
 
 
 def params_as_dict(params: WarmParams) -> dict[str, np.ndarray]:
@@ -344,10 +342,7 @@ def save_checkpoint(path, params: WarmParams, seed: int, config_hash: str = "") 
         "num_tokens": params.num_tokens,
         "seed": int(seed),
         "config_sha256": config_hash,
-        "tokens": params.tokens.tolist(),
-        "w_q": params.w_q.tolist(),
-        "w_k": params.w_k.tolist(),
-        "w_v": params.w_v.tolist(),
+        **{name: getattr(params, name).tolist() for name in PARAM_NAMES},
     }
     atomic_write(path, json.dumps(payload, sort_keys=True))
 
@@ -360,7 +355,7 @@ def load_checkpoint(path) -> tuple[WarmParams, dict]:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"checkpoint {path} must hold a JSON object at the top level")
-    required = {"version", "feature_dim", "num_tokens", "seed", "tokens", "w_q", "w_k", "w_v"}
+    required = {"version", "feature_dim", "num_tokens", "seed", *PARAM_NAMES}
     missing = required - payload.keys()
     if missing:
         raise CheckpointError(f"checkpoint {path} is missing fields {sorted(missing)}")
@@ -368,12 +363,7 @@ def load_checkpoint(path) -> tuple[WarmParams, dict]:
         raise CheckpointError(f"unsupported checkpoint version {payload['version']}")
     try:
         d, m = int(payload["feature_dim"]), int(payload["num_tokens"])
-        params = WarmParams(
-            tokens=np.array(payload["tokens"], dtype=np.float64),
-            w_q=np.array(payload["w_q"], dtype=np.float64),
-            w_k=np.array(payload["w_k"], dtype=np.float64),
-            w_v=np.array(payload["w_v"], dtype=np.float64),
-        )
+        params = WarmParams(**{name: np.array(payload[name], dtype=np.float64) for name in PARAM_NAMES})
     # ArgumentError is a ValueError; NumericError is json's NaN or infinity; OverflowError a huge integer
     except (TypeError, ValueError, OverflowError, NumericError) as exc:
         raise CheckpointError(f"checkpoint {path} holds malformed values: {exc}") from exc

@@ -25,12 +25,11 @@ from pathlib import Path
 import warmproto  # isort: skip
 
 import numpy as np
-import pytest
 
 from warmproto.warm import ABLATION_GRID, PARAM_NAMES
 
 from .conftest import GRID_SEEDS
-from .test_cli_digest import header_lines, host_build
+from .test_cli_digest import committed_body, header_lines
 
 EXPECTED = Path(__file__).resolve().parent / "data" / "acceptance_values.txt"
 
@@ -52,14 +51,8 @@ def value_lines(report_of, warm_params, sweep) -> list[str]:
 
 
 def test_values_match_committed_data(evaluated, trained, fps_sweep):
-    lines = EXPECTED.read_text().splitlines()
-    header = [line[2:].rsplit(" ", 1) for line in lines if line.startswith("# ")]
-    recorded = dict(header)
-    here = host_build()
-    if here != recorded:
-        pytest.skip(f"the values were made with {recorded}; this host has {here}")
+    expected = committed_body(EXPECTED, "the values were")
     got = value_lines(evaluated, trained("warm", 0).params, fps_sweep)
-    expected = lines[len(header) :]
     assert len(got) == len(expected)
     for got_line, expected_line in zip(got, expected):
         assert got_line == expected_line

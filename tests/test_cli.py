@@ -16,11 +16,11 @@ import pytest
 
 from warmproto import cli, fps, trainer
 from warmproto.cli import ExperimentConfig, load_experiment_config, main, worker_cap
-from warmproto.episodes import MAX_SIZE, load_episode, save_episode
+from warmproto.episodes import MAX_SIZE, GeneratorConfig, load_episode, save_episode
 from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from warmproto.fps import evaluate_fps, fps_seed_sweep
 from warmproto.rng import derive_rng
-from warmproto.trainer import evaluate, make_eval_episodes, train
+from warmproto.trainer import TrainConfig, evaluate, make_eval_episodes, train
 from warmproto.warm import ABLATION_GRID, VARIANTS, init_params, load_checkpoint, save_checkpoint
 
 REPO = Path(__file__).resolve().parents[1]
@@ -83,7 +83,6 @@ class TestConfigLoading:
     def test_bundled_default_config_parses(self):
         path = REPO / "configs" / "default.json"
         cfg = load_experiment_config(path)
-        cfg.validate()
         assert cfg.train.lr == pytest.approx(1e-4)
         assert cfg.train.num_tokens == 100
         # field for field: a key missing from the file or set otherwise shows here
@@ -154,6 +153,8 @@ class TestConfigLoading:
             pytest.param({"generator": {"instance_spread": 10**400}}, "instance_spread", id="spread-huge-int"),
             pytest.param('{"train": {"lr": 1%s}}' % ("0" * 5000), "lr", id="lr-5001-digits"),
             pytest.param('{"eval_episodes": -1%s}' % ("0" * 5000), "eval_episodes", id="eval_episodes-5001-digits"),
+            pytest.param({"generator": 3}, "generator", id="generator-number"),
+            pytest.param({"train": [1]}, "train", id="train-list"),
         ],
     )
     def test_wrong_json_type_exit_1(self, tmp_path, capsys, data, field):
@@ -226,6 +227,18 @@ class TestConfigLoading:
         assert main(["gen", "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            pytest.param(lambda: GeneratorConfig(k_shot=0), "k_shot", id="generator"),
+            pytest.param(lambda: replace(TrainConfig(), num_tokens=0), "num_tokens", id="train-replace"),
+            pytest.param(lambda: ExperimentConfig(fps_seeds=0), "fps_seeds", id="experiment"),
+        ],
+    )
+    def test_configs_check_themselves_when_built(self, build, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got 0$"):
+            build()
 
     def test_json_integers_fill_float_fields(self, tmp_path):
         path = tmp_path / "c.json"

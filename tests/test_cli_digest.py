@@ -64,18 +64,26 @@ def header_lines() -> list[str]:
     return [f"# {name} {value}" for name, value in host_build().items()]
 
 
-def test_outputs_match_committed_digest():
-    lines = EXPECTED.read_text().splitlines()
+def committed_body(path: Path, made: str) -> list[str]:
+    """The lines of committed byte data below its header; skips where the
+    header is not ``host_build()``, with a reason that opens with ``made``
+    (such as "the digest was")."""
+    lines = path.read_text().splitlines()
     header = [line[2:].rsplit(" ", 1) for line in lines if line.startswith("# ")]
     recorded = dict(header)
     here = host_build()
     if here != recorded:
-        pytest.skip(f"the digest was made with {recorded}; this host has {here}")
+        pytest.skip(f"{made} made with {recorded}; this host has {here}")
+    return lines[len(header) :]
+
+
+def test_outputs_match_committed_digest():
+    expected = committed_body(EXPECTED, "the digest was")
     done = subprocess.run(
         [sys.executable, str(REPO / "tools" / "cli_digest.py")], capture_output=True, text=True, timeout=600
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == lines[len(header) :]
+    assert done.stdout.splitlines() == expected
 
 
 if __name__ == "__main__":

@@ -27,31 +27,30 @@ TWO_WAY = GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16,
 
 class TestGeneratorConfig:
     def test_default_valid(self):
-        GeneratorConfig().validate()
+        GeneratorConfig()
 
     def test_rejects_overlapping_splits(self):
-        cfg = GeneratorConfig(base_classes=(0, 1, 2), novel_classes=(2, 3, 4))
         with pytest.raises(ConfigError):
-            cfg.validate()
+            GeneratorConfig(base_classes=(0, 1, 2), novel_classes=(2, 3, 4))
 
     def test_rejects_negative_scale(self):
         with pytest.raises(ConfigError):
-            GeneratorConfig(instance_spread=-1.0).validate()
+            GeneratorConfig(instance_spread=-1.0)
 
     def test_rejects_full_correlation(self):
         with pytest.raises(ConfigError):
-            GeneratorConfig(channel_corr_strength=1.0).validate()
+            GeneratorConfig(channel_corr_strength=1.0)
 
     def test_rejects_too_few_classes_for_distractors(self):
         with pytest.raises(ConfigError):
-            GeneratorConfig(n_way=2, base_classes=(0, 1), novel_classes=(2, 3)).validate()
+            GeneratorConfig(n_way=2, base_classes=(0, 1), novel_classes=(2, 3))
         # three ids but two distinct ones: no class would be left for the background
         with pytest.raises(ConfigError, match="novel_classes must hold distinct class ids"):
-            GeneratorConfig(n_way=2, novel_classes=(8, 8, 9)).validate()
+            GeneratorConfig(n_way=2, novel_classes=(8, 8, 9))
 
     def test_rejects_tiny_clouds(self):
         with pytest.raises(ConfigError):
-            GeneratorConfig(points_per_cloud=64).validate()
+            GeneratorConfig(points_per_cloud=64)
 
 
 class TestGenEpisode:

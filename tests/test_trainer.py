@@ -96,9 +96,9 @@ class TestLrSchedule:
 
     def test_invalid_milestones_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig(lr_milestones=(0.8, 0.6)).validate()
+            TrainConfig(lr_milestones=(0.8, 0.6))
         with pytest.raises(ConfigError):
-            TrainConfig(lr_milestones=(0.0, 0.5)).validate()
+            TrainConfig(lr_milestones=(0.0, 0.5))
 
 
 class TestTrain:
@@ -417,6 +417,10 @@ class TestRunGrid:
         for runs, workers in (([], 1), (self.RUNS, 0)):
             with pytest.raises(ArgumentError):
                 run_grid(runs, DESK, episodes, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fork_map_of_no_items_is_one_empty_part(self, workers):
+        assert fork_map(lambda part: [len(part)], [], workers) == [0]
 
 
 class TestEvaluate:

@@ -1,5 +1,7 @@
 """Whitening statistics, attention, forward variants, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from warmproto.errors import (
     InsufficientPointsError,
     NumericError,
 )
-from warmproto.warm import resolve_variant
+from warmproto.warm import PARAM_NAMES, resolve_variant
 
 
 def full_rank_features(rng, n, d, scale=1.0):
@@ -434,18 +436,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_missing_field(self, tmp_path):
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_missing_field(self, tmp_path, name):
         path = tmp_path / "ckpt.json"
-        path.write_text('{"version": 1}')
-        with pytest.raises(CheckpointError):
+        save_checkpoint(path, init_params(3, 2, derive_rng(31)), seed=0)
+        payload = json.loads(path.read_text())
+        del payload[name]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"missing fields \\['{name}'\\]"):
             load_checkpoint(path)
 
     def test_inconsistent_header(self, tmp_path):
         params = init_params(3, 2, derive_rng(31))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, seed=0)
-        import json
-
         payload = json.loads(path.read_text())
         payload["feature_dim"] = 5
         path.write_text(json.dumps(payload))
