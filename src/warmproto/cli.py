@@ -25,10 +25,10 @@ import numpy as np
 
 from . import BLAS_PINNED
 from .episodes import (
-    MAX_SIZE,
+    MAX_SEED,
     EpisodeBatch,
     GeneratorConfig,
-    check_counts,
+    check_range,
     gen_episode,
     load_episode,
     read_header,
@@ -58,14 +58,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.method != "fps-min-dist" and self.method not in VARIANTS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {['fps-min-dist', *VARIANTS]}")
-        check_counts(self, ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes"))
-        for name in ("eval_seed", "gen_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.seeds or any(s < 0 for s in self.seeds):
-            raise ConfigError(f"seeds must be a nonempty list of seeds >= 0, got {list(self.seeds)}")
-        if not self.token_counts or any(not 1 <= m <= MAX_SIZE for m in self.token_counts):
-            raise ConfigError(f"token_counts must be a nonempty list of counts in [1, {MAX_SIZE}]")
+        check_range(self, ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes", "token_counts"), 1)
+        check_range(self, ("eval_seed", "gen_seed", "seeds"), 0, MAX_SEED)
+        for name in ("seeds", "token_counts"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be nonempty")
 
 
 def _fits(value, hint) -> bool:
@@ -227,12 +224,12 @@ def cmd_eval(args) -> None:
             raise ConfigError("method 'fps-min-dist' has no learnable parameters; it does not read --checkpoint")
     elif args.checkpoint is None:
         raise ConfigError(f"method {cfg.method!r} needs --checkpoint")
-    out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data, ways=True)
-    if cfg.method == "fps-min-dist":
+    params = None if cfg.method == "fps-min-dist" else load_checkpoint(args.checkpoint)[0]
+    out = _out_dir(args)
+    if params is None:
         report = evaluate_fps(episodes, cfg.fps_tokens, cfg.eval_seed, worker_cap())
     else:
-        params, _meta = load_checkpoint(args.checkpoint)
         (report,) = evaluate([(params, cfg.method)], episodes, worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
     diagnostics = ["d_intra", "d_inter", "d_instance", "attn_entropy", "attn_diversity", "qk_dist"]
@@ -249,8 +246,8 @@ def cmd_eval(args) -> None:
 
 def cmd_sweep_fps(args) -> None:
     cfg = load_experiment_config(args.config)
-    out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data, ways=True)
+    out = _out_dir(args)
     result = fps_seed_sweep(episodes, cfg.fps_tokens, range(cfg.fps_seeds), worker_cap())
     labels = list(range(cfg.generator.n_way + 1))
     rows = [
@@ -270,8 +267,8 @@ def cmd_sweep_fps(args) -> None:
 
 def cmd_ablate(args) -> None:
     cfg = load_experiment_config(args.config)
-    out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
+    out = _out_dir(args)
     runs = [(replace(cfg.train, seed=seed), variant) for seed in cfg.seeds for variant in ABLATION_GRID]
     rows = [
         [run.variant, run.cfg.seed, repr(float(report.qk_dist)), repr(float(report.miou))]
@@ -286,8 +283,8 @@ def cmd_token_sweep(args) -> None:
     cfg = load_experiment_config(args.config)
     if cfg.method == "fps-min-dist":
         raise ConfigError("token-sweep needs a trainable method")
-    out = _out_dir(args)
     episodes = _eval_batch(cfg, args.data)
+    out = _out_dir(args)
     counts = [int(m) for m in cfg.token_counts]
     runs = [(replace(cfg.train, seed=seed, num_tokens=m), cfg.method) for seed in cfg.seeds for m in counts]
     mious = [report.miou for _, report in run_grid(runs, cfg.generator, episodes, worker_cap())]
@@ -377,8 +374,6 @@ def main(argv=None) -> int:
             return 1
         return 0 if exc.code in (0, None) else 1
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # the finiteness checks report overflow in one NumericError line;
         # numpy's warnings would precede it. Forked workers inherit this.
         with np.errstate(all="ignore"):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
+import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,6 +35,8 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sHIIIII")  # magic, version, N, K, U, L, D
 # the largest N, K, U, L or D the header holds; the configs bound every size and count by it
 MAX_SIZE = 2**32 - 1
+# the largest seed: 64 bits of SeedSequence entropy
+MAX_SEED = 2**64 - 1
 
 BACKGROUND = 0
 
@@ -176,27 +179,25 @@ class GeneratorConfig:
     bg_components: int = 4
 
     def __post_init__(self) -> None:
-        check_counts(self, ("feature_dim", "points_per_cloud", "n_way", "k_shot", "num_query", "bg_components"))
-        if self.min_fg_points < 2:
-            raise ConfigError(f"min_fg_points must be >= 2, got {self.min_fg_points}")
-        if self.seed < 0:
-            raise ConfigError(f"generator seed must be >= 0, got {self.seed}")
-        for name in ("inter_class_scale", "intra_class_scale", "instance_spread"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        check_range(self, ("feature_dim", "points_per_cloud", "n_way", "k_shot", "num_query", "bg_components"), 1)
+        check_range(self, ("min_fg_points",), 2)
+        check_range(self, ("seed",), 0, MAX_SEED, prefix="generator ")
+        check_range(self, ("inter_class_scale", "intra_class_scale", "instance_spread"), 0, sys.float_info.max)
         if not 0.0 <= self.channel_corr_strength < 1.0:
             raise ConfigError(
                 f"channel_corr_strength must lie in [0, 1), got {self.channel_corr_strength}"
             )
+        # WARM-EP1 stores class ids as u32
+        check_range(self, ("base_classes", "novel_classes"), 0)
         base, novel = set(self.base_classes), set(self.novel_classes)
         if not base or not novel:
             raise ConfigError("both class splits must be nonempty")
         if base & novel:
             raise ConfigError(f"base and novel classes overlap: {sorted(base & novel)}")
         for split_name, split in (("base_classes", self.base_classes), ("novel_classes", self.novel_classes)):
-            # WARM-EP1 stores class ids as u32; a repeated id would be counted as a distractor it cannot supply
-            if len(set(split)) != len(split) or not all(0 <= c <= MAX_SIZE for c in split):
-                raise ConfigError(f"{split_name} must hold distinct class ids in [0, {MAX_SIZE}], got {list(split)}")
+            # a repeated id would be counted as a distractor it cannot supply
+            if len(set(split)) != len(split):
+                raise ConfigError(f"{split_name} must hold distinct class ids, got {list(split)}")
             if len(split) <= self.n_way:
                 raise ConfigError(
                     f"{split_name} needs more than n_way={self.n_way} classes to supply distractors"
@@ -209,16 +210,19 @@ class GeneratorConfig:
             )
 
 
-def check_counts(cfg, names) -> None:
-    """Raise ConfigError for the first field of ``names`` outside [1,
-    MAX_SIZE], naming the bound it broke: above it, a size numpy could
-    not allocate, or a count no run would finish."""
+def check_range(cfg, names, low, high=MAX_SIZE, prefix: str = "") -> None:
+    """Raise ConfigError for the first field of ``names``, or element of a
+    tuple field, outside [low, high], naming the field and the bound it
+    broke. NaN breaks both; float fields pass ``high=sys.float_info.max``,
+    so infinity breaks it too. Above ``MAX_SIZE`` a size is one numpy
+    could not allocate, or a count no run would finish."""
     for name in names:
         value = getattr(cfg, name)
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-        if value > MAX_SIZE:
-            raise ConfigError(f"{name} must be <= {MAX_SIZE}, got {value}")
+        for v in value if isinstance(value, tuple) else (value,):
+            if not v >= low:
+                raise ConfigError(f"{prefix}{name} must be >= {low}, got {v}")
+            if not v <= high:
+                raise ConfigError(f"{prefix}{name} must be <= {high}, got {v}")
 
 
 def class_center(cfg: GeneratorConfig, class_id: int) -> np.ndarray:

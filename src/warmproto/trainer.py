@@ -15,6 +15,7 @@ parameter init and evaluation all derive from explicit seeds.
 from __future__ import annotations
 
 import signal
+import sys
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager, nullcontext
@@ -24,7 +25,7 @@ from itertools import chain, groupby, islice
 
 import numpy as np
 
-from .episodes import MAX_SIZE, Episode, EpisodeBatch, GeneratorConfig, PointCloud, check_counts, gen_episode
+from .episodes import MAX_SEED, MAX_SIZE, Episode, EpisodeBatch, GeneratorConfig, PointCloud, check_range, gen_episode
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from .losses import margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
@@ -79,26 +80,19 @@ class TrainConfig:
         return self.epochs * self.episodes_per_epoch
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        check_counts(self, ("episodes_per_epoch", "num_tokens"))
+        check_range(self, ("epochs",), 0)
+        check_range(self, ("episodes_per_epoch", "num_tokens"), 1)
         if self.total_steps > MAX_SIZE:
             raise ConfigError(f"epochs * episodes_per_epoch must be <= {MAX_SIZE}, got {self.total_steps}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr <= sys.float_info.max:
+            raise ConfigError(f"lr must lie in (0, {sys.float_info.max}], got {self.lr}")
+        check_range(self, ("weight_decay", "lam", "margin", "token_std"), 0, sys.float_info.max)
         if not 0 < self.lr_decay_factor <= 1:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
         ms = self.lr_milestones
         if len(ms) != 2 or not (0.0 < ms[0] < ms[1] < 1.0):
             raise ConfigError(f"lr_milestones must be ascending inside (0, 1), got {ms}")
-        if self.lam < 0 or self.margin < 0:
-            raise ConfigError("lam and margin must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
-        if not self.token_std >= 0:
-            raise ConfigError(f"token_std must be >= 0, got {self.token_std}")
+        check_range(self, ("seed",), 0, MAX_SEED, prefix="train ")
 
 
 @dataclass

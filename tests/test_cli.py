@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 import struct
 import subprocess
 import sys
-from dataclasses import asdict, replace
+import typing
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 from warmproto import cli, fps, trainer
 from warmproto.cli import ExperimentConfig, load_experiment_config, main, worker_cap
-from warmproto.episodes import MAX_SIZE, GeneratorConfig, load_episode, save_episode
+from warmproto.episodes import MAX_SEED, MAX_SIZE, GeneratorConfig, load_episode, save_episode
 from warmproto.errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from warmproto.fps import evaluate_fps, fps_seed_sweep
 from warmproto.rng import derive_rng
@@ -67,6 +69,24 @@ def fresh_env(**values):
 def use_workers(monkeypatch, count):
     """Run the verbs on ``count`` workers, or on what ``worker_cap`` gives when None."""
     monkeypatch.setattr(cli, "worker_cap", worker_cap if count is None else lambda: count)
+
+
+def out_of_range_values():
+    """(config type, field, value) for each config field set out of range:
+    each float at NaN and both infinities, each int at -1, and in a tuple
+    field one element at a time, so that a field added without a bound fails."""
+    for cls in (GeneratorConfig, TrainConfig, ExperimentConfig):
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            default, hint = getattr(cls(), f.name), hints[f.name]
+            kind = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
+            for bad in {float: [math.nan, math.inf, -math.inf], int: [-1]}.get(kind, []):
+                if isinstance(default, tuple):
+                    cases = {f"{f.name}[{i}]": default[:i] + (bad,) + default[i + 1 :] for i in range(len(default))}
+                else:
+                    cases = {f.name: bad}
+                for where, value in cases.items():
+                    yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{where}={bad}")
 
 
 def read_csv(path):
@@ -218,6 +238,16 @@ class TestConfigLoading:
         cfg = load_experiment_config(path)  # read only: nothing runs
         assert cfg.generator.bg_components == MAX_SIZE and cfg.train.total_steps == MAX_SIZE
 
+    def test_seeds_hold_64_bits(self):
+        assert TrainConfig(seed=MAX_SEED).seed == GeneratorConfig(seed=MAX_SEED).seed == MAX_SEED
+        for build in (
+            lambda: TrainConfig(seed=MAX_SEED + 1),
+            lambda: GeneratorConfig(seed=MAX_SEED + 1),
+            lambda: ExperimentConfig(seeds=(0, MAX_SEED + 1)),
+        ):
+            with pytest.raises(ConfigError, match=f"seeds? must be <= {MAX_SEED}, got {MAX_SEED + 1}$"):
+                build()
+
     def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
         # the error numpy raises for an allocation that cannot be met, without making one
         def too_big(*args, **kwargs):
@@ -239,6 +269,11 @@ class TestConfigLoading:
     def test_configs_check_themselves_when_built(self, build, field):
         with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got 0$"):
             build()
+
+    @pytest.mark.parametrize("cls, field, value", list(out_of_range_values()))
+    def test_every_config_value_is_range_checked(self, cls, field, value):
+        with pytest.raises(ConfigError, match=rf"\b{field}\b"):
+            replace(cls(), **{field: value})
 
     def test_json_integers_fill_float_fields(self, tmp_path):
         path = tmp_path / "c.json"
@@ -413,7 +448,7 @@ class TestTrainEval:
         assert main(argv) == 1
         err = capfd.readouterr().err
         assert err == f"error: config has n_way={config_ways} but episode 0 has n_way={batch_ways}\n"
-        assert not (tmp_path / "o" / ("metrics.csv" if verb == "eval" else "sweep.csv")).exists()
+        assert not (tmp_path / "o").exists()
 
     def test_eval_fps_needs_no_checkpoint(self, config_path, tmp_path):
         cfg = dict(SMALL_CONFIG, method="fps-min-dist")
@@ -1061,7 +1096,7 @@ class TestExitCodes:
         [
             pytest.param("train", {"train": {"seed": -1}}, [], "train seed", id="train.seed"),
             pytest.param("train", {"generator": {"seed": -2}}, [], "generator seed", id="generator.seed"),
-            pytest.param("train", {}, ["--seed", "-3"], "--seed", id="train--seed"),
+            pytest.param("train", {}, ["--seed", "-3"], "train seed", id="train--seed"),
             pytest.param("ablate", {"seeds": [0, -1]}, [], "seeds", id="seeds"),
             pytest.param("gen", {"gen_seed": -5}, [], "gen_seed", id="gen_seed"),
             pytest.param("eval", {"eval_seed": -4, "method": "fps-min-dist"}, [], "eval_seed", id="eval_seed"),
@@ -1184,6 +1219,30 @@ class TestExitCodes:
             ]
         )
         assert code == 1  # empty/missing dir is an argument problem
+
+    @pytest.mark.parametrize(
+        "verb, defect",
+        [
+            pytest.param("eval", "empty --data", id="eval-data"),
+            pytest.param("sweep-fps", "empty --data", id="sweep-fps-data"),
+            pytest.param("ablate", "empty --data", id="ablate-data"),
+            pytest.param("token-sweep", "empty --data", id="token-sweep-data"),
+            pytest.param("eval", "directory --checkpoint", id="eval-checkpoint"),
+        ],
+    )
+    def test_bad_input_exit_1_before_out_is_made(self, config_path, tmp_path, capsys, verb, defect):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        out = tmp_path / "o"
+        argv = [verb, "--config", str(config_path), "--out", str(out)]
+        if defect == "empty --data":
+            argv += ["--data", str(inputs)]
+        if verb == "eval":  # with --data too: eval reads the batch's headers first
+            argv += ["--checkpoint", str(inputs)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_corrupt_episode_file_exit_3(self, config_path, tmp_path):
         data = tmp_path / "data"
