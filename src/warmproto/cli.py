@@ -185,14 +185,16 @@ def _eval_batch(cfg: ExperimentConfig, data_dir, ways: bool = False) -> EpisodeB
 
 def cmd_gen(args) -> None:
     cfg = load_experiment_config(args.config)
-    names = {f"ep_{i:05d}.warmep" for i in range(cfg.num_episodes)}
+    # padded to one width, so --data's name order is index order
+    width = max(5, len(str(cfg.num_episodes - 1)))
+    names = [f"ep_{i:0{width}d}.warmep" for i in range(cfg.num_episodes)]
     # eval --data would score another batch's leftovers with this one
-    stale = sorted(p.name for p in Path(args.out).glob("*.warmep") if p.name not in names)
+    stale = sorted({p.name for p in Path(args.out).glob("*.warmep")} - set(names))
     if stale:
         raise ArgumentError(f"{args.out} holds {stale[0]}, which a batch of {cfg.num_episodes} does not write")
     out = _out_dir(args)
-    for i in range(cfg.num_episodes):
-        save_episode(eval_episode(gen_episode, cfg.generator, cfg.gen_seed, i), out / f"ep_{i:05d}.warmep")
+    for i, name in enumerate(names):
+        save_episode(eval_episode(gen_episode, cfg.generator, cfg.gen_seed, i), out / name)
     write_sidecar(out / "generator_config.json", "gen", cfg)
     print(f"gen: wrote {cfg.num_episodes} episodes to {out}")
 

@@ -250,51 +250,39 @@ def _mixing_map(rng: np.random.Generator, dim: int, corr: float) -> np.ndarray:
     return (1.0 - corr) * np.eye(dim) + corr * tri
 
 
-def _instance_points(rng: np.random.Generator, cfg: GeneratorConfig, center: np.ndarray, count: int) -> np.ndarray:
-    mix = _mixing_map(rng, cfg.feature_dim, cfg.channel_corr_strength)
-    noise = rng.standard_normal((count, cfg.feature_dim)) @ mix.T
-    return center + cfg.instance_spread * noise
-
-
-def _background_points(
-    rng: np.random.Generator, cfg: GeneratorConfig, distractors: list[int], count: int
-) -> np.ndarray:
-    counts = rng.multinomial(count, [1.0 / len(distractors)] * len(distractors))
-    parts = []
-    for cls, n in zip(distractors, counts):
+def _instances(
+    rng: np.random.Generator, cfg: GeneratorConfig, ways: list[tuple[int, int]], counts
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Feature and label parts of one instance per (label, class) way with
+    its point count: a jittered class center, then, for a way with points,
+    its channel mixing map and the mixed noise around that center."""
+    feature_parts, label_parts = [], []
+    for (label, cls), n in zip(ways, counts):
         center = class_center(cfg, cls) + cfg.intra_class_scale * rng.standard_normal(cfg.feature_dim)
         if n > 0:
-            parts.append(_instance_points(rng, cfg, center, int(n)))
-    return np.vstack(parts) if parts else np.empty((0, cfg.feature_dim))
-
-
-def _fg_budget(rng: np.random.Generator, cfg: GeneratorConfig, ways: int) -> int:
-    total = cfg.points_per_cloud
-    n_fg = int(round(total * rng.uniform(*_FG_FRACTION)))
-    n_fg = max(n_fg, ways * cfg.min_fg_points)
-    return min(n_fg, total - cfg.min_fg_points)
+            mix = _mixing_map(rng, cfg.feature_dim, cfg.channel_corr_strength)
+            noise = rng.standard_normal((n, cfg.feature_dim)) @ mix.T
+            feature_parts.append(center + cfg.instance_spread * noise)
+            label_parts.append(np.full(n, label, dtype=np.int64))
+    return feature_parts, label_parts
 
 
 def _cloud(
     rng: np.random.Generator, cfg: GeneratorConfig, ways: list[tuple[int, int]], distractors: list[int]
 ) -> PointCloud:
     """A cloud with one instance per (label, class) way (one for a support
-    cloud, every way for a query) over a background of distractors."""
-    n_fg = _fg_budget(rng, cfg, len(ways))
+    cloud, every way for a query) over a background of distractors. The
+    background keeps at least ``min_fg_points``, shared by a multinomial
+    draw in which a distractor may draw no points."""
+    total = cfg.points_per_cloud
+    n_fg = max(int(round(total * rng.uniform(*_FG_FRACTION))), len(ways) * cfg.min_fg_points)
+    n_fg = min(n_fg, total - cfg.min_fg_points)
     base, extra = divmod(n_fg, len(ways))
-    feature_parts, label_parts = [], []
-    for i, (label, cls) in enumerate(ways):
-        n_w = base + (1 if i < extra else 0)
-        center = class_center(cfg, cls) + cfg.intra_class_scale * rng.standard_normal(cfg.feature_dim)
-        feature_parts.append(_instance_points(rng, cfg, center, n_w))
-        label_parts.append(np.full(n_w, label, dtype=np.int64))
-    bg = _background_points(rng, cfg, distractors, cfg.points_per_cloud - n_fg)
-    feature_parts.append(bg)
-    label_parts.append(np.zeros(len(bg), dtype=np.int64))
-    features = np.vstack(feature_parts)
-    labels = np.concatenate(label_parts)
-    perm = rng.permutation(cfg.points_per_cloud)
-    return PointCloud(features[perm], labels[perm])
+    features, labels = _instances(rng, cfg, ways, [base + (i < extra) for i in range(len(ways))])
+    bg_counts = rng.multinomial(total - n_fg, [1.0 / len(distractors)] * len(distractors))
+    bg_features, bg_labels = _instances(rng, cfg, [(BACKGROUND, cls) for cls in distractors], bg_counts)
+    perm = rng.permutation(total)
+    return PointCloud(np.vstack(features + bg_features)[perm], np.concatenate(labels + bg_labels)[perm])
 
 
 def gen_episode(cfg: GeneratorConfig, rng: np.random.Generator, split: str = "base") -> Episode:

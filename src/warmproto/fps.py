@@ -3,8 +3,8 @@
 The baseline builds per-class prototype sets by FPS over pooled support
 features and labels query points by nearest prototype. Its only source
 of randomness is the FPS start point, which is exactly what the seed
-sweep varies. Both scoring calls read their batch through
-``trainer.score_batch``, as ``trainer.evaluate`` does.
+sweep varies. The sweep reads its batch through ``trainer.score_batch``,
+as ``trainer.evaluate`` does; ``evaluate_fps`` is its one-seed case.
 """
 
 from __future__ import annotations
@@ -96,17 +96,15 @@ def _episode_scores(count: int, seeds: list[int], i: int, episode: Episode) -> t
 
 
 def evaluate_fps(episodes: Sequence[Episode], count: int, seed: int, workers: int = 1) -> MetricsReport:
-    """Run the baseline over an episode batch with one sweep seed, plus
-    the dispersion metrics of the batch, in one pass over it on at most
-    ``workers`` forked workers (``trainer.score_batch``)."""
-    ious, summaries = zip(*score_batch(episodes, partial(_episode_scores, count, [int(seed)]), workers))
-    return MetricsReport(*mean_iou(iou for (iou,) in ious), **dispersion_metrics(list(chain.from_iterable(summaries))))
+    """The baseline's report over an episode batch with one sweep seed,
+    dispersion fields included: the one-seed ``fps_seed_sweep``."""
+    return fps_seed_sweep(episodes, count, [seed], workers).reports[0]
 
 
 @dataclass
 class SweepResult:
     seeds: list[int]
-    reports: list[MetricsReport]  # one per seed, without dispersion fields
+    reports: list[MetricsReport]  # one per seed, each with the batch's dispersion fields
     best: float
     worst: float
     mean: float
@@ -114,18 +112,21 @@ class SweepResult:
 
 
 def fps_seed_sweep(episodes: Sequence[Episode], count: int, seeds, workers: int = 1) -> SweepResult:
-    """Evaluate the baseline once per seed on identical episodes, in one
-    pass on at most ``workers`` forked workers (``trainer.score_batch``).
+    """Evaluate the baseline once per seed on identical episodes, plus the
+    dispersion metrics of the batch, in one pass on at most ``workers``
+    forked workers (``trainer.score_batch``).
 
     Only the FPS starts change between seeds; the summary reports the
     order statistics of the per-seed mean IoU (population stdev).
-    Duplicate or unsorted seeds give one row each, in the order given.
+    Duplicate or unsorted seeds give one row each, in the order given;
+    every row carries the same dispersion fields.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ArgumentError("seed sweep needs at least one seed")
-    per_episode = score_batch(episodes, lambda i, episode: _episode_scores(count, seeds, i, episode)[0], workers)
-    reports = [MetricsReport(*mean_iou(seed_ious)) for seed_ious in zip(*per_episode)]
+    per_episode, summaries = zip(*score_batch(episodes, partial(_episode_scores, count, seeds), workers))
+    dispersion = dispersion_metrics(list(chain.from_iterable(summaries)))
+    reports = [MetricsReport(*mean_iou(seed_ious), **dispersion) for seed_ious in zip(*per_episode)]
     scores = np.array([r.miou for r in reports])
     return SweepResult(
         seeds=seeds,

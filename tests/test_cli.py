@@ -327,6 +327,17 @@ class TestGen:
         assert main(["gen", "--config", str(more), "--out", str(out)]) == 1
         assert "holds other.warmep," in capsys.readouterr().err
 
+    def test_gen_names_sort_in_index_order_past_99999(self, tmp_path, monkeypatch):
+        # --data reads files in name order; unpadded, ep_100000 would sort between ep_10000 and ep_10001
+        written = []
+        monkeypatch.setattr(cli, "eval_episode", lambda generate, cfg, seed, i: i)
+        monkeypatch.setattr(cli, "save_episode", lambda index, path: written.append((path.name, index)))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, num_episodes=100_001)))
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert [index for _, index in sorted(written)] == list(range(100_001))
+        assert written[0][0] == "ep_000000.warmep" and written[-1][0] == "ep_100000.warmep"
+
     def test_gen_invalid_config_exit_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{bad json")

@@ -139,8 +139,10 @@ class TestGenEpisode:
             assert {0, 1, 2} <= set(q.labels.tolist())
 
     def test_min_fg_guarantee_over_many_seeds(self):
-        # training trusts a base-split episode to draw only base classes
-        for cfg in (SMALL, TWO_WAY):
+        # training trusts a base-split episode to draw only base classes; tight
+        # leaves the background 4-8 points over 6 distractors, so some draw none
+        tight = GeneratorConfig(feature_dim=4, points_per_cloud=12, min_fg_points=2, n_way=2, bg_components=6)
+        for cfg in (SMALL, TWO_WAY, tight):
             for seed in range(1000):
                 ep = gen_episode(cfg, derive_rng(seed), split="base")
                 assert set(ep.class_ids) <= set(cfg.base_classes)
@@ -148,6 +150,9 @@ class TestGenEpisode:
                     for shot in range(cfg.k_shot):
                         fg, _ = split_fg_bg(ep.support_cloud(way, shot), way + 1)
                         assert fg.shape[0] >= cfg.min_fg_points
+                # the background floor: every cloud keeps min_fg_points background points
+                for cloud in ep.support + ep.query:
+                    assert np.count_nonzero(cloud.labels == 0) >= cfg.min_fg_points
 
     def test_dispersion_ordering_at_documented_scales(self):
         # inter=10, intra=3, spread=2, corr=0.8 over 100 episodes

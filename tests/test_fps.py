@@ -17,6 +17,7 @@ from warmproto import (
 from warmproto.episodes import Episode
 from warmproto.errors import ArgumentError, EmptyClassError
 from warmproto.fps import evaluate_fps, fps_prototypes, fps_seed_sweep
+from warmproto.metrics import dispersion_metrics, fg_summaries
 from warmproto.trainer import make_eval_episodes
 
 
@@ -232,10 +233,15 @@ class TestFpsSeedSweep:
         seeds = [3, 0, 3]
         res = fps_seed_sweep(episodes, 5, seeds)
         assert res.seeds == seeds
+        # independent batch dispersion: one summary per way of each episode's pooled support
+        dispersion = dispersion_metrics(
+            [s for ep in episodes for s in fg_summaries(ep.pooled_support_by_class(), ep.class_ids)]
+        )
         for seed, row in zip(res.seeds, res.reports):
             report = evaluate_fps(episodes, 5, seed)
             assert row.miou == report.miou
             assert row.per_class_iou == report.per_class_iou
+            assert {name: getattr(row, name) for name in ("d_intra", "d_inter", "d_instance")} == dispersion
             # independent seed-major reference; 300 is the sweep's stream key
             scores = []
             for i, ep in enumerate(episodes):

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Digest of what every CLI verb writes, to check two trees for byte identity.
 
-Runs a fixed set of verbs on a small 2-way 2-shot config, each in its own
+Runs a fixed set of verbs on a small 2-way 2-shot config, plus ``gen`` on
+a tiny one whose background distractors can draw no points, each in its own
 ``python -m warmproto.cli`` subprocess, with the package imported from
 ``--src`` (default: the ``src`` beside this script); the package's import
 pins BLAS to 1 thread. The whole set runs twice, each time in a fresh
@@ -41,10 +42,13 @@ CONFIG = {
     "seeds": [0, 1],
     "token_counts": [2, 4],
 }
+# a background of 4-8 points over 6 distractors, so some distractors draw no points
+TINY = dict(CONFIG, generator=dict(CONFIG["generator"], points_per_cloud=12, min_fg_points=2, bg_components=6))
 
 # (arguments, output directory); paths are relative to the working directory
 VERBS = [
     (["gen", "--config", "warm.json"], "gen"),
+    (["gen", "--config", "tiny.json"], "gen-tiny"),
     (["train", "--config", "warm.json"], "train"),
     (["eval", "--config", "warm.json", "--checkpoint", "train/checkpoint.json"], "eval-warm"),
     (["eval", "--config", "warm.json", "--checkpoint", "train/checkpoint.json", "--data", "gen"], "eval-warm-data"),
@@ -67,6 +71,7 @@ def run_verbs(src: Path, cpus: str) -> bool:
         work = Path(tmp)
         (work / "warm.json").write_text(json.dumps(CONFIG))
         (work / "fps.json").write_text(json.dumps(dict(CONFIG, method="fps-min-dist")))
+        (work / "tiny.json").write_text(json.dumps(TINY))
         for argv, out in VERBS:
             argv = [*argv, "--out", out]
             print(f"$ cpus={cpus} warmproto {' '.join(argv)}")
