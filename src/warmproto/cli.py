@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -29,12 +28,13 @@ from .episodes import (
     EpisodeBatch,
     GeneratorConfig,
     check_range,
+    check_types,
     gen_episode,
     load_episode,
     read_header,
     save_episode,
 )
-from .errors import ArgumentError, ConfigError, FormatError, NumericError
+from .errors import ArgumentError, CheckpointError, ConfigError, FormatError, NumericError
 from .files import atomic_write, json_int, write_csv
 from .fps import evaluate_fps, fps_seed_sweep
 from .trainer import TrainConfig, eval_episode, evaluate, make_eval_episodes, run_grid, train
@@ -56,50 +56,26 @@ class ExperimentConfig:
     gen_seed: int = 7700
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.method != "fps-min-dist" and self.method not in VARIANTS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {['fps-min-dist', *VARIANTS]}")
         check_range(self, ("eval_episodes", "fps_tokens", "fps_seeds", "num_episodes", "token_counts"), 1)
         check_range(self, ("eval_seed", "gen_seed", "seeds"), 0, MAX_SEED)
-        for name in ("seeds", "token_counts"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be nonempty")
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has a config field's annotated type. JSON
-    integers are valid floats, non-finite floats are not; booleans are
-    neither integers nor floats; a nested config is a JSON object."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:  # the length is left to the config's own check
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if hint is float:  # NaN, Infinity and integers past a double's range do not fit
-        return (_fits(value, int) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, dict if is_dataclass(hint) else hint)
 
 
 def _build_dataclass(cls, data: dict, section: str):
-    """``cls`` from a JSON object, each nested config from its own (its section)."""
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - names)
+    """``cls`` from a JSON object (its section): each list becomes a tuple
+    and each object a field's nested config; the config checks the values."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(data.keys() - defaults.keys())
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown} in section '{section}'")
-    hints = typing.get_type_hints(cls)
-    for f in fields(cls):
-        if f.name in data and not _fits(data[f.name], hints[f.name]):
-            raise ConfigError(
-                f"field '{f.name}' in section '{section}' must be {f.type}, got {json.dumps(data[f.name])}"
-            )
     kwargs = {}
     for name, value in data.items():
-        if is_dataclass(hints[name]):
-            value = _build_dataclass(hints[name], value, name)
+        if isinstance(value, dict) and is_dataclass(defaults[name]):
+            value = _build_dataclass(type(defaults[name]), value, name)
         kwargs[name] = tuple(value) if isinstance(value, list) else value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in section '{section}': {exc}") from exc
+    return cls(**kwargs)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -228,6 +204,8 @@ def cmd_eval(args) -> None:
         raise ConfigError(f"method {cfg.method!r} needs --checkpoint")
     episodes = _eval_batch(cfg, args.data, ways=True)
     params = None if cfg.method == "fps-min-dist" else load_checkpoint(args.checkpoint)[0]
+    if params is not None and params.feature_dim != cfg.generator.feature_dim:  # the batch's D is the config's
+        raise CheckpointError(f"checkpoint has D={params.feature_dim} but the config has D={cfg.generator.feature_dim}")
     out = _out_dir(args)
     if params is None:
         report = evaluate_fps(episodes, cfg.fps_tokens, cfg.eval_seed, worker_cap())
@@ -287,12 +265,11 @@ def cmd_token_sweep(args) -> None:
         raise ConfigError("token-sweep needs a trainable method")
     episodes = _eval_batch(cfg, args.data)
     out = _out_dir(args)
-    counts = [int(m) for m in cfg.token_counts]
-    runs = [(replace(cfg.train, seed=seed, num_tokens=m), cfg.method) for seed in cfg.seeds for m in counts]
+    runs = [(replace(cfg.train, seed=seed, num_tokens=m), cfg.method) for seed in cfg.seeds for m in cfg.token_counts]
     mious = [report.miou for _, report in run_grid(runs, cfg.generator, episodes, worker_cap())]
     # per token count, one mIoU per seed in seed order
-    scores = [mious[i :: len(counts)] for i in range(len(counts))]
-    rows = [[m, repr(float(np.mean(s))), repr(float(np.std(s)))] for m, s in zip(counts, scores)]
+    scores = [mious[i :: len(cfg.token_counts)] for i in range(len(cfg.token_counts))]
+    rows = [[m, repr(float(np.mean(s))), repr(float(np.std(s)))] for m, s in zip(cfg.token_counts, scores)]
     write_csv(out / "token_sweep.csv", ["M", "miou_mean", "miou_std"], rows)
     write_sidecar(out / "token_sweep_config.json", "token-sweep", cfg)
     print(f"token-sweep: {len(rows)} token counts -> {out / 'token_sweep.csv'}")

@@ -20,7 +20,7 @@ import os
 import struct
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -179,6 +179,7 @@ class GeneratorConfig:
     bg_components: int = 4
 
     def __post_init__(self) -> None:
+        check_types(self)
         check_range(self, ("feature_dim", "points_per_cloud", "n_way", "k_shot", "num_query", "bg_components"), 1)
         check_range(self, ("min_fg_points",), 2)
         check_range(self, ("seed",), 0, MAX_SEED, prefix="generator ")
@@ -190,8 +191,6 @@ class GeneratorConfig:
         # WARM-EP1 stores class ids as u32
         check_range(self, ("base_classes", "novel_classes"), 0)
         base, novel = set(self.base_classes), set(self.novel_classes)
-        if not base or not novel:
-            raise ConfigError("both class splits must be nonempty")
         if base & novel:
             raise ConfigError(f"base and novel classes overlap: {sorted(base & novel)}")
         for split_name, split in (("base_classes", self.base_classes), ("novel_classes", self.novel_classes)):
@@ -210,12 +209,30 @@ class GeneratorConfig:
             )
 
 
+def check_types(cfg) -> None:
+    """The one type rule of the three configs, run first in ``__post_init__``: ConfigError naming
+    the first field whose value does not ``fit`` its default (no build resolves annotations)."""
+    for f in fields(cfg):
+        if not fits(value := getattr(cfg, f.name), f.default):
+            raise ConfigError(f"{type(cfg).__name__} field '{f.name}' must be {f.type}, got {value!r}")
+
+
+def fits(value, like) -> bool:
+    """Whether ``value`` has the type of ``like``: an int for an int; an int or
+    a float in a double's finite range for a float; a nonempty tuple of values
+    that fit ``like[0]`` for a tuple; else an instance. A bool fits nothing."""
+    if isinstance(like, tuple):
+        return isinstance(value, tuple) and len(value) > 0 and all(fits(v, like[0]) for v in value)
+    if isinstance(like, float):
+        return (fits(value, 0) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, type(like)) and not isinstance(value, bool)
+
+
 def check_range(cfg, names, low, high=MAX_SIZE, prefix: str = "") -> None:
     """Raise ConfigError for the first field of ``names``, or element of a
     tuple field, outside [low, high], naming the field and the bound it
-    broke. NaN breaks both; float fields pass ``high=sys.float_info.max``,
-    so infinity breaks it too. Above ``MAX_SIZE`` a size is one numpy
-    could not allocate, or a count no run would finish."""
+    broke; float fields pass ``high=sys.float_info.max``. Above ``MAX_SIZE``
+    a size is one numpy could not allocate, or a count no run would finish."""
     for name in names:
         value = getattr(cfg, name)
         for v in value if isinstance(value, tuple) else (value,):

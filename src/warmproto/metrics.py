@@ -10,7 +10,6 @@ the attention head, which ``trainer.evaluate`` reads off the forward trace.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -119,12 +118,11 @@ def attention_entropy(weights) -> float:
     """Mean over rows of the normalized entropy -sum(p ln p) / ln L.
 
     Rows must be probability vectors. A single-column map has no
-    uniformity to measure; by convention it scores 1.0 (with a warning).
+    uniformity to measure; by convention it scores 1.0.
     """
     a = _check_prob_rows(weights)
     n_cols = a.shape[1]
     if n_cols == 1:
-        warnings.warn("attention entropy over a single key is 1.0 by convention", stacklevel=2)
         return 1.0
     terms = np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0)
     return float(np.mean(-terms.sum(axis=1) / np.log(n_cols)))

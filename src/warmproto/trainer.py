@@ -25,7 +25,8 @@ from itertools import chain, groupby, islice
 
 import numpy as np
 
-from .episodes import MAX_SEED, MAX_SIZE, Episode, EpisodeBatch, GeneratorConfig, PointCloud, check_range, gen_episode
+from .episodes import MAX_SEED, MAX_SIZE, Episode, EpisodeBatch, GeneratorConfig, PointCloud, gen_episode
+from .episodes import check_range, check_types
 from .errors import ArgumentError, CheckpointError, ConfigError, NumericError
 from .losses import margin_loss_grad, point_distances, predict, simplification_loss_and_grad
 from .metrics import (
@@ -80,6 +81,7 @@ class TrainConfig:
         return self.epochs * self.episodes_per_epoch
 
     def __post_init__(self) -> None:
+        check_types(self)
         check_range(self, ("epochs",), 0)
         check_range(self, ("episodes_per_epoch", "num_tokens"), 1)
         if self.total_steps > MAX_SIZE:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import BACKGROUND, Episode
+from .episodes import BACKGROUND, MAX_SEED, Episode, fits
 from .errors import ArgumentError, CheckpointError, EmptyClassError, InsufficientPointsError, NumericError
 from .files import atomic_write, json_int
 from .linalg import half_powers, require_finite, softmax_rows
@@ -359,18 +359,22 @@ def load_checkpoint(path) -> tuple[WarmParams, dict]:
     missing = required - payload.keys()
     if missing:
         raise CheckpointError(f"checkpoint {path} is missing fields {sorted(missing)}")
+    for key in ("version", "feature_dim", "num_tokens", "seed"):
+        if not fits(payload[key], 0):
+            raise CheckpointError(f"checkpoint {path} field '{key}' must be an integer, got {payload[key]!r}")
     if payload["version"] != 1:
         raise CheckpointError(f"unsupported checkpoint version {payload['version']}")
+    if not 0 <= payload["seed"] <= MAX_SEED:
+        raise CheckpointError(f"checkpoint {path} field 'seed' must lie in [0, {MAX_SEED}], got {payload['seed']}")
     try:
-        d, m = int(payload["feature_dim"]), int(payload["num_tokens"])
         params = WarmParams(**{name: np.array(payload[name], dtype=np.float64) for name in PARAM_NAMES})
     # ArgumentError is a ValueError; NumericError is json's NaN or infinity; OverflowError a huge integer
     except (TypeError, ValueError, OverflowError, NumericError) as exc:
         raise CheckpointError(f"checkpoint {path} holds malformed values: {exc}") from exc
-    if params.feature_dim != d or params.num_tokens != m:
+    if params.feature_dim != payload["feature_dim"] or params.num_tokens != payload["num_tokens"]:
         raise CheckpointError(
             f"checkpoint arrays are ({params.num_tokens} tokens, D={params.feature_dim}) "
-            f"but header says ({m} tokens, D={d})"
+            f"but header says ({payload['num_tokens']} tokens, D={payload['feature_dim']})"
         )
     meta = {k: payload[k] for k in ("version", "feature_dim", "num_tokens", "seed", "config_sha256") if k in payload}
     return params, meta

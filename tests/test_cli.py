@@ -89,6 +89,67 @@ def out_of_range_values():
                     yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{where}={bad}")
 
 
+def wrong_type_values():
+    """(config type, field, value) for each config field set to a value of
+    the wrong type: a bool and 1.5 for an int, a string for a float, a list
+    and an empty tuple for a tuple, and a number for anything else (a nested
+    config or the method name)."""
+    for cls in (GeneratorConfig, TrainConfig, ExperimentConfig):
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            hint = hints[f.name]
+            if typing.get_origin(hint) is tuple:
+                values = [list(f.default), ()]
+            else:
+                values = {int: [True, 1.5], float: ["1e-4"]}.get(hint, [3])
+            for value in values:
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+
+
+def off_default_config() -> ExperimentConfig:
+    """A config built in code with every field, nested ones included, off its default."""
+    return ExperimentConfig(
+        generator=GeneratorConfig(
+            feature_dim=4,
+            points_per_cloud=200,
+            n_way=2,
+            k_shot=3,
+            num_query=2,
+            inter_class_scale=5.5,
+            intra_class_scale=4,
+            instance_spread=8.25,
+            channel_corr_strength=0.0,
+            base_classes=(20, 21, 22),
+            novel_classes=(30, 31, 32, 33),
+            seed=MAX_SEED,
+            min_fg_points=8,
+            bg_components=3,
+        ),
+        train=TrainConfig(
+            epochs=2,
+            episodes_per_epoch=3,
+            lr=0.003,
+            weight_decay=0,
+            lr_decay_factor=1,
+            lr_milestones=(0.25, 0.75),
+            lam=1.5,
+            num_tokens=7,
+            seed=11,
+            margin=0.1,
+            token_std=0.5,
+        ),
+        method="naive",
+        seeds=(3, 1),
+        eval_episodes=9,
+        eval_seed=12,
+        fps_tokens=4,
+        fps_seeds=6,
+        token_counts=(5,),
+        num_episodes=8,
+        gen_seed=13,
+    )
+
+
 def read_csv(path):
     with Path(path).open() as fh:
         return list(csv.reader(fh))
@@ -275,6 +336,42 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=rf"\b{field}\b"):
             replace(cls(), **{field: value})
 
+    @pytest.mark.parametrize("cls, field, value", list(wrong_type_values()))
+    def test_every_config_value_is_type_checked(self, cls, field, value):
+        # built in code: the config checks the type itself, as it does for a value from JSON
+        with pytest.raises(ConfigError, match=f"^{cls.__name__} field '{field}' must be "):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(ExperimentConfig(), id="default"),
+            pytest.param(
+                ExperimentConfig(
+                    generator=GeneratorConfig(feature_dim=8, points_per_cloud=128, min_fg_points=16, n_way=2, k_shot=2),
+                    train=TrainConfig(epochs=1, episodes_per_epoch=6, num_tokens=6),
+                    eval_episodes=4,
+                    num_episodes=4,
+                    fps_seeds=4,
+                    seeds=(0, 1),
+                    token_counts=(2, 4),
+                ),
+                id="digest",
+            ),
+            pytest.param(off_default_config(), id="off-default"),
+        ],
+    )
+    def test_loader_round_trip(self, tmp_path, cfg):
+        # written as the sidecars write it: lists come back as tuples, objects as nested configs
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(asdict(cfg)))
+        assert load_experiment_config(path) == cfg
+
+    def test_off_default_config_sets_every_field(self):
+        cfg = off_default_config()
+        for section in (cfg, cfg.generator, cfg.train):
+            assert [f.name for f in fields(section) if getattr(section, f.name) == f.default] == []
+
     def test_json_integers_fill_float_fields(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"train": {"lr": 1, "lam": 2}, "generator": {"instance_spread": 4}}))
@@ -405,6 +502,7 @@ class TestTrainEval:
         )
         assert code == 1
         assert "D=" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("verb", ["eval", "eval+fps-min-dist", "ablate", "token-sweep", "sweep-fps"])
@@ -480,6 +578,8 @@ class TestTrainEval:
         code = main(["eval", "--config", str(path), "--data", str(data), "--out", str(out)])
         assert code == 0
 
+    # a warning would print to stderr outside pytest
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method, code", [("naive", 0), ("center", 1), ("warm", 1)])
     def test_one_point_support_class_fails_only_where_read(self, config_path, tmp_path, capsys, method, code):
         # a --data foreground of one point has no covariance; "naive" reads none

@@ -255,9 +255,9 @@ class TestAttentionEntropy:
         # (1/2, 1/2, 0, 0) over 4 columns: ln 2 / ln 4 = 0.5
         assert attention_entropy(np.array([[0.5, 0.5, 0.0, 0.0]])) == pytest.approx(0.5)
 
+    @pytest.mark.filterwarnings("error")
     def test_single_column_convention(self):
-        with pytest.warns(UserWarning):
-            assert attention_entropy(np.ones((3, 1))) == 1.0
+        assert attention_entropy(np.ones((3, 1))) == 1.0
 
     def test_column_permutation_invariance(self):
         rng = derive_rng(3)

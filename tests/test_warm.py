@@ -446,6 +446,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"missing fields \\['{name}'\\]"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("feature_dim", "3"),
+            ("feature_dim", 3.9),
+            ("feature_dim", True),
+            ("num_tokens", "2"),
+            ("version", True),
+            ("version", 1.0),
+            ("seed", "x"),
+            ("seed", -5),
+            ("seed", 2**64),
+        ],
+    )
+    def test_header_fields_are_integers(self, tmp_path, key, value):
+        # a header value that is not a JSON integer, or a seed outside [0, 2^64 - 1], is malformed
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params(3, 2, derive_rng(31)), seed=0)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"field '{key}' must "):
+            load_checkpoint(path)
+
     def test_inconsistent_header(self, tmp_path):
         params = init_params(3, 2, derive_rng(31))
         path = tmp_path / "ckpt.json"

@@ -12,7 +12,8 @@ then on all the CPUs this script may use, one worker each. For each verb
 it prints the command under a fixed label (``cpus=1`` or ``cpus=all``, so
 hosts with other CPU counts print the same lines), its stdout, and one
 ``sha256  path`` line per file under its ``--out``; ``timing.csv`` is left
-out, since it holds wall times. It exits 1 at the first verb that exits
+out, since it holds wall times. ``report``, which takes no ``--out``,
+prints only its stdout, the summary of a directory an earlier verb wrote. It exits 1 at the first verb that exits
 non-zero, after printing that verb's stderr.
 
 Two trees write the same bytes when their digests diff clean:
@@ -45,7 +46,8 @@ CONFIG = {
 # a background of 4-8 points over 6 distractors, so some distractors draw no points
 TINY = dict(CONFIG, generator=dict(CONFIG["generator"], points_per_cloud=12, min_fg_points=2, bg_components=6))
 
-# (arguments, output directory); paths are relative to the working directory
+# (arguments, output directory or None for a verb that writes no files); paths
+# are relative to the working directory
 VERBS = [
     (["gen", "--config", "warm.json"], "gen"),
     (["gen", "--config", "tiny.json"], "gen-tiny"),
@@ -59,6 +61,8 @@ VERBS = [
     (["ablate", "--config", "warm.json", "--data", "gen"], "ablate-data"),
     (["token-sweep", "--config", "warm.json"], "token-sweep"),
     (["token-sweep", "--config", "warm.json", "--data", "gen"], "token-sweep-data"),
+    (["report", "--data", "train"], None),
+    (["report", "--data", "ablate"], None),
 ]
 
 
@@ -73,7 +77,7 @@ def run_verbs(src: Path, cpus: str) -> bool:
         (work / "fps.json").write_text(json.dumps(dict(CONFIG, method="fps-min-dist")))
         (work / "tiny.json").write_text(json.dumps(TINY))
         for argv, out in VERBS:
-            argv = [*argv, "--out", out]
+            argv = argv if out is None else [*argv, "--out", out]
             print(f"$ cpus={cpus} warmproto {' '.join(argv)}")
             done = subprocess.run(
                 [sys.executable, "-m", "warmproto.cli", *argv],
@@ -88,7 +92,7 @@ def run_verbs(src: Path, cpus: str) -> bool:
                 sys.stdout.flush()
                 sys.stderr.write(f"exit {done.returncode}: {done.stderr}")
                 return False
-            for path in sorted((work / out).rglob("*")):
+            for path in sorted((work / out).rglob("*")) if out is not None else ():
                 if path.is_file() and path.name != "timing.csv":
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     print(f"{digest}  {path.relative_to(work)}")
